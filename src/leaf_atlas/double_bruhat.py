@@ -5,7 +5,8 @@ intersection of the upper cell of ``w1`` with the lower cell of ``w2``.
 Nonemptiness has two local criteria (Bruhat comparison of the unique
 factorizations, and domain/range set comparison) plus an independent
 global one (existence of a stratum index with the prescribed off-diagonal
-blocks); all are implemented and cross-checked.  A nonempty cell splits
+blocks).  This module implements the factorization and global criteria; the
+harness cross-checks them against the set criterion.  A nonempty cell splits
 into finitely many strata, with the factorization quadruple itself naming
 the unique open dense one.
 """
@@ -17,10 +18,10 @@ from typing import Iterator
 
 from . import cells
 from .exact_matrix import RationalMatrix
-from .leaves import enumerate_leaves
+from .leaves import block_pairs
 from .permutations import (Perm, PartialPerm, bruhat_leq, compose,
-                           left_compose, longest, right_compose, subset_leq)
-from .sigma import SigmaTuple, decompose_partial, phi_to_leaf
+                           left_compose, longest, right_compose)
+from .sigma import SigmaTuple, decompose_partial
 
 
 @dataclass(frozen=True)
@@ -48,38 +49,28 @@ def _tail_perms(n: int, t: int) -> Iterator[Perm]:
 
 def is_nonempty(d: DoubleCellIndex) -> bool:
     """
-    Nonemptiness of the double cell.  Computes both local criteria -- the
-    Bruhat tests ``z <= y`` and ``v <= u`` on the unique factorizations, and
-    the set tests ``dom(w1) <= dom(w2)``, ``rng(w1) >= rng(w2)`` -- asserts
-    they agree, and returns the verdict.  Unequal ranks give ``False``.
+    Nonemptiness of the double cell by the factorization criterion: the
+    Bruhat tests ``z <= y`` and ``v <= u`` on the unique factorizations.
+    Unequal ranks give ``False``.
     """
     if d.w1.rank() != d.w2.rank():
         return False
-    y, _v = decompose_partial(d.w1, "yv")
+    y, v = decompose_partial(d.w1, "yv")
     z, u = decompose_partial(d.w2, "zu")
-    v = _v
-    by_factorization = bruhat_leq(z, y) and bruhat_leq(v, u)
-    by_sets = (subset_leq(d.w1.dom(), d.w2.dom())
-               and subset_leq(d.w2.rng(), d.w1.rng()))
-    assert by_factorization == by_sets
-    return by_factorization
+    return bruhat_leq(z, y) and bruhat_leq(v, u)
 
 
 def nonempty_by_completion(d: DoubleCellIndex) -> bool:
     """
     Independent global criterion: some stratum index has lower-left block
     ``w1`` and upper-right block equal to the reflected transpose of ``w2``.
-    Enumerates all stratum indices; intended for small shapes.
+    Looks the pair up among the blocks of all stratum indices, enumerated
+    once per shape; intended for small shapes.  The two blocks of an index
+    have equal rank, so unequal ranks are never found.
     """
     m, n = d.shape
-    if d.w1.rank() != d.w2.rank():
-        return False
     target12 = left_compose(longest(n), right_compose(d.w2.transpose(), longest(m)))
-    for leaf in enumerate_leaves(m, n):
-        b = leaf.blocks()
-        if b.w21 == d.w1 and b.w12 == target12:
-            return True
-    return False
+    return (d.w1, target12) in block_pairs(m, n)
 
 
 def decompose(d: DoubleCellIndex) -> list[SigmaTuple]:
@@ -109,18 +100,14 @@ def decompose(d: DoubleCellIndex) -> list[SigmaTuple]:
 def dense_orbit(d: DoubleCellIndex) -> SigmaTuple:
     """
     The quadruple of the unique stratum open and dense in the cell: the base
-    factorization quadruple.  Every other stratum in the decomposition is
-    checked to sit strictly below it in the closure order.
+    factorization quadruple.
     """
     if not is_nonempty(d):
         raise ValueError("empty double cell has no dense stratum")
     t = d.w1.rank()
     y, v0 = decompose_partial(d.w1, "yv")
     z0, u = decompose_partial(d.w2, "zu")
-    dense = SigmaTuple(y, v0, z0, u, t)
-    top = phi_to_leaf(dense)
-    assert all(bruhat_leq(phi_to_leaf(sig).w, top.w) for sig in decompose(d))
-    return dense
+    return SigmaTuple(y, v0, z0, u, t)
 
 
 def classify_double(x: RationalMatrix) -> DoubleCellIndex:

@@ -131,10 +131,13 @@ def from_text(text: str) -> RationalMatrix:
 
 
 def from_json(payload: Union[str, list]) -> RationalMatrix:
-    """Parse a JSON array-of-arrays of strings (or numbers)."""
+    """Parse a JSON array of rows of integers or strings; reject anything else."""
     obj = json.loads(payload) if isinstance(payload, str) else payload
-    if not isinstance(obj, list):
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise ValueError("expected a JSON array of rows")
+    bad = [e for row in obj for e in row if isinstance(e, bool) or not isinstance(e, (int, str))]
+    if bad:
+        raise ValueError(f"matrix entry {bad[0]!r} is neither an integer nor a string")
     return RationalMatrix(obj)
 
 

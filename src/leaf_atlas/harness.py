@@ -2,8 +2,13 @@
 
 Each campaign ties one family of characterizations to the others on seeded
 random input and/or exhaustive small enumerations, and returns a
-machine-readable report.  Failures embed a replayable payload: feeding it to
-``replay`` re-executes exactly the failed check on exactly the failed input.
+machine-readable report.
+
+One table, ``CHECKS``, maps each check name to a ``check_*`` function, looked
+up by name at call time, and a payload codec.  Campaigns run every check
+through it and encode a payload only on failure; ``replay`` decodes one and
+re-executes exactly the failed check on exactly the failed input.  A check
+against a sample of strata records the sampled indices (``"leaves"``).
 
 Determinism: all randomness flows from ``random.Random(stream_seed)`` where
 ``stream_seed = seed * 1_000_003 + stream_index`` and the sample budget is
@@ -21,23 +26,23 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import cells
 from .double_bruhat import (DoubleCellIndex, classify_double, decompose,
-                            dense_orbit, is_nonempty)
+                            dense_orbit, is_nonempty, nonempty_by_completion)
 from .echelon import (COLUMN, ROW, EchelonPattern, all_patterns,
                       column_stratum_sigma, in_pattern, parse_pattern,
                       sample_column_stratum, sample_row_stratum,
                       stratify_pattern)
 from .exact_matrix import (RationalMatrix, from_text, sample_echelon_col,
                            sample_echelon_row, sample_rank, _rand_nonzero)
-from .leaves import (LeafIndex, classify_leaf, enumerate_leaves, in_leaf,
+from .leaves import (LeafIndex, all_leaves, classify_leaf, in_leaf,
                      leaf_profile, window_ok)
 from .permutations import (PartialPerm, all_perms, block_longest, bruhat_leq,
                            count_partial_perms, inverse, left_compose,
                            longest, parse_partial, partial_identity,
-                           partial_perms, right_compose)
+                           partial_perms, right_compose, subset_leq)
 from .sigma import SigmaTuple, enumerate_sigma, phi, phi_inv, phi_to_leaf
 
 CAMPAIGNS = ("partition", "thm42_equiv", "closure_order", "lemma75_blocks",
@@ -94,13 +99,13 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-@lru_cache(maxsize=None)
-def _leaves(m: int, n: int) -> tuple[LeafIndex, ...]:
-    return tuple(enumerate_leaves(m, n))
+@lru_cache(maxsize=1)  # the checks of one rank share an enumeration; keep one rank
+def _sigmas(m: int, n: int, t: int) -> tuple[SigmaTuple, ...]:
+    return tuple(enumerate_sigma(m, n, t))
 
 
 # ---------------------------------------------------------------------------
-# Individual checks (shared between campaigns and replay)
+# Individual checks (run by campaigns and replay through ``CHECKS``)
 
 
 def check_unique_membership(x: RationalMatrix, leaf_list) -> bool:
@@ -149,16 +154,12 @@ def check_sigma_in_double_cell(x: RationalMatrix) -> bool:
     return phi_inv(classify_leaf(x)) in decompose(d)
 
 
-def check_criteria_agreement(d: DoubleCellIndex, leaf_list=None) -> bool:
-    """Factorization test, set test and index-completion search all agree."""
-    local = is_nonempty(d)  # asserts the two local criteria match
-    m, n = d.shape
-    target12 = left_compose(longest(n), right_compose(d.w2.transpose(), longest(m)))
-    if leaf_list is None:
-        leaf_list = _leaves(m, n)
-    by_search = any(L.blocks().w21 == d.w1 and L.blocks().w12 == target12
-                    for L in leaf_list)
-    return local == by_search
+def check_criteria_agreement(d: DoubleCellIndex) -> bool:
+    """Factorization test, set test and index-completion lookup all agree."""
+    by_sets = (d.w1.rank() == d.w2.rank()
+               and subset_leq(d.w1.dom(), d.w2.dom())
+               and subset_leq(d.w2.rng(), d.w1.rng()))
+    return is_nonempty(d) == by_sets == nonempty_by_completion(d)
 
 
 def check_dense_orbit(d: DoubleCellIndex) -> bool:
@@ -220,6 +221,11 @@ def check_torus_stability(a: RationalMatrix, pat: EchelonPattern,
             and classify_leaf(a) == classify_leaf(b))
 
 
+def check_zero_product(sig: SigmaTuple) -> bool:
+    """The zero matrix lands in the stratum of the rank-0 quadruple."""
+    return classify_leaf(RationalMatrix.zero(sig.m, sig.n)) == phi_to_leaf(sig)
+
+
 def check_window_vs_bruhat(m: int, n: int) -> bool:
     """The displacement window and the Bruhat test cut out the same index set."""
     base = block_longest(n, m)
@@ -227,7 +233,12 @@ def check_window_vs_bruhat(m: int, n: int) -> bool:
 
 
 def check_sigma_count(m: int, n: int, t: int) -> bool:
-    return len(enumerate_sigma(m, n, t)) == len(_leaves_by_rank(m, n).get(t, ()))
+    return len(_sigmas(m, n, t)) == len(_leaves_by_rank(m, n).get(t, ()))
+
+
+def check_phi_injective(m: int, n: int, t: int) -> bool:
+    sigs = _sigmas(m, n, t)
+    return len({phi(s) for s in sigs}) == len(sigs)
 
 
 def check_pp_count(m: int, n: int, t: int) -> bool:
@@ -250,77 +261,8 @@ def check_phi_lock(m: int, n: int) -> bool:
     return sig == SigmaTuple((3, 1, 2), (1, 3, 2), (1, 2, 3), (3, 1, 2), 1)
 
 
-@lru_cache(maxsize=None)
-def _leaves_by_rank(m: int, n: int) -> dict[int, tuple[LeafIndex, ...]]:
-    out: dict[int, list[LeafIndex]] = {}
-    for L in _leaves(m, n):
-        out.setdefault(L.t, []).append(L)
-    return {t: tuple(v) for t, v in out.items()}
-
-
-# ---------------------------------------------------------------------------
-# Replay
-
-
-def replay(payload: dict) -> bool:
-    """
-    Re-run the check named in a counterexample payload on its embedded
-    inputs; returns whether the check passes now.  A genuine counterexample
-    returns ``False``, bit-exactly reproducing the failure.
-    """
-    kind = payload["check"]
-    m, n = payload.get("m", 0), payload.get("n", 0)
-    if kind == "unique_membership":
-        return check_unique_membership(from_text(payload["matrix"]), _leaves(m, n))
-    if kind == "classify_equiv":
-        return check_classify_equiv(from_text(payload["matrix"]), _leaves(m, n))
-    if kind == "closure_order":
-        return check_closure_order(from_text(payload["matrix"]), _leaves(m, n))
-    if kind == "block_classes":
-        return check_block_classes(from_text(payload["matrix"]))
-    if kind == "sigma_in_double_cell":
-        return check_sigma_in_double_cell(from_text(payload["matrix"]))
-    if kind == "criteria_agreement":
-        return check_criteria_agreement(DoubleCellIndex(
-            parse_partial(payload["w1"]), parse_partial(payload["w2"])))
-    if kind == "dense_orbit":
-        return check_dense_orbit(DoubleCellIndex(
-            parse_partial(payload["w1"]), parse_partial(payload["w2"])))
-    if kind == "echelon_member":
-        return check_echelon_member(from_text(payload["matrix"]),
-                                    parse_pattern(payload["pattern"]))
-    if kind == "echelon_stratum":
-        return check_echelon_stratum(from_text(payload["matrix"]), m, payload["t"],
-                                     tuple(payload["y"]), tuple(payload["z"]))
-    if kind == "echelon_product":
-        return check_product(from_text(payload["c"]), from_text(payload["r"]),
-                             SigmaTuple.from_dict(payload["sigma"]))
-    if kind == "torus_stability":
-        return check_torus_stability(from_text(payload["matrix"]),
-                                     parse_pattern(payload["pattern"]),
-                                     [int(f) for f in payload["row_factors"]],
-                                     [int(f) for f in payload["col_factors"]])
-    if kind == "window_vs_bruhat":
-        return check_window_vs_bruhat(m, n)
-    if kind == "sigma_count":
-        return check_sigma_count(m, n, payload["t"])
-    if kind == "pp_count":
-        return check_pp_count(m, n, payload["t"])
-    if kind == "phi_roundtrip":
-        return check_phi_roundtrip(SigmaTuple.from_dict(payload["sigma"]))
-    if kind == "leaf_roundtrip":
-        return check_leaf_roundtrip(LeafIndex.from_dict(payload["leaf"]))
-    if kind == "phi_injective":
-        sigs = enumerate_sigma(m, n, payload["t"])
-        return len({phi(s) for s in sigs}) == len(sigs)
-    if kind == "phi_lock":
-        return check_phi_lock(m, n)
-    if kind == "orbit_partition":
-        return _orbit_partition_ok(m, n)
-    raise ValueError(f"unknown check {kind!r}")
-
-
-def _orbit_partition_ok(m: int, n: int) -> bool:
+def check_orbit_partition(m: int, n: int) -> bool:
+    """The decompositions of the nonempty double cells list every stratum exactly once."""
     hit: list = []
     for t in range(min(m, n) + 1):
         pps = list(partial_perms(m, n, t))
@@ -329,7 +271,117 @@ def _orbit_partition_ok(m: int, n: int) -> bool:
                 d = DoubleCellIndex(w1, w2)
                 if is_nonempty(d):
                     hit.extend(phi_to_leaf(s).w for s in decompose(d))
-    return sorted(hit) == sorted(L.w for L in _leaves(m, n))
+    return sorted(hit) == sorted(L.w for L in all_leaves(m, n))
+
+
+@lru_cache(maxsize=None)
+def _leaves_by_rank(m: int, n: int) -> dict[int, tuple[LeafIndex, ...]]:
+    out: dict[int, list[LeafIndex]] = {}
+    for L in all_leaves(m, n):
+        out.setdefault(L.t, []).append(L)
+    return {t: tuple(v) for t, v in out.items()}
+
+
+# ---------------------------------------------------------------------------
+# The table of checks, and replay
+
+
+class Check(NamedTuple):
+    """A registered check: the name of its ``check_*`` function and its payload codec."""
+
+    fn: str
+    encode: Callable[..., dict]        # check arguments -> payload fields
+    decode: Callable[[dict], tuple]    # payload -> check arguments
+
+
+def _encode_strata(x: RationalMatrix, leaf_list) -> dict:
+    out = {"m": x.rows, "n": x.cols, "matrix": x.to_text()}
+    if leaf_list is not all_leaves(x.rows, x.cols):  # a sample, not all strata
+        out["leaves"] = [list(L.w) for L in leaf_list]
+    return out
+
+
+def _decode_strata(p: dict) -> tuple:
+    m, n = p["m"], p["n"]
+    if "leaves" not in p:
+        return from_text(p["matrix"]), all_leaves(m, n)
+    return from_text(p["matrix"]), [LeafIndex.from_w(w, m, n) for w in p["leaves"]]
+
+
+_STRATA = (_encode_strata, _decode_strata)
+_MATRIX = (lambda x: {"m": x.rows, "n": x.cols, "matrix": x.to_text()},
+           lambda p: (from_text(p["matrix"]),))
+_DOUBLE = (lambda d: {"m": d.shape[0], "n": d.shape[1],
+                      "w1": d.w1.literal(), "w2": d.w2.literal()},
+           lambda p: (DoubleCellIndex(parse_partial(p["w1"]), parse_partial(p["w2"])),))
+_SIGMA = (lambda s: {"m": s.m, "n": s.n, "sigma": s.to_dict()},
+          lambda p: (SigmaTuple.from_dict(p["sigma"]),))
+_SHAPE = (lambda m, n: {"m": m, "n": n},
+          lambda p: (p["m"], p["n"]))
+_RANK = (lambda m, n, t: {"m": m, "n": n, "t": t},
+         lambda p: (p["m"], p["n"], p["t"]))
+
+CHECKS: dict[str, Check] = {
+    "unique_membership": Check("check_unique_membership", *_STRATA),
+    "classify_equiv": Check("check_classify_equiv", *_STRATA),
+    "closure_order": Check("check_closure_order", *_STRATA),
+    "block_classes": Check("check_block_classes", *_MATRIX),
+    "sigma_in_double_cell": Check("check_sigma_in_double_cell", *_MATRIX),
+    "criteria_agreement": Check("check_criteria_agreement", *_DOUBLE),
+    "dense_orbit": Check("check_dense_orbit", *_DOUBLE),
+    "orbit_partition": Check("check_orbit_partition", *_SHAPE),
+    "echelon_member": Check(
+        "check_echelon_member",
+        lambda a, pat: {"m": pat.rows, "n": pat.cols, "matrix": a.to_text(),
+                        "pattern": pat.literal()},
+        lambda p: (from_text(p["matrix"]), parse_pattern(p["pattern"]))),
+    "torus_stability": Check(
+        "check_torus_stability",
+        lambda a, pat, rf, cf: {"m": pat.rows, "n": pat.cols, "matrix": a.to_text(),
+                                "pattern": pat.literal(),
+                                "row_factors": [str(f) for f in rf],
+                                "col_factors": [str(f) for f in cf]},
+        lambda p: (from_text(p["matrix"]), parse_pattern(p["pattern"]),
+                   [int(f) for f in p["row_factors"]],
+                   [int(f) for f in p["col_factors"]])),
+    "echelon_stratum": Check(
+        "check_echelon_stratum",
+        lambda a, m, t, y, z: {"m": m, "n": t, "t": t, "y": list(y), "z": list(z),
+                               "matrix": a.to_text()},
+        lambda p: (from_text(p["matrix"]), p["m"], p["t"], tuple(p["y"]), tuple(p["z"]))),
+    "echelon_product": Check(
+        "check_product",
+        lambda c, r, sig: {"m": sig.m, "n": sig.n, "c": c.to_text(), "r": r.to_text(),
+                           "sigma": sig.to_dict()},
+        lambda p: (from_text(p["c"]), from_text(p["r"]), SigmaTuple.from_dict(p["sigma"]))),
+    "zero_product": Check("check_zero_product", *_SIGMA),
+    "window_vs_bruhat": Check("check_window_vs_bruhat", *_SHAPE),
+    "sigma_count": Check("check_sigma_count", *_RANK),
+    "pp_count": Check("check_pp_count", *_RANK),
+    "phi_injective": Check("check_phi_injective", *_RANK),
+    "phi_roundtrip": Check("check_phi_roundtrip", *_SIGMA),
+    "leaf_roundtrip": Check("check_leaf_roundtrip",
+                            lambda L: {"m": L.m, "n": L.n, "leaf": L.to_dict()},
+                            lambda p: (LeafIndex.from_dict(p["leaf"]),)),
+    "phi_lock": Check("check_phi_lock", *_SHAPE),
+}
+
+
+def _call(name: str, args: tuple) -> bool:
+    # Looked up at call time, so that rebinding a ``check_*`` name takes effect.
+    return globals()[CHECKS[name].fn](*args)
+
+
+def replay(payload: dict) -> bool:
+    """
+    Re-run the check named in a counterexample payload on its embedded
+    inputs; returns whether the check passes now.  A genuine counterexample
+    returns ``False``, bit-exactly reproducing the failure.
+    """
+    name = payload["check"]
+    if name not in CHECKS:
+        raise ValueError(f"unknown check {name!r}")
+    return _call(name, CHECKS[name].decode(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +419,8 @@ def sample_stream(m: int, n: int, count: int, rng: random.Random):
         yield x
 
 
+
+
 # ---------------------------------------------------------------------------
 # Campaign bodies
 
@@ -380,13 +434,14 @@ class _Tally:
     counterexamples: list = field(default_factory=list)
     info: dict = field(default_factory=dict)
 
-    def record(self, ok: bool, payload: dict) -> None:
+    def check(self, name: str, *args) -> None:
+        """Run the registered check ``name``; encode its payload only if it fails."""
         self.attempted += 1
-        if ok:
+        if _call(name, args):
             self.passed += 1
         else:
             self.failed += 1
-            self.counterexamples.append(payload)
+            self.counterexamples.append({"check": name, **CHECKS[name].encode(*args)})
 
     def skip(self, note: Optional[dict] = None) -> None:
         self.attempted += 1
@@ -398,78 +453,50 @@ class _Tally:
         self.info[key] = self.info.get(key, 0) + amount
 
 
+# Per sampling campaign over strata: (check over all strata, check over a sample).
+_STREAM_CHECKS = {"partition": ("unique_membership", "classify_equiv"),
+                  "thm42_equiv": ("classify_equiv", "classify_equiv"),
+                  "closure_order": ("closure_order", "closure_order")}
+
+
 def _matrix_checks_stream(campaign: str, m: int, n: int, count: int,
                           stream_seed: int) -> _Tally:
     rng = random.Random(stream_seed)
     tally = _Tally()
-    leaf_list = _leaves(m, n)
+    leaf_list = all_leaves(m, n)
     exhaustive = len(leaf_list) <= _EXHAUSTIVE_LIMIT
     for x in sample_stream(m, n, count, rng):
-        payload = {"check": None, "m": m, "n": n, "matrix": x.to_text()}
-        if campaign == "partition":
-            if exhaustive:
-                ok = check_unique_membership(x, leaf_list)
-            else:
-                L0 = classify_leaf(x)
-                tables = leaf_profile(x)
-                others = rng.sample(leaf_list, _OTHERS_PER_SAMPLE)
-                ok = (in_leaf(x, L0, "cell", tables)
-                      and all(in_leaf(x, L, "cell", tables) == (L == L0) for L in others))
-            payload["check"] = "unique_membership"
-        elif campaign == "thm42_equiv":
-            if exhaustive:
-                ok = check_classify_equiv(x, leaf_list)
-            else:
-                L0 = classify_leaf(x)
-                tables = leaf_profile(x)
-                subset = rng.sample(leaf_list, _OTHERS_PER_SAMPLE) + [L0]
-                ok = all(in_leaf(x, L, "cell", tables) == (L == L0) for L in subset)
-            payload["check"] = "classify_equiv"
-        elif campaign == "closure_order":
-            subset = leaf_list if exhaustive else \
-                rng.sample(leaf_list, _OTHERS_PER_SAMPLE) + [classify_leaf(x)]
-            ok = check_closure_order(x, subset)
-            payload["check"] = "closure_order"
-        elif campaign == "lemma75_blocks":
-            ok = check_block_classes(x)
-            payload["check"] = "block_classes"
-        else:  # pragma: no cover
-            raise ValueError(campaign)
-        tally.record(ok, payload)
-        tally.bump(f"rank_{classify_leaf(x).t}")
+        L0 = classify_leaf(x)
+        if campaign == "lemma75_blocks":
+            tally.check("block_classes", x)
+        elif exhaustive:
+            tally.check(_STREAM_CHECKS[campaign][0], x, leaf_list)
+        else:
+            tally.check(_STREAM_CHECKS[campaign][1], x,
+                        rng.sample(leaf_list, _OTHERS_PER_SAMPLE) + [L0])
+        tally.bump(f"rank_{L0.t}")
     return tally
 
 
 def _run_phi_bijection(m: int, n: int, tally: _Tally) -> None:
     for t in range(min(m, n) + 1):
-        sigs = enumerate_sigma(m, n, t)
-        leaves_t = _leaves_by_rank(m, n).get(t, ())
-        tally.record(len(sigs) == len(leaves_t),
-                     {"check": "sigma_count", "m": m, "n": n, "t": t})
-        tally.record(len({phi(s) for s in sigs}) == len(sigs),
-                     {"check": "phi_injective", "m": m, "n": n, "t": t})
-        for s in sigs:
-            tally.record(check_phi_roundtrip(s),
-                         {"check": "phi_roundtrip", "m": m, "n": n,
-                          "sigma": s.to_dict()})
-        for L in leaves_t:
-            tally.record(check_leaf_roundtrip(L),
-                         {"check": "leaf_roundtrip", "m": m, "n": n,
-                          "leaf": L.to_dict()})
-        tally.bump(f"sigma_count_{t}", len(sigs))
-    tally.record(check_phi_lock(m, n), {"check": "phi_lock", "m": m, "n": n})
+        tally.check("sigma_count", m, n, t)
+        tally.check("phi_injective", m, n, t)
+        for s in _sigmas(m, n, t):
+            tally.check("phi_roundtrip", s)
+        for L in _leaves_by_rank(m, n).get(t, ()):
+            tally.check("leaf_roundtrip", L)
+        tally.bump(f"sigma_count_{t}", len(_sigmas(m, n, t)))
+    tally.check("phi_lock", m, n)
 
 
 def _run_counts(m: int, n: int, tally: _Tally) -> None:
-    tally.record(check_window_vs_bruhat(m, n),
-                 {"check": "window_vs_bruhat", "m": m, "n": n})
+    tally.check("window_vs_bruhat", m, n)
     for t in range(min(m, n) + 1):
-        tally.record(check_sigma_count(m, n, t),
-                     {"check": "sigma_count", "m": m, "n": n, "t": t})
-        tally.record(check_pp_count(m, n, t),
-                     {"check": "pp_count", "m": m, "n": n, "t": t})
+        tally.check("sigma_count", m, n, t)
+        tally.check("pp_count", m, n, t)
         tally.info[f"leaves_rank_{t}"] = len(_leaves_by_rank(m, n).get(t, ()))
-    tally.info["leaf_count"] = len(_leaves(m, n))
+    tally.info["leaf_count"] = len(all_leaves(m, n))
 
 
 def _run_echelon(m: int, n: int, samples: int, seed: int, tally: _Tally) -> None:
@@ -485,21 +512,13 @@ def _run_echelon(m: int, n: int, samples: int, seed: int, tally: _Tally) -> None
                         a = sample_echelon_col(pat.rows, t, pat.pivots, rng, zp)
                     else:
                         a = sample_echelon_row(t, pat.cols, pat.pivots, rng, zp)
-                    tally.record(check_echelon_member(a, pat),
-                                 {"check": "echelon_member", "m": pat.rows,
-                                  "n": pat.cols, "matrix": a.to_text(),
-                                  "pattern": pat.literal()})
+                    tally.check("echelon_member", a, pat)
                 rf = [_rand_nonzero(rng) for _ in range(pat.rows)]
                 cf = [_rand_nonzero(rng) for _ in range(pat.cols)]
                 a = (sample_echelon_col(pat.rows, t, pat.pivots, rng)
                      if pat.kind == COLUMN else
                      sample_echelon_row(t, pat.cols, pat.pivots, rng))
-                tally.record(check_torus_stability(a, pat, rf, cf),
-                             {"check": "torus_stability", "m": pat.rows,
-                              "n": pat.cols, "matrix": a.to_text(),
-                              "pattern": pat.literal(),
-                              "row_factors": [str(f) for f in rf],
-                              "col_factors": [str(f) for f in cf]})
+                tally.check("torus_stability", a, pat, rf, cf)
                 if pat.kind == COLUMN:
                     for (y, z) in strata:
                         a = sample_column_stratum(pat.rows, t, y, z, rng)
@@ -507,29 +526,21 @@ def _run_echelon(m: int, n: int, samples: int, seed: int, tally: _Tally) -> None
                             tally.skip({"stratum": [list(y), list(z)],
                                         "pattern": pat.literal()})
                             continue
-                        tally.record(check_echelon_stratum(a, pat.rows, t, y, z),
-                                     {"check": "echelon_stratum", "m": pat.rows,
-                                      "n": t, "t": t, "y": list(y), "z": list(z),
-                                      "matrix": a.to_text()})
+                        tally.check("echelon_stratum", a, pat.rows, t, y, z)
     # product tests across full quadruples
     for t in range(min(m, n) + 1):
         sigs = enumerate_sigma(m, n, t)
         budget = min(len(sigs), max(4, samples // 25))
         for sig in (sigs if len(sigs) <= budget else rng.sample(sigs, budget)):
             if t == 0:
-                tally.record(classify_leaf(RationalMatrix.zero(m, n)) == phi_to_leaf(sig),
-                             {"check": "classify_equiv", "m": m, "n": n,
-                              "matrix": RationalMatrix.zero(m, n).to_text()})
+                tally.check("zero_product", sig)
                 continue
             c = sample_column_stratum(m, t, sig.y, sig.z, rng)
             r = sample_row_stratum(t, n, sig.u, sig.v, rng)
             if c is None or r is None:
                 tally.skip({"product_sigma": sig.to_dict()})
                 continue
-            tally.record(check_product(c, r, sig),
-                         {"check": "echelon_product", "m": m, "n": n,
-                          "c": c.to_text(), "r": r.to_text(),
-                          "sigma": sig.to_dict()})
+            tally.check("echelon_product", c, r, sig)
     tally.bump("patterns_covered",
                sum(len(all_patterns(COLUMN, m, t)) + len(all_patterns(ROW, n, t))
                    for t in range(1, min(m, n) + 1)))
@@ -537,25 +548,17 @@ def _run_echelon(m: int, n: int, samples: int, seed: int, tally: _Tally) -> None
 
 def _run_double_cells(m: int, n: int, samples: int, seed: int, tally: _Tally) -> None:
     rng = random.Random(derive_seed(seed, 0))
-    leaf_list = _leaves(m, n)
     for t in range(min(m, n) + 1):
         pps = list(partial_perms(m, n, t))
         for w1 in pps:
             for w2 in pps:
                 d = DoubleCellIndex(w1, w2)
-                tally.record(check_criteria_agreement(d, leaf_list),
-                             {"check": "criteria_agreement", "m": m, "n": n,
-                              "w1": w1.literal(), "w2": w2.literal()})
+                tally.check("criteria_agreement", d)
                 if is_nonempty(d):
-                    tally.record(check_dense_orbit(d),
-                                 {"check": "dense_orbit", "m": m, "n": n,
-                                  "w1": w1.literal(), "w2": w2.literal()})
-    tally.record(_orbit_partition_ok(m, n),
-                 {"check": "orbit_partition", "m": m, "n": n})
+                    tally.check("dense_orbit", d)
+    tally.check("orbit_partition", m, n)
     for x in sample_stream(m, n, samples, rng):
-        tally.record(check_sigma_in_double_cell(x),
-                     {"check": "sigma_in_double_cell", "m": m, "n": n,
-                      "matrix": x.to_text()})
+        tally.check("sigma_in_double_cell", x)
 
 
 def _stream_worker(job: tuple) -> _Tally:

@@ -23,9 +23,9 @@ from typing import Optional, Sequence
 from . import cells
 from .exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix,
                            interval_column_ranks, interval_row_ranks, rank_profile)
-from .permutations import (Perm, Blocks, block_longest, block_split,
-                           bruhat_leq, check_perm, dots_in, left_compose,
-                           length, longest, right_compose)
+from .permutations import (Perm, Blocks, PartialPerm, block_split, bruhat_leq,
+                           check_perm, dots_in, left_compose, length, longest,
+                           right_compose)
 
 
 def window_ok(w: Sequence[int], m: int, n: int) -> bool:
@@ -42,14 +42,12 @@ def rank_of_index(w: Sequence[int], n: int) -> int:
 class LeafIndex:
     """
     Index of one stratum: a permutation ``w`` of ``{1..m+n}`` inside the
-    displacement window, with its cached rank ``t`` and dimension.
+    displacement window.  Its rank ``t`` and dimension are derived from ``w``.
     """
 
     w: Perm
     m: int
     n: int
-    t: int
-    dim: int
 
     def __post_init__(self) -> None:
         w = check_perm(self.w)
@@ -57,15 +55,18 @@ class LeafIndex:
             raise ValueError(f"permutation size {len(w)} != {self.m}+{self.n}")
         if not window_ok(w, self.m, self.n):
             raise ValueError(f"{w} violates the displacement window for m={self.m}, n={self.n}")
-        if self.t != rank_of_index(w, self.n):
-            raise ValueError(f"cached rank {self.t} wrong for {w}")
-        if self.dim != _leaf_dim(w, self.m, self.n):
-            raise ValueError(f"cached dimension {self.dim} wrong for {w}")
 
     @classmethod
     def from_w(cls, w: Sequence[int], m: int, n: int) -> "LeafIndex":
-        w = check_perm(w)
-        return cls(w, m, n, rank_of_index(w, n), _leaf_dim(w, m, n))
+        return cls(check_perm(w), m, n)
+
+    @property
+    def t(self) -> int:
+        return rank_of_index(self.w, self.n)
+
+    @property
+    def dim(self) -> int:
+        return length(self.w) - (self.n * (self.n - 1) + self.m * (self.m - 1)) // 2
 
     def blocks(self) -> Blocks:
         return _split_blocks(self.w, self.n, self.m)
@@ -83,10 +84,6 @@ class LeafIndex:
         return leaf
 
 
-def _leaf_dim(w: Perm, m: int, n: int) -> int:
-    return length(w) - (n * (n - 1) + m * (m - 1)) // 2
-
-
 _split_blocks = lru_cache(maxsize=None)(block_split)
 
 
@@ -100,19 +97,26 @@ def enumerate_leaves(m: int, n: int, t: Optional[int] = None) -> list[LeafIndex]
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    N = m + n
-    base = block_longest(n, m)
     out = []
-    for w in itertools.permutations(range(1, N + 1)):
-        ok = window_ok(w, m, n)
-        if __debug__ and N <= 7:
-            assert ok == bruhat_leq(base, w)
-        if not ok:
+    for w in itertools.permutations(range(1, m + n + 1)):
+        if not window_ok(w, m, n):
             continue
         if t is not None and rank_of_index(w, n) != t:
             continue
         out.append(LeafIndex.from_w(w, m, n))
     return out
+
+
+@lru_cache(maxsize=None)
+def all_leaves(m: int, n: int) -> tuple[LeafIndex, ...]:
+    """``enumerate_leaves(m, n)``, computed once per shape."""
+    return tuple(enumerate_leaves(m, n))
+
+
+@lru_cache(maxsize=None)
+def block_pairs(m: int, n: int) -> frozenset[tuple[PartialPerm, PartialPerm]]:
+    """The ``(w21, w12)`` off-diagonal block pairs of every stratum index of ``m x n``."""
+    return frozenset((b.w21, b.w12) for b in (L.blocks() for L in all_leaves(m, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -110,9 +110,7 @@ def phi(sig: SigmaTuple) -> Perm:
 def phi_to_leaf(sig: SigmaTuple) -> LeafIndex:
     """The stratum index of a quadruple: the longest element times ``phi``."""
     N = sig.m + sig.n
-    leaf = LeafIndex.from_w(compose(longest(N), phi(sig)), sig.m, sig.n)
-    assert leaf.t == sig.t
-    return leaf
+    return LeafIndex.from_w(compose(longest(N), phi(sig)), sig.m, sig.n)
 
 
 def phi_inv(L: LeafIndex) -> SigmaTuple:
@@ -143,7 +141,8 @@ def phi_inv(L: LeafIndex) -> SigmaTuple:
             w12[c] = r
         else:
             w22[c] = r - m
-    assert len(w11) == t and len(w22) == t
+    if len(w11) != t or len(w22) != t:
+        raise RuntimeError(f"diagonal blocks of {L.w} do not have rank {t}")
 
     vs = sorted(w11)
     y = extend_ascending(m, [m + 1 - w11[c] for c in vs])
@@ -183,7 +182,8 @@ def decompose_partial(w: PartialPerm, form: str) -> tuple[Perm, Perm]:
         raise ValueError(f"form must be 'yv' or 'zu', got {form!r}")
     recomposed = left_compose(first, right_compose(partial_identity(m, n, t),
                                                    inverse(second)))
-    assert recomposed == w
+    if recomposed != w:
+        raise RuntimeError(f"factorization {form} of {w.literal()} does not recompose")
     return first, second
 
 
@@ -198,5 +198,6 @@ def sigma_retile(sig: SigmaTuple) -> tuple[SigmaTuple, Perm, Perm]:
     v0 = min_rep_last(sig.v, n - t)
     tau1 = compose(inverse(z0), sig.z)
     tau2 = compose(inverse(v0), sig.v)
-    assert tau1[:t] == identity(m)[:t] and tau2[:t] == identity(n)[:t]
+    if tau1[:t] != identity(m)[:t] or tau2[:t] != identity(n)[:t]:
+        raise RuntimeError(f"tails of {sig} move positions 1..{t}")
     return SigmaTuple(sig.y, v0, z0, sig.u, t), tau1, tau2

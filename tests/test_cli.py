@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from leaf_atlas import cli, harness
 
 
@@ -160,3 +162,13 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--campaign", "counts",
                            "--m", "2", "--n", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("text, m, n", [('["12","34"]', 2, 2), ("[[0.1,1]]", 1, 2),
+                                        ("[[true,0]]", 1, 2)])
+def test_classify_rejects_reinterpretable_json(tmp_path, capsys, text, m, n):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "leaves", "classify", "--m", str(m), "--n", str(n),
+                             "--matrix", str(path))
+    assert code == 1 and out == "" and err.startswith("error:")

@@ -188,6 +188,16 @@ def test_json_roundtrip():
     assert from_json([[1, 2], [3, 4]]) == RationalMatrix([[1, 2], [3, 4]])
 
 
+@pytest.mark.parametrize("text", ['["12","34"]', "[[0.1,1]]", "[[true,0]]"])
+def test_json_input_is_never_reinterpreted(text):
+    # string rows, floats and booleans used to parse as [[1,2],[3,4]],
+    # 3602879701896397/36028797018963968 and [[1,0]]
+    with pytest.raises(ValueError):
+        from_json(text)
+    with pytest.raises(ValueError):
+        load_matrix(text)
+
+
 def test_matmul_and_scaled():
     a = RationalMatrix([[1, 2], [3, 4]])
     b = RationalMatrix([[0, 1], [1, 0]])

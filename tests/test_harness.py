@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from leaf_atlas import harness
@@ -123,3 +125,43 @@ def test_sample_stream_is_deterministic():
     assert a == b
     ranks = {x.rows for x in a}
     assert ranks == {2}
+
+
+def test_every_failure_names_a_registered_check_and_replays(monkeypatch):
+    # with every registered check forced to fail, each campaign emits only
+    # payloads of registered checks, and they all replay through the real ones
+    payloads = []
+    with monkeypatch.context() as patched:
+        for spec in harness.CHECKS.values():
+            patched.setattr(harness, spec.fn, lambda *args: False)
+        for campaign in harness.CAMPAIGNS:
+            r = harness.run(campaign, 2, 2, samples=20, seed=3, threads=1)
+            assert r.passed == 0 and r.failed + r.skipped == r.attempted > 0
+            payloads.extend(json.loads(r.to_json())["counterexamples"])
+    assert {p["check"] for p in payloads} == set(harness.CHECKS)
+    for payload in payloads:
+        assert harness.replay(payload) is True, payload
+
+
+def _misclassify_rank_two(monkeypatch):
+    """Make ``harness.classify_leaf`` name the next rank-2 stratum instead of the right one."""
+    real = harness.classify_leaf
+
+    def faulty(x):
+        L = real(x)
+        if L.t != 2:
+            return L
+        peers = [P for P in harness.all_leaves(L.m, L.n) if P.t == 2]
+        return peers[(peers.index(L) + 1) % len(peers)]
+
+    monkeypatch.setattr(harness, "classify_leaf", faulty)
+
+
+@pytest.mark.parametrize("campaign", ["partition", "thm42_equiv", "closure_order"])
+def test_sampled_failures_replay_the_sampled_check(monkeypatch, campaign):
+    _misclassify_rank_two(monkeypatch)
+    r = harness.run(campaign, 4, 4, samples=30, seed=0, threads=1)
+    assert r.failed > 0
+    for payload in r.counterexamples:
+        assert len(payload["leaves"]) == 13  # the sampled indices, not all 6,902
+        assert harness.replay(payload) is False, payload

@@ -47,7 +47,7 @@ def test_leaf_index_validation():
     with pytest.raises(ValueError):
         LeafIndex.from_w((1, 2, 3), 2, 1)  # s(3)=3 breaks the window
     with pytest.raises(ValueError):
-        LeafIndex((2, 1), 1, 1, 0, 1)      # wrong cached rank
+        LeafIndex((2, 1), 1, 2)            # size disagrees with m+n
 
 
 def test_one_by_one_membership():
