@@ -3,9 +3,11 @@
 Each matrix lies in the cell of exactly one partial permutation for either
 triangular pair: the (upper, upper) class is cut out by the ranks of
 lower-left submatrices, the (lower, lower) class by the ranks of upper-right
-submatrices.  Classification reads the partial permutation off the second
-differences of the corresponding rank table; membership and closure tests
-compare tables entrywise.
+submatrices.  Classification reads the partial permutation off the pivots
+of one fraction-free elimination (``exact_matrix.bruhat_pivots``);
+membership and closure tests compare corner rank tables entrywise.  The two
+share no kernel on purpose: membership keeps the rank-table kernel, so that
+checking one against the other tests two independent computations.
 
 Profiles of partial permutations are computed by counting entries in the
 corner region, never by numeric rank of the 0/1 matrix.
@@ -14,7 +16,8 @@ from __future__ import annotations
 
 from typing import Sequence, Union
 
-from .exact_matrix import NORTHEAST, SOUTHWEST, RankProfile, RationalMatrix, rank_profile
+from .exact_matrix import (NORTHEAST, SOUTHWEST, RankProfile, RationalMatrix,
+                           bruhat_pivots, rank_profile)
 from .permutations import PartialPerm, as_partial
 
 B_PLUS = "B+"
@@ -81,25 +84,7 @@ def in_cell(x: RationalMatrix, w: CellLabel, side: str = B_PLUS,
 
 def classify(x: RationalMatrix, side: str = B_PLUS) -> PartialPerm:
     """
-    The unique partial permutation whose cell contains ``x``, recovered from
-    the second differences of the corner rank table.
+    The unique partial permutation whose cell contains ``x``: the pivots of
+    one fraction-free elimination of ``x`` (``bruhat_pivots``).
     """
-    kind = _kind(side)
-    prof = rank_profile(x, kind)
-    m, n = x.rows, x.cols
-    pairs = []
-    if kind == SOUTHWEST:
-        for p in range(1, m + 1):
-            for q in range(1, n + 1):
-                d = (prof.rank_at(p, q) - prof.rank_at(p + 1, q)
-                     - prof.rank_at(p, q - 1) + prof.rank_at(p + 1, q - 1))
-                if d == 1:
-                    pairs.append((q, p))
-    else:
-        for p in range(1, m + 1):
-            for q in range(1, n + 1):
-                d = (prof.rank_at(p, q) - prof.rank_at(p - 1, q)
-                     - prof.rank_at(p, q + 1) + prof.rank_at(p - 1, q + 1))
-                if d == 1:
-                    pairs.append((q, p))
-    return PartialPerm.from_pairs(m, n, pairs)
+    return PartialPerm.from_pairs(x.rows, x.cols, bruhat_pivots(x._irows, _kind(side)))

@@ -1,4 +1,5 @@
-"""Exact rational dense matrices: rank, corner rank profiles, seeded sampling.
+"""Exact rational dense matrices: rank, corner rank profiles, Bruhat pivots,
+seeded sampling.
 
 Every membership decision in this package runs on exact rationals; floating
 point never enters the logic.  Internally each row is scaled to integers
@@ -279,6 +280,52 @@ def rank_profile(x: RationalMatrix, kind: str) -> RankProfile:
     if kind == NORTHEAST:
         return RankProfile(kind, x.rows, x.cols, _ne_table(x._irows, x.rows, x.cols))
     raise ValueError(f"unknown profile kind {kind!r}")
+
+
+def bruhat_pivots(irows: Sequence[Sequence[int]], kind: str) -> list[tuple[int, int]]:
+    """
+    Dots of the partial permutation whose Bruhat cell holds the integer
+    matrix with rows ``irows``, as 1-based ``(column, row)`` pairs, from one
+    fraction-free elimination pass (the rank profile matrix, i.e. the
+    generalized Bruhat decomposition).
+
+    ``southwest`` (the (upper, upper) cell): walk the rows bottom-up; the
+    leftmost nonzero entry of each row is a dot, and its column is cleared
+    in every row above by ``row_k = p*row_k - f*row_i``, after which the row
+    is divided by its content.  ``northeast`` (the (lower, lower) cell) is
+    the mirror image: walk top-down, take the rightmost nonzero entry and
+    clear below.  Row and column scalings and the triangular row and column
+    operations of the cell's side keep a matrix in its cell, and they reduce
+    it to the dots alone.
+
+    >>> bruhat_pivots([[1, 0, 2], [3, 0, 6], [2, 0, 4]], SOUTHWEST)
+    [(1, 3)]
+    >>> bruhat_pivots([[1, 0, 2], [3, 0, 6], [2, 0, 4]], NORTHEAST)
+    [(3, 1)]
+    """
+    rows = [list(r) for r in irows]
+    if kind == SOUTHWEST:
+        order = range(len(rows) - 1, -1, -1)
+    elif kind == NORTHEAST:
+        order = range(len(rows))
+    else:
+        raise ValueError(f"unknown profile kind {kind!r}")
+    pairs = []
+    for i in order:
+        row = rows[i]
+        nonzero = [j for j, a in enumerate(row) if a]
+        if not nonzero:
+            continue
+        c = nonzero[0] if kind == SOUTHWEST else nonzero[-1]
+        pairs.append((c + 1, i + 1))
+        p = row[c]
+        for k in (range(i) if kind == SOUTHWEST else range(i + 1, len(rows))):
+            f = rows[k][c]
+            if f:
+                new = [p * a - f * b for a, b in zip(rows[k], row)]
+                g = gcd(*new)
+                rows[k] = [a // g for a in new] if g > 1 else new
+    return pairs
 
 
 def interval_column_ranks(x: RationalMatrix) -> list[list[int]]:

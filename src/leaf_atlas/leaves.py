@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import cells
-from .exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix,
+from .exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix, bruhat_pivots,
                            interval_column_ranks, interval_row_ranks, rank_profile)
 from .permutations import (Perm, Blocks, PartialPerm, block_split, bruhat_leq,
                            check_perm, dots_in, left_compose, length, longest,
@@ -199,8 +199,15 @@ def in_leaf(x: RationalMatrix, L: LeafIndex, mode: str = "cell",
 def classify_leaf(x: RationalMatrix) -> LeafIndex:
     """
     The unique stratum containing ``x``: embed ``x`` as the lower-left block
-    of an invertible ``(m+n) x (m+n)`` matrix (anti-identities on the other
-    two blocks) and classify that matrix's upper Bruhat cell.
+    of the invertible ``(m+n) x (m+n)`` matrix ``E = [[J, 0], [x, J]]``
+    (``J`` an anti-identity) and read the upper Bruhat cell of ``E`` off the
+    pivots of one fraction-free elimination.
+
+    The elimination runs on integer rows: row ``i`` of ``x`` scaled by the
+    lcm ``d_i`` of its denominators, with 1 kept on the anti-identity.  With
+    ``D = diag(d_i)`` these are the rows of ``diag(I, D) [[J, 0], [x, D^-1 J]]``,
+    and ``[[J, 0], [x, D^-1 J]] = E diag(I, J^-1 D^-1 J)``.  Diagonal matrices
+    lie in the upper Borel subgroup, so both factors keep ``E`` in its cell.
     """
     m, n = x.rows, x.cols
     N = m + n
@@ -209,11 +216,11 @@ def classify_leaf(x: RationalMatrix) -> LeafIndex:
         row = [0] * N
         row[n - i] = 1
         rows.append(row)
-    for i in range(1, m + 1):
-        row = list(x.entries[i - 1]) + [0] * m
-        row[n + m - i] = 1
+    for i, xrow in enumerate(x._irows, 1):
+        row = list(xrow) + [0] * m
+        row[N - i] = 1
         rows.append(row)
-    w = cells.classify(RationalMatrix(rows), cells.B_PLUS).to_perm()
+    w = PartialPerm.from_pairs(N, N, bruhat_pivots(rows, SOUTHWEST)).to_perm()
     return LeafIndex.from_w(w, m, n)
 
 

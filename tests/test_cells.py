@@ -1,11 +1,17 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from leaf_atlas import cells
+import leaf_atlas
+from leaf_atlas import cells, exact_matrix, leaves
+from leaf_atlas.double_bruhat import classify_double
 from leaf_atlas.exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix,
                                      rank_profile, sample_rank)
+from leaf_atlas.leaves import LeafIndex, classify_leaf, in_leaf
 from leaf_atlas.permutations import PartialPerm, identity, partial_perms
 
 
@@ -93,3 +99,85 @@ def test_closure_matches_profile_order():
             profile_leq = all(a <= b for ra, rb in zip(my_table, wt)
                               for a, b in zip(ra, rb))
             assert cells.in_cell(x, w, "B+", "closure") == profile_leq
+
+
+def table_classify(x, side):
+    """Oracle: the dots are where the second difference of the corner rank table is 1."""
+    kind = SOUTHWEST if side == "B+" else NORTHEAST
+    prof = rank_profile(x, kind)
+    step = 1 if kind == SOUTHWEST else -1
+    pairs = [(q, p) for p in range(1, x.rows + 1) for q in range(1, x.cols + 1)
+             if prof.rank_at(p, q) - prof.rank_at(p + step, q)
+             - prof.rank_at(p, q - step) + prof.rank_at(p + step, q - step) == 1]
+    return PartialPerm.from_pairs(x.rows, x.cols, pairs)
+
+
+def table_classify_leaf(x):
+    """Oracle: the rank-table class of the Fraction-built embedding [[J, 0], [x, J]]."""
+    m, n = x.rows, x.cols
+    rows = [[int(j == n - i) for j in range(m + n)] for i in range(1, n + 1)]
+    rows += [list(x.entries[i - 1]) + [int(j == m - i) for j in range(m)]
+             for i in range(1, m + 1)]
+    return LeafIndex.from_w(table_classify(RationalMatrix(rows), "B+").to_perm(), m, n)
+
+
+@st.composite
+def oracle_matrices(draw):
+    """Up to 6x6: per-row denominators, zeroed rows and columns, rank-t products."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def ints(a, b):
+        return draw(st.lists(st.lists(st.integers(-3, 3), min_size=b, max_size=b),
+                             min_size=a, max_size=a))
+
+    if draw(st.booleans()):
+        t = draw(st.integers(0, min(m, n)))
+        left, right = ints(m, t), ints(t, n)
+        num = [[sum(left[i][k] * right[k][j] for k in range(t)) for j in range(n)]
+               for i in range(m)]
+    else:
+        num = ints(m, n)
+    dens = draw(st.lists(st.integers(1, 7), min_size=m, max_size=m))
+    zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    return RationalMatrix([[0 if i in zero_rows or j in zero_cols
+                            else Fraction(num[i][j], dens[i]) for j in range(n)]
+                           for i in range(m)])
+
+
+@given(oracle_matrices())
+@settings(max_examples=300, deadline=None)
+def test_classify_matches_rank_table_oracle(x):
+    assert cells.classify(x, "B+") == table_classify(x, "B+")
+    assert cells.classify(x, "B-") == table_classify(x, "B-")
+
+
+@given(oracle_matrices())
+@settings(max_examples=200, deadline=None)
+def test_classify_leaf_matches_fraction_embedding_oracle(x):
+    assert classify_leaf(x) == table_classify_leaf(x)
+
+
+def test_classification_does_not_reach_rank_profile(monkeypatch):
+    rng = random.Random(3)
+    xs = [RationalMatrix([[1, 0, 2], [3, 0, 6], [2, 0, 4]])]
+    xs += [sample_rank(m, n, t, rng) for m, n in [(3, 3), (2, 4), (4, 3)]
+           for t in range(min(m, n) + 1)]
+    expected = [(table_classify(x, "B+"), table_classify(x, "B-"), table_classify_leaf(x))
+                for x in xs]
+
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("rank_profile reached")
+
+    for namespace in (exact_matrix, cells, leaves, leaf_atlas):
+        monkeypatch.setattr(namespace, "rank_profile", unreachable)
+    for x, (up, lo, leaf) in zip(xs, expected):
+        assert cells.classify(x, "B+") == up
+        assert cells.classify(x, "B-") == lo
+        assert classify_leaf(x) == leaf
+        d = classify_double(x)
+        assert (d.w1, d.w2) == (up, lo)
+        with pytest.raises(RuntimeError, match="rank_profile reached"):
+            cells.in_cell(x, up, "B+")
+        with pytest.raises(RuntimeError, match="rank_profile reached"):
+            in_leaf(x, leaf)

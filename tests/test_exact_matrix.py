@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leaf_atlas.cells import pp_rank_profile
 from leaf_atlas.exact_matrix import (
-    NORTHEAST, SOUTHWEST, RationalMatrix, from_json, from_text, load_matrix,
-    interval_column_ranks, interval_row_ranks, rank, rank_profile,
+    NORTHEAST, SOUTHWEST, RationalMatrix, bruhat_pivots, from_json, from_text,
+    load_matrix, interval_column_ranks, interval_row_ranks, rank, rank_profile,
     sample_dense, sample_echelon_col, sample_echelon_row,
     sample_invertible_triangular, sample_rank,
 )
+from leaf_atlas.permutations import PartialPerm
 
 
 def minor_rank(x):
@@ -66,6 +68,34 @@ def test_rank_matches_minor_oracle_bulk():
                             for _ in range(m)])
         assert rank(x) == minor_rank(x)
 
+
+
+@pytest.mark.parametrize("rows, southwest, northeast", [
+    ([[0, 0, 0, 0]] * 3, [], []),                               # zero matrix
+    ([[0, 3, 0, -2]], [(2, 1)], [(4, 1)]),                       # 1 x n
+    ([[0], [2], [0], [5]], [(1, 4)], [(1, 2)]),                  # n x 1
+    ([[-3]], [(1, 1)], [(1, 1)]),                                # negative 1 x 1
+    ([[-2, 1], [-4, 3]], [(1, 2), (2, 1)], [(2, 1), (1, 2)]),    # negative pivots
+    ([[6, 4, 0], [9, 6, 0], [0, 10, 15]],                        # row contents 2, 3, 5
+     [(2, 3), (1, 2)], [(2, 1), (3, 3)]),
+])
+def test_bruhat_pivots_edge_cases(rows, southwest, northeast):
+    before = [list(r) for r in rows]
+    x = RationalMatrix(rows)
+    for kind, expected in ((SOUTHWEST, southwest), (NORTHEAST, northeast)):
+        pairs = bruhat_pivots(rows, kind)
+        assert pairs == expected
+        dots = PartialPerm.from_pairs(x.rows, x.cols, pairs)
+        assert pp_rank_profile(dots, kind).table == rank_profile(x, kind).table
+    assert rows == before
+
+
+def test_bruhat_pivots_ignore_row_content_and_reject_unknown_kind():
+    for kind in (SOUTHWEST, NORTHEAST):
+        assert (bruhat_pivots([[6, 4, 2], [9, 6, 3], [0, 5, 10]], kind)
+                == bruhat_pivots([[3, 2, 1], [3, 2, 1], [0, 1, 2]], kind))
+    with pytest.raises(ValueError):
+        bruhat_pivots([[1]], "diagonal")
 
 small_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
     lambda mn: st.lists(
