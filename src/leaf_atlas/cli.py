@@ -11,13 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import harness
 from .double_bruhat import DoubleCellIndex, decompose, dense_orbit, is_nonempty
 from .echelon import COLUMN, parse_pattern, stratify_pattern
 from .exact_matrix import load_matrix
-from .leaves import LeafIndex, classify_leaf, enumerate_leaves, hasse, hasse_dot, in_leaf
+from .leaves import (LeafIndex, all_leaves, classify_leaf, enumerate_leaves, hasse,
+                     hasse_dot, in_leaf)
 from .permutations import check_perm, parse_partial
 from .sigma import SigmaTuple, phi, phi_inv, phi_to_leaf
 
@@ -63,7 +65,7 @@ def _cmd_leaves_hasse(args) -> int:
     if args.format == "dot":
         sys.stdout.write(hasse_dot(args.m, args.n))
         return 0
-    nodes = enumerate_leaves(args.m, args.n)
+    nodes = all_leaves(args.m, args.n)
     index = {L: i for i, L in enumerate(nodes)}
     edges = [[index[a], index[b]] for a, b in hasse(args.m, args.n)]
     _emit({"schema": SCHEMA, "m": args.m, "n": args.n,
@@ -127,6 +129,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 2
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leaf-atlas",

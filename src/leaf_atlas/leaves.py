@@ -15,7 +15,6 @@ agreement, so neither delegates to the other.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -58,7 +57,7 @@ class LeafIndex:
 
     @classmethod
     def from_w(cls, w: Sequence[int], m: int, n: int) -> "LeafIndex":
-        return cls(check_perm(w), m, n)
+        return cls(tuple(w), m, n)
 
     @property
     def t(self) -> int:
@@ -92,18 +91,40 @@ def enumerate_leaves(m: int, n: int, t: Optional[int] = None) -> list[LeafIndex]
     All stratum indices for ``m x n`` matrices in lexicographic order of the
     one-line notation, optionally restricted to matrix rank ``t``.
 
+    A depth-first search fills the positions left to right.  Position ``i``
+    (0-based) tries the unused values of its window ``[n-i, m+2n-i]`` in
+    increasing order, and with ``t`` given, the count of values ``> n`` among
+    the first ``n`` positions stays reachable; so only valid prefixes are
+    visited and the order is lexicographic.
+
     >>> [L.w for L in enumerate_leaves(1, 1)]
     [(1, 2), (2, 1)]
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    out = []
-    for w in itertools.permutations(range(1, m + n + 1)):
-        if not window_ok(w, m, n):
-            continue
-        if t is not None and rank_of_index(w, n) != t:
-            continue
-        out.append(LeafIndex.from_w(w, m, n))
+    N = m + n
+    w = [0] * N
+    used = [False] * (N + 1)
+    out: list[LeafIndex] = []
+
+    def fill(i: int, r: int) -> None:
+        # r counts the values > n among w[:i] while i <= n.
+        if i == N:
+            out.append(LeafIndex.from_w(w, m, n))
+            return
+        ranked = t is not None and i < n
+        for x in range(max(1, n - i), min(N, m + 2 * n - i) + 1):
+            if used[x]:
+                continue
+            r2 = r + (x > n)
+            if ranked and not t - (n - 1 - i) <= r2 <= t:
+                continue
+            used[x] = True
+            w[i] = x
+            fill(i + 1, r2)
+            used[x] = False
+
+    fill(0, 0)
     return out
 
 
@@ -231,28 +252,43 @@ def closure_leq(a: LeafIndex, b: LeafIndex) -> bool:
     return bruhat_leq(a.w, b.w)
 
 
+def _upper_covers(w: Perm) -> list[Perm]:
+    """
+    Bruhat covers of ``w``: the swaps of positions ``i < j`` with
+    ``w(i) < w(j)`` and no ``k`` between them with ``w(i) < w(k) < w(j)``
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 2).
+    """
+    N = len(w)
+    out = []
+    for i in range(N - 1):
+        a = w[i]
+        ceiling = N + 1  # smallest value above a seen since position i
+        for j in range(i + 1, N):
+            b = w[j]
+            if a < b < ceiling:
+                ceiling = b
+                v = list(w)
+                v[i], v[j] = b, a
+                out.append(tuple(v))
+    return out
+
+
 def hasse(m: int, n: int) -> list[tuple[LeafIndex, LeafIndex]]:
     """
-    Covering relations of the closure order.  The index family is upward
-    closed in a length-graded order, so covers are exactly the comparable
-    pairs whose dimensions differ by one.
+    Covering relations of the closure order, by dimension of the lower
+    stratum, then lexicographically.  The index family is an upper set of
+    the Bruhat order, so every Bruhat cover of a stratum is a stratum.
     """
-    by_dim: dict[int, list[LeafIndex]] = {}
-    for leaf in enumerate_leaves(m, n):
-        by_dim.setdefault(leaf.dim, []).append(leaf)
-    edges = []
-    for d in sorted(by_dim):
-        for a in by_dim[d]:
-            for b in by_dim.get(d + 1, ()):
-                if bruhat_leq(a.w, b.w):
-                    edges.append((a, b))
-    return edges
+    leaves = all_leaves(m, n)
+    by_w = {L.w: L for L in leaves}
+    return [(a, by_w[w]) for a in sorted(leaves, key=lambda L: L.dim)
+            for w in sorted(_upper_covers(a.w))]
 
 
 def hasse_dot(m: int, n: int) -> str:
     """Hasse diagram in DOT format, low strata at the bottom."""
     lines = ["digraph leaves {", "  rankdir=BT;"]
-    for leaf in enumerate_leaves(m, n):
+    for leaf in all_leaves(m, n):
         label = ",".join(map(str, leaf.w))
         lines.append(f'  "{label}" [dim={leaf.dim}, rank={leaf.t}];')
     for a, b in hasse(m, n):

@@ -14,7 +14,7 @@ Conventions used across the package (all indices and values are 1-based):
 from __future__ import annotations
 
 import itertools
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, Iterator, Optional, Sequence
@@ -93,8 +93,13 @@ def length(w: Sequence[int]) -> int:
     >>> length((1, 2, 3, 4)), length(longest(4)), length((6, 2, 3, 5, 4, 1))
     (0, 6, 10)
     """
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    seen: list[int] = []  # the images right of the current position, sorted
+    total = 0
+    for x in reversed(w):
+        k = bisect_left(seen, x)
+        total += k
+        seen.insert(k, x)
+    return total
 
 
 def all_perms(n: int) -> Iterator[Perm]:

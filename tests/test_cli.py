@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,28 @@ def test_enumerate_is_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "leaves", "enumerate", "--m", "2", "--n", "2")
     _, second, _ = run_cli(capsys, "leaves", "enumerate", "--m", "2", "--n", "2")
     assert first == second
+
+
+def test_one_parser_serves_successive_calls(capsys):
+    # One process, one cached parser: each call must match a fresh process,
+    # so no parsed argument (such as --rank) carries over to the next call.
+    calls = [("leaves", "enumerate", "--m", "0", "--n", "2"),
+             ("leaves", "enumerate", "--m", "2", "--n", "2", "--rank", "1"),
+             ("leaves", "enumerate", "--m", "2", "--n", "2"),
+             ("dbc", "nonempty", "--w1", "3x3:1->3", "--w2", "3x3:3->1")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    alone = {}
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "leaf_atlas.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        alone[argv] = (proc.returncode, proc.stdout)
+    assert alone[calls[0]][0] == 1
+    for argv in calls + calls[::-1]:
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == alone[argv]
+    assert cli._build_parser() is cli._build_parser()
+    assert json.loads(run_cli(capsys, *calls[2])[1])["count"] == 14
 
 
 def test_classify_matrix_file(tmp_path, capsys):

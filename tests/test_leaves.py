@@ -1,15 +1,21 @@
+import itertools
 import json
 import random
 
 import pytest
 
-from leaf_atlas import cells
+from leaf_atlas import cells, leaves
 from leaf_atlas.exact_matrix import RationalMatrix, rank, sample_rank
 from leaf_atlas.leaves import (LeafIndex, classify_leaf, closure_leq,
                                enumerate_leaves, hasse, hasse_dot, in_leaf,
-                               leaf_profile, window_ok)
+                               leaf_profile, rank_of_index, window_ok)
 from leaf_atlas.permutations import (block_longest, bruhat_leq, left_compose,
-                                     longest, right_compose)
+                                     longest, min_reps_first, min_reps_last,
+                                     right_compose)
+
+
+def shapes(max_size):
+    return [(m, s - m) for s in range(2, max_size + 1) for m in range(1, s)]
 
 
 def test_enumeration_counts():
@@ -35,6 +41,27 @@ def test_window_equals_bruhat_condition():
         assert window == bruhat
 
 
+def test_enumeration_matches_filtered_scan():
+    for m, n in shapes(8):
+        scan = [w for w in itertools.permutations(range(1, m + n + 1)) if window_ok(w, m, n)]
+        assert [L.w for L in enumerate_leaves(m, n)] == scan
+        for t in range(min(m, n) + 1):
+            assert ([L.w for L in enumerate_leaves(m, n, t)]
+                    == [w for w in scan if rank_of_index(w, n) == t])
+
+
+def test_rank_counts_equal_quadruple_factors():
+    # Independent count: rank-t strata correspond to pairs (y, z) in S_m and
+    # (v, u) in S_n of minimal coset representatives with z <= y and v <= u.
+    for m, n in [(3, 4), (4, 3), (5, 5)]:
+        for t in range(min(m, n) + 1):
+            yz = sum(1 for y in min_reps_last(m, m - t) for z in min_reps_first(m, t)
+                     if bruhat_leq(z, y))
+            vu = sum(1 for v in min_reps_first(n, t) for u in min_reps_last(n, n - t)
+                     if bruhat_leq(v, u))
+            assert len(enumerate_leaves(m, n, t)) == yz * vu
+
+
 def test_rank_filter_partitions():
     total = enumerate_leaves(3, 2)
     by_rank = [enumerate_leaves(3, 2, t) for t in range(3)]
@@ -48,6 +75,16 @@ def test_leaf_index_validation():
         LeafIndex.from_w((1, 2, 3), 2, 1)  # s(3)=3 breaks the window
     with pytest.raises(ValueError):
         LeafIndex((2, 1), 1, 2)            # size disagrees with m+n
+    with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.3: \(1, 1, 2\)$"):
+        LeafIndex.from_w([1, 1, 2], 1, 2)
+
+
+def test_from_w_checks_the_permutation_once(monkeypatch):
+    seen = []
+    real = leaves.check_perm
+    monkeypatch.setattr(leaves, "check_perm", lambda w: seen.append(w) or real(w))
+    assert LeafIndex.from_w([2, 1], 1, 1).w == (2, 1)
+    assert seen == [(2, 1)]
 
 
 def test_one_by_one_membership():
@@ -168,6 +205,20 @@ def test_hasse_examples_and_covers():
     for m, n in [(2, 1), (2, 2)]:
         got = sorted(hasse(m, n), key=lambda e: (e[0].w, e[1].w))
         assert got == brute_covers(enumerate_leaves(m, n))
+
+
+def pairwise_hasse(m, n):
+    """Covers as comparable pairs whose dimensions differ by one."""
+    by_dim = {}
+    for leaf in enumerate_leaves(m, n):
+        by_dim.setdefault(leaf.dim, []).append(leaf)
+    return [(a, b) for d in sorted(by_dim) for a in by_dim[d]
+            for b in by_dim.get(d + 1, ()) if bruhat_leq(a.w, b.w)]
+
+
+def test_hasse_equals_pairwise_construction():
+    for m, n in shapes(7):
+        assert hasse(m, n) == pairwise_hasse(m, n)
 
 
 def test_hasse_dot_output():

@@ -37,6 +37,13 @@ def test_length_matches_double_loop_oracle():
         assert length(w) == brute
 
 
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)))
+def test_length_matches_pairwise_inversions(w):
+    brute = sum(1 for i, j in itertools.combinations(range(len(w)), 2) if w[i] > w[j])
+    assert length(w) == brute
+
+
 def test_compose_size_mismatch():
     with pytest.raises(ValueError):
         compose((1, 2), (1, 2, 3))
