@@ -5,9 +5,10 @@ triangular pair: the (upper, upper) class is cut out by the ranks of
 lower-left submatrices, the (lower, lower) class by the ranks of upper-right
 submatrices.  Classification reads the partial permutation off the pivots
 of one fraction-free elimination (``exact_matrix.bruhat_pivots``);
-membership and closure tests compare corner rank tables entrywise.  The two
-share no kernel on purpose: membership keeps the rank-table kernel, so that
-checking one against the other tests two independent computations.
+membership and closure tests compare corner rank tables entrywise, each
+table counted off one echelon basis (``exact_matrix.rank_profile``).  The
+two share no kernel on purpose, so that checking one against the other
+tests two independent computations.
 
 Profiles of partial permutations are computed by counting entries in the
 corner region, never by numeric rank of the 0/1 matrix.

@@ -6,6 +6,11 @@ point never enters the logic.  Internally each row is scaled to integers
 once (rank is insensitive to row scaling), and all elimination is
 fraction-free so intermediate values stay integral.
 
+Each rank table comes from one pass of insertions.  A corner table feeds
+the rows, bottom-up or top-down, into one echelon basis and counts its
+leads; an interval table feeds the vectors in order into a newest-wins
+basis whose vectors carry the index they came from.
+
 Samplers are pure functions of an explicit seed.  The generator is CPython's
 ``random.Random`` (Mersenne Twister), whose integer methods are stable across
 platforms, so seeded runs reproduce everywhere.  Random entries are drawn
@@ -17,6 +22,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -247,38 +253,56 @@ class RankProfile:
         return self.table[p][q - 1]
 
 
-def _sw_table(irows: Sequence[Sequence[int]], m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    table = []
-    for p in range(1, m + 2):
-        basis: list[tuple[int, list[int]]] = []
-        row = [0]
-        sub = irows[p - 1:]
-        for q in range(1, n + 1):
-            _echelon_insert(basis, [r[q - 1] for r in sub])
-            row.append(len(basis))
-        table.append(tuple(row))
-    return tuple(table)
+def _lead_counts(basis: list[tuple[int, list[int]]], n: int) -> tuple[int, ...]:
+    """``c[q]`` = number of basis leads below ``q``, for ``q`` in ``0..n``."""
+    c = [0] * (n + 1)
+    for lead, _ in basis:
+        c[lead + 1] += 1
+    return tuple(accumulate(c))
 
 
-def _ne_table(irows: Sequence[Sequence[int]], m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    table = []
-    for p in range(m + 1):
-        basis: list[tuple[int, list[int]]] = []
-        row = [0] * (n + 1)
-        sub = irows[:p]
-        for q in range(n, 0, -1):
-            _echelon_insert(basis, [r[q - 1] for r in sub])
-            row[q - 1] = len(basis)
-        table.append(tuple(row))
+def _sw_table(irows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """
+    Insert the rows bottom-up into one echelon basis whose leads are first
+    nonzero indices.  Row operations keep the dependencies among columns, so
+    once row ``p`` is in, the rank of rows ``p..m`` and columns ``1..q`` is
+    the number of leads below ``q``.
+
+    >>> _sw_table([[0, 1], [1, 0]], 2)
+    ((0, 1, 2), (0, 1, 1), (0, 0, 0))
+    """
+    basis: list[tuple[int, list[int]]] = []
+    table = [(0,) * (n + 1)]
+    for row in reversed(irows):
+        _echelon_insert(basis, list(row))
+        table.append(_lead_counts(basis, n))
+    return tuple(reversed(table))
+
+
+def _ne_table(irows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """
+    The mirror of ``_sw_table``: insert the rows top-down, each reversed, so
+    that a lead is a last nonzero index; once row ``p`` is in, the rank of
+    rows ``1..p`` and columns ``q..n`` is the number of leads at ``q`` or
+    after.
+
+    >>> _ne_table([[0, 1], [1, 0]], 2)
+    ((0, 0, 0), (1, 1, 0), (2, 1, 0))
+    """
+    basis: list[tuple[int, list[int]]] = []
+    table = [(0,) * (n + 1)]
+    for row in irows:
+        _echelon_insert(basis, list(reversed(row)))
+        table.append(_lead_counts(basis, n)[::-1])
     return tuple(table)
 
 
 def rank_profile(x: RationalMatrix, kind: str) -> RankProfile:
-    """Full corner rank profile, one elimination sweep per row anchor."""
+    """Full corner rank profile, from one pass of fraction-free row insertions."""
     if kind == SOUTHWEST:
-        return RankProfile(kind, x.rows, x.cols, _sw_table(x._irows, x.rows, x.cols))
+        return RankProfile(kind, x.rows, x.cols, _sw_table(x._irows, x.cols))
     if kind == NORTHEAST:
-        return RankProfile(kind, x.rows, x.cols, _ne_table(x._irows, x.rows, x.cols))
+        return RankProfile(kind, x.rows, x.cols, _ne_table(x._irows, x.cols))
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
@@ -328,28 +352,61 @@ def bruhat_pivots(irows: Sequence[Sequence[int]], kind: str) -> list[tuple[int, 
     return pairs
 
 
+def _interval_ranks(vecs: Sequence[Sequence[int]]) -> list[list[int]]:
+    """
+    ``out[p][q]`` = rank of ``vecs[p-1..q-1]`` for ``1 <= p <= q``, else 0,
+    from one pass over a newest-wins basis.  Each basis vector is keyed by
+    its lead (first nonzero index) and stamped with the index of the vector
+    it came from.  A vector meeting an older stamp at its lead takes that
+    slot, and the older vector is reduced further instead.  So once vector
+    ``q`` is in, the vectors stamped ``p`` or later span vectors ``p..q``.
+
+    >>> _interval_ranks([[1, 0, 0], [1, 1, 0], [0, 1, 0]])
+    [[0, 0, 0, 0], [0, 1, 2, 2], [0, 0, 1, 2], [0, 0, 0, 1]]
+    """
+    k = len(vecs)
+    out = [[0] * (k + 1) for _ in range(k + 1)]
+    slots: dict[int, tuple[int, list[int]]] = {}
+    for q, vec in enumerate(vecs, 1):
+        stamp, vec = q, list(vec)
+        lead = next((i for i, a in enumerate(vec) if a), None)
+        while lead is not None:
+            if lead not in slots:
+                slots[lead] = (stamp, vec)
+                break
+            older, bvec = slots[lead]
+            if older < stamp:
+                slots[lead] = (stamp, vec)
+                stamp, vec, bvec = older, bvec, vec
+            piv, c = bvec[lead], vec[lead]
+            vec = [piv * a - c * b for a, b in zip(vec, bvec)]
+            g = gcd(*vec)
+            if g > 1:
+                vec = [a // g for a in vec]
+            lead = next((i for i, a in enumerate(vec) if a), None)
+        stamps = [0] * (q + 1)
+        for s, _ in slots.values():
+            stamps[s] += 1
+        r = 0
+        for p in range(q, 0, -1):
+            r += stamps[p]
+            out[p][q] = r
+    return out
+
+
 def interval_column_ranks(x: RationalMatrix) -> list[list[int]]:
     """``out[p][q]`` = rank of columns ``p..q`` (full row range), 1-based."""
-    m, n = x.rows, x.cols
-    out = [[0] * (n + 1) for _ in range(n + 1)]
-    for p in range(1, n + 1):
-        basis: list[tuple[int, list[int]]] = []
-        for q in range(p, n + 1):
-            _echelon_insert(basis, [r[q - 1] for r in x._irows])
-            out[p][q] = len(basis)
-    return out
+    return _interval_ranks(list(zip(*x._irows)))
 
 
 def interval_row_ranks(x: RationalMatrix) -> list[list[int]]:
-    """``out[p][q]`` = rank of rows ``p..q`` (full column range), 1-based."""
-    m = x.rows
-    out = [[0] * (m + 1) for _ in range(m + 1)]
-    for p in range(1, m + 1):
-        basis: list[tuple[int, list[int]]] = []
-        for q in range(p, m + 1):
-            _echelon_insert(basis, list(x._irows[q - 1]))
-            out[p][q] = len(basis)
-    return out
+    """
+    ``out[p][q]`` = rank of rows ``p..q`` (full column range), 1-based.
+
+    >>> interval_row_ranks(RationalMatrix([[1, 0], [1, 0], [0, 1]]))
+    [[0, 0, 0, 0], [0, 1, 1, 2], [0, 0, 1, 2], [0, 0, 0, 1]]
+    """
+    return _interval_ranks(x._irows)
 
 
 # ---------------------------------------------------------------------------

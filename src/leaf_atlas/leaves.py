@@ -195,13 +195,16 @@ def in_leaf(x: RationalMatrix, L: LeafIndex, mode: str = "cell",
     """
     Membership of ``x`` in the stratum of ``L`` (``mode="cell"``) or in its
     Zariski closure (``mode="closure"``), decided by the rank conditions
-    alone.  Pass precomputed ``tables`` when testing one matrix against many
-    indices.
+    alone.  Pass precomputed ``tables`` (``leaf_profile(x)``) when testing
+    one matrix against many indices.
     """
     if mode not in {"cell", "closure"}:
         raise ValueError(f"mode must be 'cell' or 'closure', got {mode!r}")
     if (x.rows, x.cols) != (L.m, L.n):
         raise ValueError(f"dimension mismatch: {x.rows}x{x.cols} vs {L.m}x{L.n}")
+    if tables is not None and (tables.m, tables.n) != (x.rows, x.cols):
+        raise ValueError(f"tables of a {tables.m}x{tables.n} matrix for a "
+                         f"{x.rows}x{x.cols} matrix")
     T = tables if tables is not None else leaf_profile(x)
     tg = _leaf_targets(L)
     if mode == "cell":

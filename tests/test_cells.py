@@ -1,10 +1,8 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import leaf_atlas
 from leaf_atlas import cells, exact_matrix, leaves
@@ -13,6 +11,7 @@ from leaf_atlas.exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix,
                                      rank_profile, sample_rank)
 from leaf_atlas.leaves import LeafIndex, classify_leaf, in_leaf
 from leaf_atlas.permutations import PartialPerm, identity, partial_perms
+from matrix_strategies import oracle_matrices
 
 
 def test_in_cell_examples():
@@ -121,38 +120,14 @@ def table_classify_leaf(x):
     return LeafIndex.from_w(table_classify(RationalMatrix(rows), "B+").to_perm(), m, n)
 
 
-@st.composite
-def oracle_matrices(draw):
-    """Up to 6x6: per-row denominators, zeroed rows and columns, rank-t products."""
-    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-
-    def ints(a, b):
-        return draw(st.lists(st.lists(st.integers(-3, 3), min_size=b, max_size=b),
-                             min_size=a, max_size=a))
-
-    if draw(st.booleans()):
-        t = draw(st.integers(0, min(m, n)))
-        left, right = ints(m, t), ints(t, n)
-        num = [[sum(left[i][k] * right[k][j] for k in range(t)) for j in range(n)]
-               for i in range(m)]
-    else:
-        num = ints(m, n)
-    dens = draw(st.lists(st.integers(1, 7), min_size=m, max_size=m))
-    zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=2))
-    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=2))
-    return RationalMatrix([[0 if i in zero_rows or j in zero_cols
-                            else Fraction(num[i][j], dens[i]) for j in range(n)]
-                           for i in range(m)])
-
-
-@given(oracle_matrices())
+@given(oracle_matrices(6))
 @settings(max_examples=300, deadline=None)
 def test_classify_matches_rank_table_oracle(x):
     assert cells.classify(x, "B+") == table_classify(x, "B+")
     assert cells.classify(x, "B-") == table_classify(x, "B-")
 
 
-@given(oracle_matrices())
+@given(oracle_matrices(6))
 @settings(max_examples=200, deadline=None)
 def test_classify_leaf_matches_fraction_embedding_oracle(x):
     assert classify_leaf(x) == table_classify_leaf(x)
@@ -181,3 +156,37 @@ def test_classification_does_not_reach_rank_profile(monkeypatch):
             cells.in_cell(x, up, "B+")
         with pytest.raises(RuntimeError, match="rank_profile reached"):
             in_leaf(x, leaf)
+
+
+def test_membership_does_not_reach_bruhat_pivots(monkeypatch):
+    rng = random.Random(4)
+    xs = [RationalMatrix([[1, 0, 2], [3, 0, 6], [2, 0, 4]])]
+    xs += [sample_rank(m, n, t, rng) for m, n in [(3, 3), (2, 4), (4, 3)]
+           for t in range(min(m, n) + 1)]
+    labels = [(cells.classify(x, "B+"), cells.classify(x, "B-"), classify_leaf(x))
+              for x in xs]
+
+    def membership(x, up, lo, leaf):
+        return (rank_profile(x, SOUTHWEST), rank_profile(x, NORTHEAST),
+                exact_matrix.interval_column_ranks(x), exact_matrix.interval_row_ranks(x),
+                leaves.leaf_profile(x), cells.in_cell(x, up, "B+"),
+                cells.in_cell(x, lo, "B-"), cells.in_cell(x, up, "B-", "closure"),
+                in_leaf(x, leaf), in_leaf(x, leaf, "closure"))
+
+    expected = [membership(x, *lab) for x, lab in zip(xs, labels)]
+
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("bruhat_pivots reached")
+
+    # the package namespace does not export the kernel; patching it there too
+    # keeps the test honest if it ever does
+    for namespace in (exact_matrix, cells, leaves, leaf_atlas):
+        monkeypatch.setattr(namespace, "bruhat_pivots", unreachable, raising=False)
+    for x, lab, exp in zip(xs, labels, expected):
+        assert membership(x, *lab) == exp
+        with pytest.raises(RuntimeError, match="bruhat_pivots reached"):
+            cells.classify(x, "B+")
+        with pytest.raises(RuntimeError, match="bruhat_pivots reached"):
+            cells.classify(x, "B-")
+        with pytest.raises(RuntimeError, match="bruhat_pivots reached"):
+            classify_leaf(x)

@@ -14,6 +14,7 @@ from leaf_atlas.exact_matrix import (
     sample_invertible_triangular, sample_rank,
 )
 from leaf_atlas.permutations import PartialPerm
+from matrix_strategies import oracle_matrices
 
 
 def minor_rank(x):
@@ -110,8 +111,8 @@ def test_rank_transpose_invariant(x):
     assert rank(x) == rank(x.transpose())
 
 
-@given(small_matrices)
-@settings(max_examples=60, deadline=None)
+@given(oracle_matrices(7))
+@settings(max_examples=200, deadline=None)
 def test_profiles_match_submatrix_ranks(x):
     sw = rank_profile(x, SOUTHWEST)
     ne = rank_profile(x, NORTHEAST)
@@ -137,8 +138,8 @@ def test_profile_lipschitz_and_monotone(x):
             assert 0 <= sw[i][j] - sw[i + 1][j] <= 1
 
 
-@given(small_matrices)
-@settings(max_examples=40, deadline=None)
+@given(oracle_matrices(7))
+@settings(max_examples=200, deadline=None)
 def test_interval_ranks(x):
     col = interval_column_ranks(x)
     row = interval_row_ranks(x)
@@ -148,6 +149,14 @@ def test_interval_ranks(x):
     for p in range(1, x.rows + 1):
         for q in range(p, x.rows + 1):
             assert row[p][q] == rank(submatrix(x, p, q, 1, x.cols))
+
+
+def test_interval_ranks_need_the_newest_vector_at_each_lead():
+    # rows 2..3 have rank 2 only if row 2 displaces row 1 at lead 1, and
+    # row 3 then displaces what is left of row 1
+    x = RationalMatrix([[1, 0, 0], [1, 1, 0], [0, 1, 0]])
+    assert interval_row_ranks(x) == [[0, 0, 0, 0], [0, 1, 2, 2], [0, 0, 1, 2], [0, 0, 0, 1]]
+    assert interval_column_ranks(x.transpose()) == interval_row_ranks(x)
 
 
 def test_profile_spec_examples():

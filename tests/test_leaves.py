@@ -146,6 +146,20 @@ def test_closure_equals_bruhat_exhaustive_2x2():
             assert in_leaf(x, L, "closure", tables) == bruhat_leq(L0.w, L.w)
 
 
+@pytest.mark.parametrize("shape, other", [((4, 4), (5, 5)), ((3, 4), (4, 3)),
+                                          ((2, 3), (2, 2))])
+def test_in_leaf_rejects_tables_of_another_shape(shape, other):
+    # without the check, zip truncates the tables of a larger matrix into
+    # wrong verdicts
+    x = sample_rank(*shape, 2, 1)
+    L = classify_leaf(x)
+    tables = leaf_profile(sample_rank(*other, 2, 1))
+    for mode in ("cell", "closure"):
+        with pytest.raises(ValueError, match="tables of a"):
+            in_leaf(x, L, mode, tables)
+        assert in_leaf(x, L, mode, leaf_profile(x))
+
+
 def test_classify_rank_consistency():
     rng = random.Random(9)
     for i in range(60):
