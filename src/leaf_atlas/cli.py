@@ -75,6 +75,8 @@ def _cmd_leaves_hasse(args) -> int:
 
 def _cmd_sigma_phi(args) -> int:
     raw = json.loads(args.sigma)
+    if not isinstance(raw, dict):
+        raise ValueError(f"--sigma must be a JSON object, got {args.sigma}")
     raw.setdefault("t", args.t)
     if raw["t"] != args.t:
         raise ValueError(f"--t {args.t} contradicts sigma JSON t={raw['t']}")

@@ -5,16 +5,16 @@ intersection of the upper cell of ``w1`` with the lower cell of ``w2``.
 Nonemptiness has two local criteria (Bruhat comparison of the unique
 factorizations, and domain/range set comparison) plus an independent
 global one (existence of a stratum index with the prescribed off-diagonal
-blocks).  This module implements the factorization and global criteria; the
-harness cross-checks them against the set criterion.  A nonempty cell splits
-into finitely many strata, with the factorization quadruple itself naming
-the unique open dense one.
+blocks).  This module implements the factorization and global criteria,
+factoring each label once; the harness checks the factors and the set
+criterion.  A nonempty cell splits into finitely many strata, with the base
+factorization quadruple naming the unique open dense one.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 from . import cells
 from .exact_matrix import RationalMatrix
@@ -47,17 +47,24 @@ def _tail_perms(n: int, t: int) -> Iterator[Perm]:
         yield head + tail
 
 
+def _base(d: DoubleCellIndex) -> Optional[tuple[Perm, Perm, Perm, Perm]]:
+    """The base quadruple ``(y, v0, z0, u)``, or ``None`` if the factorization test fails."""
+    if d.w1.rank() != d.w2.rank():
+        return None
+    y, v0 = decompose_partial(d.w1, "yv")
+    z0, u = decompose_partial(d.w2, "zu")
+    if bruhat_leq(z0, y) and bruhat_leq(v0, u):
+        return y, v0, z0, u
+    return None
+
+
 def is_nonempty(d: DoubleCellIndex) -> bool:
     """
     Nonemptiness of the double cell by the factorization criterion: the
     Bruhat tests ``z <= y`` and ``v <= u`` on the unique factorizations.
     Unequal ranks give ``False``.
     """
-    if d.w1.rank() != d.w2.rank():
-        return False
-    y, v = decompose_partial(d.w1, "yv")
-    z, u = decompose_partial(d.w2, "zu")
-    return bruhat_leq(z, y) and bruhat_leq(v, u)
+    return _base(d) is not None
 
 
 def nonempty_by_completion(d: DoubleCellIndex) -> bool:
@@ -77,14 +84,14 @@ def decompose(d: DoubleCellIndex) -> list[SigmaTuple]:
     """
     The strata contained in the double cell: all quadruples
     ``(y, v0 tau2, z0 tau1, u)`` with the tails Bruhat-compatible, the base
-    quadruple first; order is lexicographic in ``(tau1, tau2)``.
+    quadruple ``(y, v0, z0, u)`` first; order is lexicographic in ``(tau1, tau2)``.
     """
-    if not is_nonempty(d):
+    base = _base(d)
+    if base is None:
         raise ValueError("empty double cell has no decomposition")
+    y, v0, z0, u = base
     m, n = d.shape
     t = d.w1.rank()
-    y, v0 = decompose_partial(d.w1, "yv")
-    z0, u = decompose_partial(d.w2, "zu")
     out = []
     for tau1 in _tail_perms(m, t):
         z = compose(z0, tau1)
@@ -100,14 +107,12 @@ def decompose(d: DoubleCellIndex) -> list[SigmaTuple]:
 def dense_orbit(d: DoubleCellIndex) -> SigmaTuple:
     """
     The quadruple of the unique stratum open and dense in the cell: the base
-    factorization quadruple.
+    quadruple, from one factorization of each label.
     """
-    if not is_nonempty(d):
+    base = _base(d)
+    if base is None:
         raise ValueError("empty double cell has no dense stratum")
-    t = d.w1.rank()
-    y, v0 = decompose_partial(d.w1, "yv")
-    z0, u = decompose_partial(d.w2, "zu")
-    return SigmaTuple(y, v0, z0, u, t)
+    return SigmaTuple(*base, d.w1.rank())
 
 
 def classify_double(x: RationalMatrix) -> DoubleCellIndex:

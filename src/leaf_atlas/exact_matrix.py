@@ -58,7 +58,10 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "entries", "_irows")
 
     def __init__(self, entries: Iterable[Iterable[object]]) -> None:
-        data = tuple(tuple(Fraction(e) for e in row) for row in entries)
+        try:
+            data = tuple(tuple(Fraction(e) for e in row) for row in entries)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in matrix entry {exc}") from None
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and column")
         if any(len(row) != len(data[0]) for row in data):
@@ -126,7 +129,7 @@ class RationalMatrix:
 
 def _integerize(row: Sequence[Fraction]) -> tuple[int, ...]:
     scale = lcm(*(e.denominator for e in row)) if row else 1
-    return tuple(int(e * scale) for e in row)
+    return tuple(e.numerator * (scale // e.denominator) for e in row)
 
 
 def from_text(text: str) -> RationalMatrix:

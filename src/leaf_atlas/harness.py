@@ -43,7 +43,8 @@ from .permutations import (PartialPerm, all_perms, block_longest, bruhat_leq,
                            count_partial_perms, inverse, left_compose,
                            longest, parse_partial, partial_identity,
                            partial_perms, right_compose, subset_leq)
-from .sigma import SigmaTuple, enumerate_sigma, phi, phi_inv, phi_to_leaf
+from .sigma import (SigmaTuple, decompose_partial, enumerate_sigma, phi, phi_inv,
+                    phi_to_leaf)
 
 CAMPAIGNS = ("partition", "thm42_equiv", "closure_order", "lemma75_blocks",
              "phi_bijection", "echelon_strata", "double_cells", "counts")
@@ -129,6 +130,11 @@ def check_closure_order(x: RationalMatrix, leaf_list) -> bool:
                for L in leaf_list)
 
 
+def _recompose(first, second, m: int, n: int, t: int) -> PartialPerm:
+    """The ``m x n`` partial permutation ``first . I_t . second^{-1}``."""
+    return left_compose(first, right_compose(partial_identity(m, n, t), inverse(second)))
+
+
 def check_block_classes(x: RationalMatrix) -> bool:
     """
     The two rectangular cell labels of ``x`` equal both the off-diagonal
@@ -138,9 +144,8 @@ def check_block_classes(x: RationalMatrix) -> bool:
     sig = phi_inv(L)
     b = L.blocks()
     m, n, t = L.m, L.n, L.t
-    ident = partial_identity(m, n, t)
-    up_target = left_compose(sig.y, right_compose(ident, inverse(sig.v)))
-    lo_target = left_compose(sig.z, right_compose(ident, inverse(sig.u)))
+    up_target = _recompose(sig.y, sig.v, m, n, t)
+    lo_target = _recompose(sig.z, sig.u, m, n, t)
     lo_block = left_compose(longest(m), right_compose(b.w12.transpose(), longest(n)))
     return (cells.classify(x, cells.B_PLUS) == up_target == b.w21
             and cells.classify(x, cells.B_MINUS) == lo_target == lo_block)
@@ -149,17 +154,17 @@ def check_block_classes(x: RationalMatrix) -> bool:
 def check_sigma_in_double_cell(x: RationalMatrix) -> bool:
     """The quadruple of ``x``'s stratum appears in its double cell's decomposition."""
     d = classify_double(x)
-    if not is_nonempty(d):
-        return False
-    return phi_inv(classify_leaf(x)) in decompose(d)
+    return is_nonempty(d) and phi_inv(classify_leaf(x)) in decompose(d)
 
 
 def check_criteria_agreement(d: DoubleCellIndex) -> bool:
-    """Factorization test, set test and index-completion lookup all agree."""
+    """The three nonemptiness criteria agree, and both labels recompose from their factors."""
     by_sets = (d.w1.rank() == d.w2.rank()
                and subset_leq(d.w1.dom(), d.w2.dom())
                and subset_leq(d.w2.rng(), d.w1.rng()))
-    return is_nonempty(d) == by_sets == nonempty_by_completion(d)
+    return (is_nonempty(d) == by_sets == nonempty_by_completion(d)
+            and all(_recompose(*decompose_partial(w, form), *d.shape, w.rank()) == w
+                    for w, form in ((d.w1, "yv"), (d.w2, "zu"))))
 
 
 def check_dense_orbit(d: DoubleCellIndex) -> bool:

@@ -76,6 +76,8 @@ class LeafIndex:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LeafIndex":
+        if not {"w", "m", "n"} <= d.keys():
+            raise ValueError(f"a stratum index needs the keys w, m and n, got {d}")
         leaf = cls.from_w(tuple(d["w"]), d["m"], d["n"])
         for key in ("t", "dim"):
             if key in d and d[key] != getattr(leaf, key):

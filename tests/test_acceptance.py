@@ -2,33 +2,33 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  Every expected value is
 exact; the only tolerances are the per-criterion wall-clock budgets, pinned
-here.  Criterion 8's dense-orbit expectation follows the dominance rule for
-double-cell decompositions (the base factorization quadruple is the dense
-stratum; see the rank-one worked example in test 8), with the middle-column-
-zero quadruple verified to be one of the four strata.
+here.
+
+Criteria 01, 04-08, 10 and 11 run their per-item checks through the same
+table of checks as the campaigns, ``harness.CHECKS``; a failing check prints
+its counterexample payload as one JSON line, which ``harness.replay``
+re-runs.  The lines no registered check covers stay here: criterion 01's
+fixed counts, 04's rank-filtered enumeration count, 08's worked cell and
+11's product count.  Criterion 8's dense-orbit expectation follows the
+dominance rule for double-cell decompositions (the base factorization
+quadruple is the dense stratum; see the rank-one worked example in test 8),
+with the middle-column-zero quadruple verified to be one of the four strata.
 """
+import json
 import random
 import time
 from fractions import Fraction
 
-from leaf_atlas import cells
-from leaf_atlas.double_bruhat import (DoubleCellIndex, decompose, dense_orbit,
-                                      is_nonempty, nonempty_by_completion)
-from leaf_atlas.echelon import (COLUMN, ROW, all_patterns, in_pattern,
-                                sample_column_stratum, sample_row_stratum,
-                                stratify_pattern)
+from leaf_atlas.double_bruhat import DoubleCellIndex, decompose, dense_orbit
+from leaf_atlas.echelon import (COLUMN, ROW, all_patterns, sample_column_stratum,
+                                sample_row_stratum)
 from leaf_atlas.exact_matrix import (RationalMatrix, rank, sample_echelon_col,
                                      sample_echelon_row)
-from leaf_atlas.harness import sample_stream
-from leaf_atlas.leaves import (LeafIndex, classify_leaf, enumerate_leaves,
-                               in_leaf, leaf_profile, window_ok)
-from leaf_atlas.permutations import (all_perms, block_longest, bruhat_leq,
-                                     count_partial_perms, inverse,
-                                     left_compose, longest, parse_partial,
-                                     partial_identity, partial_perms,
-                                     right_compose)
-from leaf_atlas.sigma import (SigmaTuple, enumerate_sigma, phi, phi_inv,
-                              phi_to_leaf)
+from leaf_atlas.harness import _sigmas, _Tally, sample_stream
+from leaf_atlas.leaves import (LeafIndex, all_leaves, classify_leaf, enumerate_leaves,
+                               in_leaf)
+from leaf_atlas.permutations import block_longest, longest, parse_partial, partial_perms
+from leaf_atlas.sigma import SigmaTuple, enumerate_sigma, phi_inv, phi_to_leaf
 
 SEED = 20260810
 
@@ -40,6 +40,8 @@ SIGMA_514 = SigmaTuple((2, 3, 1), (1, 2, 3), (1, 2, 3), (2, 3, 1), 2)
 def report(num, label, failures, elapsed, budget):
     status = "PASS" if not failures else "FAIL"
     print(f"ACCEPTANCE {num:>2} {status} ({elapsed:6.2f}s / {budget:.0f}s) {label}")
+    for failure in failures[:5]:
+        print(json.dumps(failure))
     assert not failures, failures[:5]
     assert elapsed < budget, f"criterion {num} exceeded {budget}s budget"
 
@@ -51,6 +53,7 @@ def nonzero(rng):
 
 def test_criterion_01_leaf_counts_and_dual_characterization():
     start = time.perf_counter()
+    tally = _Tally()
     failures = []
     expected = {(1, 1): 2, (2, 1): 4, (1, 2): 4, (2, 2): 14}
     for (m, n), count in expected.items():
@@ -59,13 +62,9 @@ def test_criterion_01_leaf_counts_and_dual_characterization():
             failures.append((m, n, got, count))
     for N in range(2, 8):
         for m in range(1, N):
-            n = N - m
-            base = block_longest(n, m)
-            for w in all_perms(N):
-                if window_ok(w, m, n) != bruhat_leq(base, w):
-                    failures.append((m, n, w))
+            tally.check("window_vs_bruhat", m, N - m)
     report(1, "leaf counts and window == Bruhat characterization (m+n <= 7)",
-           failures, time.perf_counter() - start, 10)
+           failures + tally.counterexamples, time.perf_counter() - start, 10)
 
 
 def _rank_one_sample(rng):
@@ -136,117 +135,76 @@ def test_criterion_03_quadruple_examples():
 
 def test_criterion_04_phi_bijectivity():
     start = time.perf_counter()
+    tally = _Tally()
     failures = []
     for m in range(1, 5):
         for n in range(1, 5):
             for t in range(min(m, n) + 1):
-                sigs = enumerate_sigma(m, n, t)
-                leaves_t = enumerate_leaves(m, n, t)
-                if len(sigs) != len(leaves_t):
+                sigs = _sigmas(m, n, t)  # the enumeration the two count checks use
+                if len(sigs) != len(enumerate_leaves(m, n, t)):
                     failures.append(("count", m, n, t))
-                if len({phi(s) for s in sigs}) != len(sigs):
-                    failures.append(("injective", m, n, t))
+                tally.check("sigma_count", m, n, t)
+                tally.check("phi_injective", m, n, t)
                 for sig in sigs:
-                    if phi_inv(phi_to_leaf(sig)) != sig:
-                        failures.append(("roundtrip", m, n, sig))
+                    tally.check("phi_roundtrip", sig)
     report(4, "quadruple bijection for all m, n <= 4 and all ranks",
-           failures, time.perf_counter() - start, 60)
+           failures + tally.counterexamples, time.perf_counter() - start, 60)
+
+
+def _sampled_strata(name):
+    """``name`` on 650 samples per shape up to 4x4: all strata up to 3x3, else 12 and the own."""
+    tally = _Tally()
+    for m in range(1, 5):
+        for n in range(1, 5):
+            rng = random.Random(SEED + 10 * m + n)
+            leaves = all_leaves(m, n)
+            for x in sample_stream(m, n, 650, rng):
+                pool = (leaves if max(m, n) <= 3
+                        else rng.sample(leaves, 12) + [classify_leaf(x)])
+                tally.check(name, x, pool)
+    assert tally.attempted >= 10_000
+    return tally
 
 
 def test_criterion_05_membership_equals_classification():
     start = time.perf_counter()
-    failures = []
-    total = 0
-    for m in range(1, 5):
-        for n in range(1, 5):
-            rng = random.Random(SEED + 10 * m + n)
-            leaves = enumerate_leaves(m, n)
-            exhaustive = max(m, n) <= 3
-            for x in sample_stream(m, n, 650, rng):
-                total += 1
-                L0 = classify_leaf(x)
-                tables = leaf_profile(x)
-                pool = leaves if exhaustive else \
-                    rng.sample(leaves, 12) + [L0]
-                for L in pool:
-                    if in_leaf(x, L, "cell", tables) != (L == L0):
-                        failures.append((m, n, L.w, x.to_text()))
-    assert total >= 10_000
-    report(5, f"rank conditions == classification on {total} samples "
+    tally = _sampled_strata("classify_equiv")
+    report(5, f"rank conditions == classification on {tally.attempted} samples "
               "(exhaustive indices for m, n <= 3)",
-           failures, time.perf_counter() - start, 300)
+           tally.counterexamples, time.perf_counter() - start, 300)
 
 
 def test_criterion_06_closure_order():
     start = time.perf_counter()
-    failures = []
-    total = 0
-    for m in range(1, 5):
-        for n in range(1, 5):
-            rng = random.Random(SEED + 10 * m + n)
-            leaves = enumerate_leaves(m, n)
-            exhaustive = max(m, n) <= 3
-            for x in sample_stream(m, n, 650, rng):
-                total += 1
-                L0 = classify_leaf(x)
-                tables = leaf_profile(x)
-                pool = leaves if exhaustive else \
-                    rng.sample(leaves, 12) + [L0]
-                for L in pool:
-                    if in_leaf(x, L, "closure", tables) != bruhat_leq(L0.w, L.w):
-                        failures.append((m, n, L.w, x.to_text()))
-    assert total >= 10_000
-    report(6, f"closure conditions == Bruhat order on {total} samples "
+    tally = _sampled_strata("closure_order")
+    report(6, f"closure conditions == Bruhat order on {tally.attempted} samples "
               "(exhaustive indices for m, n <= 3)",
-           failures, time.perf_counter() - start, 300)
+           tally.counterexamples, time.perf_counter() - start, 300)
 
 
 def test_criterion_07_block_class_consistency():
     start = time.perf_counter()
-    failures = []
+    tally = _Tally()
     for m in range(1, 5):
         for n in range(1, 5):
             rng = random.Random(SEED + 100 * m + n)
             for x in sample_stream(m, n, 650, rng):
-                L = classify_leaf(x)
-                sig = phi_inv(L)
-                ident = partial_identity(m, n, L.t)
-                up = left_compose(sig.y, right_compose(ident, inverse(sig.v)))
-                lo = left_compose(sig.z, right_compose(ident, inverse(sig.u)))
-                b = L.blocks()
-                lo_block = left_compose(longest(m),
-                                        right_compose(b.w12.transpose(), longest(n)))
-                if not (cells.classify(x, "B+") == up == b.w21
-                        and cells.classify(x, "B-") == lo == lo_block):
-                    failures.append((m, n, x.to_text()))
+                tally.check("block_classes", x)
     report(7, "rectangular cell labels match quadruple factorizations and blocks",
-           failures, time.perf_counter() - start, 300)
+           tally.counterexamples, time.perf_counter() - start, 300)
 
 
 def test_criterion_08_double_cells():
     start = time.perf_counter()
+    tally = _Tally()
     failures = []
     for m in range(1, 4):
         for n in range(1, 4):
-            leaves = enumerate_leaves(m, n)
             pps = list(partial_perms(m, n))
             for w1 in pps:
-                t12 = left_compose(longest(n),
-                                   right_compose(w1.transpose(), longest(m)))
                 for w2 in pps:
-                    d = DoubleCellIndex(w1, w2)
-                    if is_nonempty(d) != nonempty_by_completion(d):
-                        failures.append(("criteria", m, n, w1.literal(), w2.literal()))
-            collected = []
-            for t in range(min(m, n) + 1):
-                ranked = [p for p in pps if p.rank() == t]
-                for w1 in ranked:
-                    for w2 in ranked:
-                        d = DoubleCellIndex(w1, w2)
-                        if is_nonempty(d):
-                            collected.extend(phi_to_leaf(s).w for s in decompose(d))
-            if sorted(collected) != sorted(L.w for L in leaves):
-                failures.append(("partition", m, n))
+                    tally.check("criteria_agreement", DoubleCellIndex(w1, w2))
+            tally.check("orbit_partition", m, n)
     cell = DoubleCellIndex(parse_partial("3x3:1->3"), parse_partial("3x3:3->1"))
     orbits = decompose(cell)
     if len(orbits) != 4:
@@ -255,14 +213,11 @@ def test_criterion_08_double_cells():
         failures.append("rank-1 example quadruple missing from its cell")
     dense = dense_orbit(cell)
     if dense != SigmaTuple((3, 1, 2), (1, 2, 3), (1, 2, 3), (3, 1, 2), 1):
-        failures.append(("dense", dense))
-    top = phi_to_leaf(dense)
-    for sig in orbits:
-        if not bruhat_leq(phi_to_leaf(sig).w, top.w):
-            failures.append(("dominance", sig))
+        failures.append(("dense", dense.to_dict()))
+    tally.check("dense_orbit", cell)
     report(8, "double cells: 3 criteria agree, orbit partition, worked cell "
               "has 4 orbits with dominant dense stratum",
-           failures, time.perf_counter() - start, 120)
+           failures + tally.counterexamples, time.perf_counter() - start, 120)
 
 
 def test_criterion_09_dimensions():
@@ -282,47 +237,32 @@ def test_criterion_09_dimensions():
 
 def test_criterion_10_partial_permutation_counts():
     start = time.perf_counter()
-    failures = []
+    tally = _Tally()
     for m in range(1, 6):
         for n in range(1, 6):
             for t in range(min(m, n) + 1):
-                got = sum(1 for _ in partial_perms(m, n, t))
-                if got != count_partial_perms(m, n, t):
-                    failures.append((m, n, t, got))
+                tally.check("pp_count", m, n, t)
     report(10, "partial permutation counts t! C(m,t) C(n,t) for m, n <= 5",
-           failures, time.perf_counter() - start, 30)
+           tally.counterexamples, time.perf_counter() - start, 30)
 
 
 def test_criterion_11_echelon_stratification():
     start = time.perf_counter()
-    failures = []
+    tally = _Tally()
     skipped = []
     rng = random.Random(SEED + 2)
     for m in range(1, 5):
         for t in range(1, m + 1):
             for pat in all_patterns(COLUMN, m, t):
-                strata = set(stratify_pattern(pat))
                 for k in range(20):
                     a = sample_echelon_col(m, t, pat.pivots, rng,
                                            zero_prob=0.0 if k % 2 else 0.45)
-                    sig = phi_inv(classify_leaf(a))
-                    idt = tuple(range(1, t + 1))
-                    if (sig.v != idt or sig.u != idt
-                            or tuple(sig.z[:t]) != pat.pivots
-                            or (sig.y, sig.z) not in strata):
-                        failures.append(("column", pat.literal(), a.to_text()))
-                    if not in_pattern(a.transpose(), pat.transposed()):
-                        failures.append(("transpose", pat.literal()))
+                    tally.check("echelon_member", a, pat)
             for pat in all_patterns(ROW, m, t):
                 for k in range(8):
                     a = sample_echelon_row(t, m, pat.pivots, rng,
                                            zero_prob=0.0 if k % 2 else 0.45)
-                    sig = phi_inv(classify_leaf(a))
-                    idt = tuple(range(1, t + 1))
-                    if (sig.y != idt or sig.z != idt
-                            or tuple(sig.v[:t]) != pat.pivots
-                            or (sig.u, sig.v) not in set(stratify_pattern(pat))):
-                        failures.append(("row", pat.literal(), a.to_text()))
+                    tally.check("echelon_member", a, pat)
     # factor products across full quadruples for m, n <= 3
     products = 0
     for m in range(1, 4):
@@ -330,8 +270,7 @@ def test_criterion_11_echelon_stratification():
             for t in range(min(m, n) + 1):
                 for sig in enumerate_sigma(m, n, t):
                     if t == 0:
-                        if classify_leaf(RationalMatrix.zero(m, n)) != phi_to_leaf(sig):
-                            failures.append(("zero", m, n))
+                        tally.check("zero_product", sig)
                         continue
                     c = sample_column_stratum(m, t, sig.y, sig.z, rng)
                     r = sample_row_stratum(t, n, sig.u, sig.v, rng)
@@ -339,11 +278,10 @@ def test_criterion_11_echelon_stratification():
                         skipped.append((m, n, sig.to_dict()))
                         continue
                     products += 1
-                    if classify_leaf(c @ r) != phi_to_leaf(sig):
-                        failures.append(("product", m, n, sig.to_dict()))
+                    tally.check("echelon_product", c, r, sig)
     assert products >= 100
     label = (f"echelon patterns (m <= 4) stratify correctly; {products} factor "
              f"products verified, {len(skipped)} strata skipped")
     if skipped:
         print(f"  skipped strata: {skipped}")
-    report(11, label, failures, time.perf_counter() - start, 300)
+    report(11, label, tally.counterexamples, time.perf_counter() - start, 300)

@@ -198,3 +198,20 @@ def test_classify_rejects_reinterpretable_json(tmp_path, capsys, text, m, n):
     code, out, err = run_cli(capsys, "leaves", "classify", "--m", str(m), "--n", str(n),
                              "--matrix", str(path))
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("matrix, argv", [
+    ("1 1/0\n", ("leaves", "classify", "--m", "1", "--n", "2")),
+    ('[["1/0"]]', ("leaves", "classify", "--m", "1", "--n", "1")),
+    (None, ("sigma", "phi", "--m", "1", "--n", "1", "--t", "0", "--sigma", "[1]")),
+    (None, ("sigma", "phi", "--m", "1", "--n", "1", "--t", "0",
+            "--sigma", '{"y": [1], "v": [1], "z": [1]}')),
+], ids=["text-zero-denominator", "json-zero-denominator", "sigma-not-an-object",
+        "sigma-without-u"])
+def test_malformed_input_is_a_domain_error(tmp_path, capsys, matrix, argv):
+    if matrix is not None:
+        path = tmp_path / "m.txt"
+        path.write_text(matrix)
+        argv += ("--matrix", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error:")

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,8 @@ def test_construction_errors():
         RationalMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         RationalMatrix([])
+    with pytest.raises(ValueError):
+        RationalMatrix([["1/0"]])
 
 
 def test_rank_examples():
@@ -103,6 +106,14 @@ small_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
         st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
                  min_size=mn[1], max_size=mn[1]),
         min_size=mn[0], max_size=mn[0])).map(RationalMatrix)
+
+
+@given(oracle_matrices(7))
+@settings(max_examples=200, deadline=None)
+def test_integer_rows_scale_each_row_by_its_denominator_lcm(x):
+    for row, irow in zip(x.entries, x._irows):
+        scale = lcm(*(e.denominator for e in row))
+        assert irow == tuple(int(e * scale) for e in row)
 
 
 @given(small_matrices)

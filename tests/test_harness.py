@@ -165,3 +165,20 @@ def test_sampled_failures_replay_the_sampled_check(monkeypatch, campaign):
     for payload in r.counterexamples:
         assert len(payload["leaves"]) == 13  # the sampled indices, not all 6,902
         assert harness.replay(payload) is False, payload
+
+
+def test_factors_that_do_not_recompose_fail_criteria_agreement(monkeypatch):
+    real = harness.decompose_partial
+
+    def wrong(w, form):
+        # swap the first two images of ``first``: the first dot moves to another row
+        first, second = real(w, form)
+        return (first[1::-1] + first[2:], second) if w.rank() else (first, second)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "decompose_partial", wrong)
+        r = harness.run("double_cells", 2, 2, samples=20, seed=3, threads=1)
+        assert r.failed > 0
+        assert {p["check"] for p in r.counterexamples} == {"criteria_agreement"}
+        assert all(harness.replay(p) is False for p in r.counterexamples)
+    assert all(harness.replay(p) is True for p in r.counterexamples)

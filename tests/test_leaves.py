@@ -246,3 +246,5 @@ def test_leaf_json_roundtrip():
     assert LeafIndex.from_dict(json.loads(json.dumps(L.to_dict()))) == L
     with pytest.raises(ValueError):
         LeafIndex.from_dict({"w": [6, 2, 3, 5, 4, 1], "m": 3, "n": 3, "t": 2})
+    with pytest.raises(ValueError):
+        LeafIndex.from_dict({"w": [6, 2, 3, 5, 4, 1], "m": 3})
