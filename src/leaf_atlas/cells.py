@@ -11,14 +11,16 @@ two share no kernel on purpose, so that checking one against the other
 tests two independent computations.
 
 Profiles of partial permutations are computed by counting entries in the
-corner region, never by numeric rank of the 0/1 matrix.
+corner region, never by numeric rank of the 0/1 matrix.  Every northeast
+table is the half-turn (``exact_matrix._half_turn``) of a southwest one.
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence, Union
 
 from .exact_matrix import (NORTHEAST, SOUTHWEST, RankProfile, RationalMatrix,
-                           bruhat_pivots, rank_profile)
+                           _half_turn, bruhat_pivots, rank_profile)
 from .permutations import PartialPerm, as_partial
 
 B_PLUS = "B+"
@@ -43,25 +45,15 @@ def pp_rank_profile(w: CellLabel, kind: str) -> RankProfile:
     """Corner rank profile of a (partial) permutation matrix, by dot counting."""
     w = _as_pp(w)
     m, n = w.rows, w.cols
-    if kind == SOUTHWEST:
-        table = []
-        for p in range(1, m + 2):
-            row = [0]
-            for q in range(1, n + 1):
-                r = w.image[q - 1]
-                row.append(row[-1] + (1 if r is not None and r >= p else 0))
-            table.append(tuple(row))
-        return RankProfile(SOUTHWEST, m, n, tuple(table))
     if kind == NORTHEAST:
-        table = []
-        for p in range(m + 1):
-            row = [0] * (n + 1)
-            for q in range(n, 0, -1):
-                r = w.image[q - 1]
-                row[q - 1] = row[q] + (1 if r is not None and r <= p else 0)
-            table.append(tuple(row))
-        return RankProfile(NORTHEAST, m, n, tuple(table))
-    raise ValueError(f"unknown profile kind {kind!r}")
+        turned = PartialPerm(m, n, tuple(None if r is None else m + 1 - r
+                                         for r in reversed(w.image)))
+        return RankProfile(kind, m, n, _half_turn(pp_rank_profile(turned, SOUTHWEST).table))
+    if kind != SOUTHWEST:
+        raise ValueError(f"unknown profile kind {kind!r}")
+    table = tuple(tuple(accumulate((r is not None and r >= p for r in w.image), initial=0))
+                  for p in range(1, m + 2))
+    return RankProfile(kind, m, n, table)
 
 
 def in_cell(x: RationalMatrix, w: CellLabel, side: str = B_PLUS,

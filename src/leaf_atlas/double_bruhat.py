@@ -19,8 +19,7 @@ from typing import Iterator, Optional
 from . import cells
 from .exact_matrix import RationalMatrix
 from .leaves import block_pairs
-from .permutations import (Perm, PartialPerm, bruhat_leq, compose,
-                           left_compose, longest, right_compose)
+from .permutations import Perm, PartialPerm, bruhat_leq, compose
 from .sigma import SigmaTuple, decompose_partial
 
 
@@ -69,15 +68,13 @@ def is_nonempty(d: DoubleCellIndex) -> bool:
 
 def nonempty_by_completion(d: DoubleCellIndex) -> bool:
     """
-    Independent global criterion: some stratum index has lower-left block
-    ``w1`` and upper-right block equal to the reflected transpose of ``w2``.
-    Looks the pair up among the blocks of all stratum indices, enumerated
-    once per shape; intended for small shapes.  The two blocks of an index
-    have equal rank, so unequal ranks are never found.
+    Independent global criterion: some stratum index has the cell labels
+    ``(w1, w2)`` (``leaves.cell_labels``).  Looks the pair up among the
+    labels of all stratum indices, enumerated once per shape; intended for
+    small shapes.  The two labels of an index have equal rank, so unequal
+    ranks are never found.
     """
-    m, n = d.shape
-    target12 = left_compose(longest(n), right_compose(d.w2.transpose(), longest(m)))
-    return (d.w1, target12) in block_pairs(m, n)
+    return (d.w1, d.w2) in block_pairs(*d.shape)
 
 
 def decompose(d: DoubleCellIndex) -> list[SigmaTuple]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .exact_matrix import (RationalMatrix, Seed, _as_rng, _rand_nonzero,
@@ -168,20 +169,17 @@ def leaf_factors(L: LeafIndex) -> tuple[tuple[Perm, Perm], tuple[Perm, Perm]]:
 # ---------------------------------------------------------------------------
 # Sampling inside strata
 
-_REP_CACHE: dict[tuple[int, int, tuple[int, ...]], dict[tuple[Perm, Perm], RationalMatrix]] = {}
-
 _REP_PALETTE = (0, 1, 2)
+_TRIES = 30  # rejection draws before falling back to the representative
 
 
+@lru_cache(maxsize=None)
 def _stratum_map(m: int, t: int, pivots: tuple[int, ...]) -> dict[tuple[Perm, Perm], RationalMatrix]:
     """
     One small-entry representative per reachable stratum of a column pattern,
     found by scanning pattern matrices with unit pivots and free entries from
     a small palette.  Cached per pattern.
     """
-    key = (m, t, pivots)
-    if key in _REP_CACHE:
-        return _REP_CACHE[key]
     free_cells = [(i, j) for j, pr in enumerate(pivots, start=1)
                   for i in range(pr + 1, m + 1)]
     found: dict[tuple[Perm, Perm], RationalMatrix] = {}
@@ -194,7 +192,6 @@ def _stratum_map(m: int, t: int, pivots: tuple[int, ...]) -> dict[tuple[Perm, Pe
         a = RationalMatrix(rows)
         sig = phi_inv(classify_leaf(a))
         found.setdefault((sig.y, sig.z), a)
-    _REP_CACHE[key] = found
     return found
 
 
@@ -203,8 +200,8 @@ def column_stratum_representative(m: int, t: int, y: Perm, z: Perm) -> Optional[
     return _stratum_map(m, t, tuple(z[:t])).get((check_perm(y), check_perm(z)))
 
 
-def sample_column_stratum(m: int, t: int, y: Perm, z: Perm, seed: Seed,
-                          tries: int = 30) -> Optional[RationalMatrix]:
+def sample_column_stratum(m: int, t: int, y: Perm, z: Perm,
+                          seed: Seed) -> Optional[RationalMatrix]:
     """
     A random member of the column stratum ``(y, z)`` inside ``m x t``:
     rejection from the ambient pattern with random zeroing first, then a
@@ -214,7 +211,7 @@ def sample_column_stratum(m: int, t: int, y: Perm, z: Perm, seed: Seed,
     rng = _as_rng(seed)
     target = phi_to_leaf(column_stratum_sigma(m, t, y, z))
     pivots = tuple(z[:t])
-    for _ in range(tries):
+    for _ in range(_TRIES):
         a = sample_echelon_col(m, t, pivots, rng, zero_prob=0.4)
         if classify_leaf(a) == target:
             return a
@@ -226,8 +223,8 @@ def sample_column_stratum(m: int, t: int, y: Perm, z: Perm, seed: Seed,
     return rep.scaled(row_f, col_f)
 
 
-def sample_row_stratum(t: int, n: int, u: Perm, v: Perm, seed: Seed,
-                       tries: int = 30) -> Optional[RationalMatrix]:
+def sample_row_stratum(t: int, n: int, u: Perm, v: Perm,
+                       seed: Seed) -> Optional[RationalMatrix]:
     """Row-side analogue of ``sample_column_stratum``, via transposition."""
-    a = sample_column_stratum(n, t, u, v, seed, tries)
+    a = sample_column_stratum(n, t, u, v, seed)
     return None if a is None else a.transpose()

@@ -6,10 +6,12 @@ point never enters the logic.  Internally each row is scaled to integers
 once (rank is insensitive to row scaling), and all elimination is
 fraction-free so intermediate values stay integral.
 
-Each rank table comes from one pass of insertions.  A corner table feeds
-the rows, bottom-up or top-down, into one echelon basis and counts its
-leads; an interval table feeds the vectors in order into a newest-wins
-basis whose vectors carry the index they came from.
+Each rank table comes from one pass of insertions.  The southwest corner
+table feeds the rows bottom-up into one echelon basis and counts its leads;
+an interval table feeds the vectors in order into a newest-wins basis whose
+vectors carry the index they came from.  Each northeast computation (corner
+table or Bruhat pivots) is the southwest one on the half-turned matrix, row
+order and rows reversed, turned back.
 
 Samplers are pure functions of an explicit seed.  The generator is CPython's
 ``random.Random`` (Mersenne Twister), whose integer methods are stable across
@@ -256,14 +258,6 @@ class RankProfile:
         return self.table[p][q - 1]
 
 
-def _lead_counts(basis: list[tuple[int, list[int]]], n: int) -> tuple[int, ...]:
-    """``c[q]`` = number of basis leads below ``q``, for ``q`` in ``0..n``."""
-    c = [0] * (n + 1)
-    for lead, _ in basis:
-        c[lead + 1] += 1
-    return tuple(accumulate(c))
-
-
 def _sw_table(irows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
     """
     Insert the rows bottom-up into one echelon basis whose leads are first
@@ -278,26 +272,16 @@ def _sw_table(irows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], 
     table = [(0,) * (n + 1)]
     for row in reversed(irows):
         _echelon_insert(basis, list(row))
-        table.append(_lead_counts(basis, n))
+        counts = [0] * (n + 1)
+        for lead, _ in basis:
+            counts[lead + 1] += 1
+        table.append(tuple(accumulate(counts)))
     return tuple(reversed(table))
 
 
-def _ne_table(irows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
-    """
-    The mirror of ``_sw_table``: insert the rows top-down, each reversed, so
-    that a lead is a last nonzero index; once row ``p`` is in, the rank of
-    rows ``1..p`` and columns ``q..n`` is the number of leads at ``q`` or
-    after.
-
-    >>> _ne_table([[0, 1], [1, 0]], 2)
-    ((0, 0, 0), (1, 1, 0), (2, 1, 0))
-    """
-    basis: list[tuple[int, list[int]]] = []
-    table = [(0,) * (n + 1)]
-    for row in irows:
-        _echelon_insert(basis, list(reversed(row)))
-        table.append(_lead_counts(basis, n)[::-1])
-    return tuple(table)
+def _half_turn(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Reverse the row order and each row: the southwest corner turns northeast."""
+    return tuple(tuple(row[::-1]) for row in rows[::-1])
 
 
 def rank_profile(x: RationalMatrix, kind: str) -> RankProfile:
@@ -305,7 +289,8 @@ def rank_profile(x: RationalMatrix, kind: str) -> RankProfile:
     if kind == SOUTHWEST:
         return RankProfile(kind, x.rows, x.cols, _sw_table(x._irows, x.cols))
     if kind == NORTHEAST:
-        return RankProfile(kind, x.rows, x.cols, _ne_table(x._irows, x.cols))
+        table = _half_turn(_sw_table(_half_turn(x._irows), x.cols))
+        return RankProfile(kind, x.rows, x.cols, table)
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
@@ -320,33 +305,32 @@ def bruhat_pivots(irows: Sequence[Sequence[int]], kind: str) -> list[tuple[int, 
     leftmost nonzero entry of each row is a dot, and its column is cleared
     in every row above by ``row_k = p*row_k - f*row_i``, after which the row
     is divided by its content.  ``northeast`` (the (lower, lower) cell) is
-    the mirror image: walk top-down, take the rightmost nonzero entry and
-    clear below.  Row and column scalings and the triangular row and column
-    operations of the cell's side keep a matrix in its cell, and they reduce
-    it to the dots alone.
+    the same walk on the half-turned rows, its dots ``(c, r)`` turned back to
+    ``(n+1-c, m+1-r)``.  Row and column scalings and the triangular row and
+    column operations of the cell's side keep a matrix in its cell, and they
+    reduce it to the dots alone.
 
     >>> bruhat_pivots([[1, 0, 2], [3, 0, 6], [2, 0, 4]], SOUTHWEST)
     [(1, 3)]
     >>> bruhat_pivots([[1, 0, 2], [3, 0, 6], [2, 0, 4]], NORTHEAST)
     [(3, 1)]
     """
-    rows = [list(r) for r in irows]
-    if kind == SOUTHWEST:
-        order = range(len(rows) - 1, -1, -1)
-    elif kind == NORTHEAST:
-        order = range(len(rows))
-    else:
+    if kind == NORTHEAST:
+        m, n = len(irows), len(irows[0])
+        return [(n + 1 - c, m + 1 - r)
+                for c, r in bruhat_pivots(_half_turn(irows), SOUTHWEST)]
+    if kind != SOUTHWEST:
         raise ValueError(f"unknown profile kind {kind!r}")
+    rows = [list(r) for r in irows]
     pairs = []
-    for i in order:
+    for i in range(len(rows) - 1, -1, -1):
         row = rows[i]
-        nonzero = [j for j, a in enumerate(row) if a]
-        if not nonzero:
+        c = next((j for j, a in enumerate(row) if a), None)
+        if c is None:
             continue
-        c = nonzero[0] if kind == SOUTHWEST else nonzero[-1]
         pairs.append((c + 1, i + 1))
         p = row[c]
-        for k in (range(i) if kind == SOUTHWEST else range(i + 1, len(rows))):
+        for k in range(i):
             f = rows[k][c]
             if f:
                 new = [p * a - f * b for a, b in zip(rows[k], row)]
@@ -461,15 +445,6 @@ def sample_invertible_triangular(sign: str, n: int, seed: Seed) -> RationalMatri
     return RationalMatrix(rows)
 
 
-def _check_pivots(bound: int, pivots: Sequence[int]) -> tuple[int, ...]:
-    pivots = tuple(pivots)
-    if any(not 1 <= p <= bound for p in pivots):
-        raise ValueError(f"pivots {pivots} out of range 1..{bound}")
-    if any(a >= b for a, b in zip(pivots, pivots[1:])):
-        raise ValueError(f"pivots {pivots} not strictly increasing")
-    return pivots
-
-
 def sample_echelon_col(m: int, t: int, pivots: Sequence[int], seed: Seed,
                        zero_prob: float = 0.0) -> RationalMatrix:
     """
@@ -477,7 +452,11 @@ def sample_echelon_col(m: int, t: int, pivots: Sequence[int], seed: Seed,
     row ``pivots[j-1]``, nonzero there, free below (``zero_prob`` biases the
     free entries toward 0).
     """
-    pivots = _check_pivots(m, pivots)
+    pivots = tuple(pivots)
+    if any(not 1 <= p <= m for p in pivots):
+        raise ValueError(f"pivots {pivots} out of range 1..{m}")
+    if any(a >= b for a, b in zip(pivots, pivots[1:])):
+        raise ValueError(f"pivots {pivots} not strictly increasing")
     if len(pivots) != t or not 1 <= t <= m:
         raise ValueError(f"impossible column pattern: m={m}, t={t}, pivots={pivots}")
     rng = _as_rng(seed)
@@ -485,21 +464,14 @@ def sample_echelon_col(m: int, t: int, pivots: Sequence[int], seed: Seed,
     for j, pr in enumerate(pivots):
         rows[pr - 1][j] = _rand_nonzero(rng)
         for i in range(pr, m):
-            free = 0 if rng.random() < zero_prob else _rand_entry(rng)
-            rows[i][j] = free
+            rows[i][j] = 0 if rng.random() < zero_prob else _rand_entry(rng)
     return RationalMatrix(rows)
 
 
 def sample_echelon_row(t: int, n: int, pivots: Sequence[int], seed: Seed,
                        zero_prob: float = 0.0) -> RationalMatrix:
-    """Row-echelon sample in ``t x n``: row ``i`` starts at its pivot column."""
-    pivots = _check_pivots(n, pivots)
-    if len(pivots) != t or not 1 <= t <= n:
-        raise ValueError(f"impossible row pattern: t={t}, n={n}, pivots={pivots}")
-    rng = _as_rng(seed)
-    rows = [[0] * n for _ in range(t)]
-    for i, pc in enumerate(pivots):
-        rows[i][pc - 1] = _rand_nonzero(rng)
-        for j in range(pc, n):
-            rows[i][j] = 0 if rng.random() < zero_prob else _rand_entry(rng)
-    return RationalMatrix(rows)
+    """
+    Row-echelon sample in ``t x n``, row ``i`` starting at its pivot column:
+    the transpose of the column-echelon sample, with the same draws.
+    """
+    return sample_echelon_col(n, t, pivots, seed, zero_prob).transpose()

@@ -37,12 +37,12 @@ from .echelon import (COLUMN, ROW, EchelonPattern, all_patterns,
                       stratify_pattern)
 from .exact_matrix import (RationalMatrix, from_text, sample_echelon_col,
                            sample_echelon_row, sample_rank, _rand_nonzero)
-from .leaves import (LeafIndex, all_leaves, classify_leaf, in_leaf,
+from .leaves import (LeafIndex, all_leaves, cell_labels, classify_leaf, in_leaf,
                      leaf_profile, window_ok)
 from .permutations import (PartialPerm, all_perms, block_longest, bruhat_leq,
                            count_partial_perms, inverse, left_compose,
-                           longest, parse_partial, partial_identity,
-                           partial_perms, right_compose, subset_leq)
+                           parse_partial, partial_identity, partial_perms,
+                           right_compose, subset_leq)
 from .sigma import (SigmaTuple, decompose_partial, enumerate_sigma, phi, phi_inv,
                     phi_to_leaf)
 
@@ -63,12 +63,16 @@ def derive_seed(seed: int, stream: int) -> int:
 
 
 def resolve_threads(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get(ENV_THREADS)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """The worker count: ``threads``, else ``$LEAF_ATLAS_THREADS``, else all cores."""
+    name = "threads"
+    if threads is None:
+        env = os.environ.get(ENV_THREADS)
+        if not env:
+            return os.cpu_count() or 1
+        name, threads = ENV_THREADS, int(env)
+    if threads < 1:
+        raise ValueError(f"{name} must be at least 1, got {threads}")
+    return threads
 
 
 @dataclass
@@ -137,18 +141,17 @@ def _recompose(first, second, m: int, n: int, t: int) -> PartialPerm:
 
 def check_block_classes(x: RationalMatrix) -> bool:
     """
-    The two rectangular cell labels of ``x`` equal both the off-diagonal
-    blocks of its stratum index and the quadruple factorizations.
+    The two rectangular cell labels of ``x`` equal both the cell labels of
+    its stratum index (``cell_labels``) and the quadruple factorizations.
     """
     L = classify_leaf(x)
     sig = phi_inv(L)
-    b = L.blocks()
     m, n, t = L.m, L.n, L.t
     up_target = _recompose(sig.y, sig.v, m, n, t)
     lo_target = _recompose(sig.z, sig.u, m, n, t)
-    lo_block = left_compose(longest(m), right_compose(b.w12.transpose(), longest(n)))
-    return (cells.classify(x, cells.B_PLUS) == up_target == b.w21
-            and cells.classify(x, cells.B_MINUS) == lo_target == lo_block)
+    upper, lower = cell_labels(L)
+    return (cells.classify(x, cells.B_PLUS) == up_target == upper
+            and cells.classify(x, cells.B_MINUS) == lo_target == lower)
 
 
 def check_sigma_in_double_cell(x: RationalMatrix) -> bool:
@@ -588,6 +591,9 @@ def run(campaign: str, m: int, n: int, samples: int = 1000, seed: int = 0,
         raise ValueError(f"unknown campaign {campaign!r}; choose from {CAMPAIGNS}")
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
+    least = 1 if campaign in _SAMPLING else 0  # a sampling campaign of 0 checks nothing
+    if samples < least:
+        raise ValueError(f"{campaign} needs samples >= {least}, got {samples}")
     threads = resolve_threads(threads)
     report = VerificationReport(campaign, {"m": m, "n": n, "samples": samples,
                                            "seed": seed})

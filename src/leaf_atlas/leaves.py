@@ -5,9 +5,10 @@ structure) is indexed by a permutation ``w`` of ``{1..m+n}`` subject to the
 displacement window ``n <= w(i)+i-1 <= m+2n``; equivalently ``w`` lies above
 the product of the two block longest elements in the Bruhat order.  This
 module enumerates the indices, decides membership of a matrix in a stratum
-or its closure through four families of exact rank conditions, classifies a
-matrix by embedding it in an invertible ``(m+n) x (m+n)`` block matrix, and
-exposes the closure order and its Hasse diagram.
+or its closure through four families of exact rank conditions (each equates
+the rank of a submatrix with the number of dots of ``w`` in a rectangle),
+classifies a matrix by embedding it in an invertible ``(m+n) x (m+n)``
+block matrix, and exposes the closure order and its Hasse diagram.
 
 Membership (`in_leaf`) and classification (`classify_leaf`) are deliberately
 independent code paths; the point of the package is to cross-validate their
@@ -22,9 +23,8 @@ from typing import Optional, Sequence
 from . import cells
 from .exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix, bruhat_pivots,
                            interval_column_ranks, interval_row_ranks, rank_profile)
-from .permutations import (Perm, Blocks, PartialPerm, block_split, bruhat_leq,
-                           check_perm, dots_in, left_compose, length, longest,
-                           right_compose)
+from .permutations import (Perm, PartialPerm, bruhat_leq, check_perm, int_field,
+                           int_list_field, length)
 
 
 def window_ok(w: Sequence[int], m: int, n: int) -> bool:
@@ -67,9 +67,6 @@ class LeafIndex:
     def dim(self) -> int:
         return length(self.w) - (self.n * (self.n - 1) + self.m * (self.m - 1)) // 2
 
-    def blocks(self) -> Blocks:
-        return _split_blocks(self.w, self.n, self.m)
-
     def to_dict(self) -> dict:
         return {"w": list(self.w), "m": self.m, "n": self.n,
                 "t": self.t, "dim": self.dim}
@@ -78,14 +75,11 @@ class LeafIndex:
     def from_dict(cls, d: dict) -> "LeafIndex":
         if not {"w", "m", "n"} <= d.keys():
             raise ValueError(f"a stratum index needs the keys w, m and n, got {d}")
-        leaf = cls.from_w(tuple(d["w"]), d["m"], d["n"])
+        leaf = cls(int_list_field(d, "w"), int_field(d, "m"), int_field(d, "n"))
         for key in ("t", "dim"):
-            if key in d and d[key] != getattr(leaf, key):
+            if key in d and int_field(d, key) != getattr(leaf, key):
                 raise ValueError(f"inconsistent {key} in {d}")
         return leaf
-
-
-_split_blocks = lru_cache(maxsize=None)(block_split)
 
 
 def enumerate_leaves(m: int, n: int, t: Optional[int] = None) -> list[LeafIndex]:
@@ -136,10 +130,21 @@ def all_leaves(m: int, n: int) -> tuple[LeafIndex, ...]:
     return tuple(enumerate_leaves(m, n))
 
 
+def cell_labels(L: LeafIndex) -> tuple[PartialPerm, PartialPerm]:
+    """The (upper, lower) cell labels of the stratum of ``L``: the lower-left
+    block of ``w``, and its upper-right block transposed and reflected."""
+    m, n, w = L.m, L.n, L.w
+    upper = PartialPerm.from_pairs(m, n, ((j, r - n) for j, r in enumerate(w[:n], 1)
+                                          if r > n))
+    lower = PartialPerm.from_pairs(m, n, ((n + 1 - r, m + 1 - j)
+                                          for j, r in enumerate(w[n:], 1) if r <= n))
+    return upper, lower
+
+
 @lru_cache(maxsize=None)
 def block_pairs(m: int, n: int) -> frozenset[tuple[PartialPerm, PartialPerm]]:
-    """The ``(w21, w12)`` off-diagonal block pairs of every stratum index of ``m x n``."""
-    return frozenset((b.w21, b.w12) for b in (L.blocks() for L in all_leaves(m, n)))
+    """The ``cell_labels`` pairs of every stratum index of ``m x n``."""
+    return frozenset(cell_labels(L) for L in all_leaves(m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +183,24 @@ class _LeafTargets:
 
 @lru_cache(maxsize=None)
 def _leaf_targets(L: LeafIndex) -> _LeafTargets:
-    m, n = L.m, L.n
-    b = L.blocks()
-    sw = cells.pp_rank_profile(b.w21, SOUTHWEST).table
-    ne_label = left_compose(longest(m), right_compose(b.w12.transpose(), longest(n)))
-    ne = cells.pp_rank_profile(ne_label, NORTHEAST).table
-    top_left = left_compose(longest(n), b.w11)       # n x n
-    col = tuple((p, q, q + 1 - p - dots_in(top_left, p, n, p, q))
+    """
+    Each rank target of ``L`` is the number of dots of ``w`` in one
+    rectangle (Fulton's rank function), four lookups in the southwest
+    dot-count table of ``w``.
+    """
+    m, n, N = L.m, L.n, L.m + L.n
+    S = cells.pp_rank_profile(L.w, SOUTHWEST).table
+
+    def dots(r1: int, r2: int, c1: int, c2: int) -> int:
+        """Dots of ``w`` in rows ``r1..r2`` and columns ``c1..c2``."""
+        return S[r1 - 1][c2] - S[r2][c2] - S[r1 - 1][c1 - 1] + S[r2][c1 - 1]
+
+    sw = tuple(row[:n + 1] for row in S[n:])
+    ne = tuple(tuple(dots(1, n + 1 - q, N + 1 - p, N) for q in range(1, n + 2))
+               for p in range(m + 1))
+    col = tuple((p, q, q + 1 - p - dots(1, n + 1 - p, p, q))
                 for p in range(2, n + 1) for q in range(p, n + 1))
-    bottom_right = right_compose(b.w22, longest(m))  # m x m
-    row = tuple((p, q, q + 1 - p - dots_in(bottom_right, p, q, 1, q))
+    row = tuple((p, q, q + 1 - p - dots(n + p, n + q, N + 1 - q, N))
                 for p in range(1, m) for q in range(p, m))
     return _LeafTargets(sw, ne, col, row)
 

@@ -46,6 +46,22 @@ def check_perm(w: Sequence[int]) -> Perm:
     return t
 
 
+def int_field(d: dict, key: str) -> int:
+    """``d[key]`` of a JSON object, which must be an integer (not a ``bool``)."""
+    value = d[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def int_list_field(d: dict, key: str) -> tuple[int, ...]:
+    """``d[key]`` of a JSON object, which must be a list of integers (no ``bool``)."""
+    value = d[key]
+    if not isinstance(value, (list, tuple)) or any(type(x) is not int for x in value):
+        raise ValueError(f"{key} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def identity(n: int) -> Perm:
     """The identity permutation of ``{1..n}``."""
     return tuple(range(1, n + 1))
@@ -396,12 +412,6 @@ def right_compose(w: PartialPerm, p: Sequence[int]) -> PartialPerm:
     if len(p) != w.cols:
         raise ValueError(f"size mismatch: {w.cols} cols vs {len(p)}")
     return PartialPerm(w.rows, w.cols, tuple(w.image[j - 1] for j in p))
-
-
-def dots_in(w: PartialPerm, r1: int, r2: int, c1: int, c2: int) -> int:
-    """Number of entries of ``w`` inside rows ``r1..r2`` and columns ``c1..c2``."""
-    return sum(1 for j, r in enumerate(w.image)
-               if r is not None and r1 <= r <= r2 and c1 <= j + 1 <= c2)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 from .leaves import LeafIndex
 from .permutations import (Perm, PartialPerm, bruhat_leq, check_perm, compose,
-                           extend_ascending, inverse, is_min_rep_first,
-                           is_min_rep_last, longest, min_rep_last,
-                           min_reps_first, min_reps_last)
+                           extend_ascending, int_field, int_list_field,
+                           inverse, is_min_rep_first, is_min_rep_last,
+                           longest, min_rep_last, min_reps_first,
+                           min_reps_last)
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class SigmaTuple:
     def from_dict(cls, d: dict) -> "SigmaTuple":
         if not {"y", "v", "z", "u", "t"} <= d.keys():
             raise ValueError(f"a quadruple needs the keys y, v, z, u and t, got {d}")
-        return cls(tuple(d["y"]), tuple(d["v"]), tuple(d["z"]), tuple(d["u"]), d["t"])
+        return cls(*(int_list_field(d, key) for key in "yvzu"), int_field(d, "t"))
 
 
 def enumerate_sigma(m: int, n: int, t: int) -> list[SigmaTuple]:

@@ -206,8 +206,17 @@ def test_classify_rejects_reinterpretable_json(tmp_path, capsys, text, m, n):
     (None, ("sigma", "phi", "--m", "1", "--n", "1", "--t", "0", "--sigma", "[1]")),
     (None, ("sigma", "phi", "--m", "1", "--n", "1", "--t", "0",
             "--sigma", '{"y": [1], "v": [1], "z": [1]}')),
+    (None, ("sigma", "phi", "--m", "1", "--n", "1", "--t", "0",
+            "--sigma", '{"y": 5, "v": [1], "z": [1], "u": [1]}')),
+    (None, ("verify", "--campaign", "partition", "--m", "2", "--n", "2",
+            "--samples", "0")),
+    (None, ("verify", "--campaign", "double_cells", "--m", "2", "--n", "2",
+            "--samples", "-3")),
+    (None, ("verify", "--campaign", "counts", "--m", "2", "--n", "2",
+            "--threads", "0")),
 ], ids=["text-zero-denominator", "json-zero-denominator", "sigma-not-an-object",
-        "sigma-without-u"])
+        "sigma-without-u", "sigma-field-not-a-list", "verify-zero-samples",
+        "verify-negative-samples", "verify-zero-threads"])
 def test_malformed_input_is_a_domain_error(tmp_path, capsys, matrix, argv):
     if matrix is not None:
         path = tmp_path / "m.txt"

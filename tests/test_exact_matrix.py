@@ -221,6 +221,35 @@ def test_echelon_samplers_match_displayed_pattern():
         sample_echelon_row(4, 3, (1, 2, 3), 0)
 
 
+def row_sample_by_rows(t, n, pivots, rng, zero_prob):
+    """The row sampler's draws in row order: pivot entry, then the entries right of it."""
+    rows = [[0] * n for _ in range(t)]
+    for i, pc in enumerate(pivots):
+        rows[i][pc - 1] = rng.randint(1, 9) * (1 if rng.randint(0, 1) else -1)
+        for j in range(pc, n):
+            rows[i][j] = 0 if rng.random() < zero_prob else rng.randint(-9, 9)
+    return RationalMatrix(rows)
+
+
+def test_row_echelon_sampler_keeps_its_draws():
+    cases = 0
+    for n in range(1, 7):
+        for t in range(1, n + 1):
+            for pivots in itertools.combinations(range(1, n + 1), t):
+                for seed, zp in itertools.product(range(2), (0.0, 0.4)):
+                    mine, ref = random.Random(seed), random.Random(seed)
+                    a = sample_echelon_row(t, n, pivots, mine, zp)
+                    assert a == row_sample_by_rows(t, n, pivots, ref, zp)
+                    assert a == sample_echelon_col(n, t, pivots, seed, zp).transpose()
+                    assert mine.getstate() == ref.getstate()
+                    cases += 1
+    assert cases == 4 * 120
+    for t, n, pivots in [(0, 3, ()), (4, 3, (1, 2, 3)), (2, 3, (2, 2)),
+                         (2, 3, (1, 4)), (2, 3, (3, 1)), (2, 3, (1,))]:
+        with pytest.raises(ValueError):
+            sample_echelon_row(t, n, pivots, 0)
+
+
 # --- parsing and formatting -------------------------------------------------
 
 def test_text_roundtrip():

@@ -64,6 +64,39 @@ def test_unknown_campaign_rejected():
         harness.run("nope", 2, 2)
 
 
+@pytest.mark.parametrize("payload", [
+    {"check": "leaf_roundtrip", "m": 1, "n": 1, "leaf": {"w": [1, 2], "m": "1", "n": 1}},
+    {"check": "leaf_roundtrip", "m": 1, "n": 1, "leaf": {"w": [True, 2], "m": 1, "n": 1}},
+    {"check": "phi_roundtrip", "m": 1, "n": 1,
+     "sigma": {"y": [1], "v": [1], "z": [1], "u": [1], "t": "0"}},
+    {"check": "phi_roundtrip", "m": 1, "n": 1,
+     "sigma": {"y": 5, "v": [1], "z": [1], "u": [1], "t": 0}},
+], ids=["leaf-m-string", "leaf-w-bool", "sigma-t-string", "sigma-y-int"])
+def test_replay_rejects_wrong_typed_fields(payload):
+    with pytest.raises(ValueError):
+        harness.replay(payload)
+
+
+def test_counts_that_verify_nothing_are_rejected(monkeypatch):
+    monkeypatch.delenv(harness.ENV_THREADS, raising=False)
+    for threads in (0, -2):
+        with pytest.raises(ValueError, match="threads"):
+            harness.resolve_threads(threads)
+    monkeypatch.setenv(harness.ENV_THREADS, "0")
+    with pytest.raises(ValueError, match=harness.ENV_THREADS):
+        harness.resolve_threads(None)
+    assert harness.resolve_threads(2) == 2
+    monkeypatch.delenv(harness.ENV_THREADS)
+    for campaign in harness.CAMPAIGNS:
+        with pytest.raises(ValueError, match="samples"):
+            harness.run(campaign, 2, 2, samples=-3, threads=1)
+    for campaign in ("partition", "thm42_equiv", "closure_order", "lemma75_blocks"):
+        with pytest.raises(ValueError, match="samples"):
+            harness.run(campaign, 2, 2, samples=0, threads=1)
+    r = harness.run("counts", 2, 2, samples=0, threads=1)
+    assert r.ok and r.attempted > 0
+
+
 def test_replay_reproduces_synthetic_failure():
     # a fabricated counterexample: the rank-one example matrix against the
     # wrong stratum claim fails, and keeps failing bit-exactly on replay

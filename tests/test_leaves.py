@@ -5,11 +5,12 @@ import random
 import pytest
 
 from leaf_atlas import cells, leaves
-from leaf_atlas.exact_matrix import RationalMatrix, rank, sample_rank
+from leaf_atlas.exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix, rank,
+                                     sample_rank)
 from leaf_atlas.leaves import (LeafIndex, classify_leaf, closure_leq,
                                enumerate_leaves, hasse, hasse_dot, in_leaf,
                                leaf_profile, rank_of_index, window_ok)
-from leaf_atlas.permutations import (block_longest, bruhat_leq, left_compose,
+from leaf_atlas.permutations import (block_longest, block_split, bruhat_leq, left_compose,
                                      longest, min_reps_first, min_reps_last,
                                      right_compose)
 
@@ -173,10 +174,43 @@ def test_block_containment():
     for i in range(60):
         m, n = 1 + i % 3, 1 + (i // 5) % 3
         x = sample_rank(m, n, i % (min(m, n) + 1), rng)
-        b = classify_leaf(x).blocks()
+        b = block_split(classify_leaf(x).w, n, m)
         assert cells.classify(x, "B+") == b.w21
         assert cells.classify(x, "B-") == left_compose(
             longest(m), right_compose(b.w12.transpose(), longest(n)))
+
+
+def _dots_in(w, r1, r2, c1, c2):
+    return sum(1 for j, r in enumerate(w.image)
+               if r is not None and r1 <= r <= r2 and c1 <= j + 1 <= c2)
+
+
+def block_relabel_targets(L):
+    """Oracle: the targets from the four blocks of ``w``, relabelled by longest elements."""
+    m, n = L.m, L.n
+    b = block_split(L.w, n, m)
+    sw = cells.pp_rank_profile(b.w21, SOUTHWEST).table
+    lower = left_compose(longest(m), right_compose(b.w12.transpose(), longest(n)))
+    ne = cells.pp_rank_profile(lower, NORTHEAST).table
+    top_left = left_compose(longest(n), b.w11)
+    col = tuple((p, q, q + 1 - p - _dots_in(top_left, p, n, p, q))
+                for p in range(2, n + 1) for q in range(p, n + 1))
+    bottom_right = right_compose(b.w22, longest(m))
+    row = tuple((p, q, q + 1 - p - _dots_in(bottom_right, p, q, 1, q))
+                for p in range(1, m) for q in range(p, m))
+    return (sw, ne, col, row), (b.w21, lower)
+
+
+def test_targets_and_labels_match_block_relabelling():
+    count = 0
+    for m, n in shapes(8):
+        for L in leaves.all_leaves(m, n):
+            targets, labels = block_relabel_targets(L)
+            tg = leaves._leaf_targets(L)
+            assert (tg.sw, tg.ne, tg.col, tg.row) == targets, L
+            assert leaves.cell_labels(L) == labels, L
+            count += 1
+    assert count == 23_300
 
 
 def test_dimension_bounds():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from leaf_atlas.permutations import (
     Blocks, PartialPerm, all_perms, as_partial, block_longest, block_join,
-    block_split, bruhat_leq, compose, count_partial_perms, dots_in,
+    block_split, bruhat_leq, compose, count_partial_perms,
     extend_ascending, identity, inverse, is_min_rep_first, is_min_rep_last,
     left_compose, length, longest, min_rep_first, min_rep_last,
     min_reps_first, min_reps_last, parse_partial, partial_identity,
@@ -267,6 +267,4 @@ def test_compose_helpers():
     q = left_compose(y, right_compose(p, inverse(v)))
     # columns v(1), v(2) map to y(1), y(2)
     assert q.pairs() == ((1, 1), (2, 3))
-    assert dots_in(q, 1, 3, 1, 1) == 1
-    assert dots_in(q, 2, 3, 1, 2) == 1
     assert as_partial((2, 1)).to_perm() == (2, 1)

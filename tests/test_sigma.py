@@ -3,7 +3,7 @@ import random
 import pytest
 
 from leaf_atlas.leaves import LeafIndex, enumerate_leaves
-from leaf_atlas.permutations import (PartialPerm, bruhat_leq, identity,
+from leaf_atlas.permutations import (PartialPerm, block_split, bruhat_leq, identity,
                                      inverse, left_compose, min_reps_first,
                                      min_reps_last, partial_identity,
                                      partial_perms, right_compose)
@@ -64,7 +64,7 @@ def test_identity_sigma_gives_partial_identity_block():
         t = n  # requires n <= m
         sig = SigmaTuple(identity(m), identity(n), identity(m), identity(n), t)
         L = phi_to_leaf(sig)
-        assert L.blocks().w21 == partial_identity(m, n, t)
+        assert block_split(L.w, n, m).w21 == partial_identity(m, n, t)
         assert L.t == t
 
 
