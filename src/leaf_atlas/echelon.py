@@ -3,9 +3,13 @@
 A column-echelon pattern in ``m x t`` fixes the pivot row of each column
 (strictly increasing); the set of matrices with that exact pattern is a
 finite disjoint union of strata indexed by pairs ``(y, z)`` with ``z`` below
-``y`` and ``z`` pinned to the pivots.  Row patterns are the transposed
-picture.  Every stratum of the full ``m x n`` space factors, up to closure,
-as a product of one column-echelon stratum and one row-echelon stratum; the
+``y`` and ``z`` pinned to the pivots.  A row pattern in ``t x n`` is read as
+the transposed column pattern: its lines are rows instead of columns, its
+pivots lie along ``long_dim = n``, and its strata are the pairs ``(u, v)``
+with ``v`` pinned.  The orientation is chosen once, on ``EchelonPattern``;
+the rest of the code works with ``long_dim``, ``t`` and the pattern's lines.
+Every stratum of the full ``m x n`` space factors, up to closure, as a
+product of one column-echelon stratum and one row-echelon stratum; the
 factor descriptors come straight from the quadruple index.
 
 Strata carry no direct parametrization, so sampling works by rejection from
@@ -47,8 +51,7 @@ class EchelonPattern:
     def __post_init__(self) -> None:
         if self.kind not in {COLUMN, ROW}:
             raise ValueError(f"kind must be 'column' or 'row', got {self.kind!r}")
-        t = self.cols if self.kind == COLUMN else self.rows
-        long_dim = self.rows if self.kind == COLUMN else self.cols
+        t, long_dim = self.t, self.long_dim
         if not 1 <= t <= long_dim:
             raise ValueError(f"impossible pattern shape {self.rows}x{self.cols}")
         if len(self.pivots) != t:
@@ -61,6 +64,11 @@ class EchelonPattern:
     @property
     def t(self) -> int:
         return self.cols if self.kind == COLUMN else self.rows
+
+    @property
+    def long_dim(self) -> int:
+        """The side that carries the pivots: rows of a column pattern, cols of a row pattern."""
+        return self.rows if self.kind == COLUMN else self.cols
 
     def literal(self) -> str:
         body = ",".join(map(str, self.pivots))
@@ -87,41 +95,29 @@ def parse_pattern(text: str) -> EchelonPattern:
         pivots = tuple(int(x) for x in pivots_s.split(",")) if pivots_s else ()
     except Exception as exc:
         raise ValueError(f"bad pattern literal {text!r}") from exc
-    if kind_s == "col":
-        return EchelonPattern(COLUMN, a, b, pivots)
-    if kind_s == "row":
-        return EchelonPattern(ROW, a, b, pivots)
-    raise ValueError(f"bad pattern kind in {text!r}")
+    kinds = {"col": COLUMN, "row": ROW}
+    if kind_s not in kinds:
+        raise ValueError(f"bad pattern kind in {text!r}")
+    return EchelonPattern(kinds[kind_s], a, b, pivots)
 
 
 def all_patterns(kind: str, long_dim: int, t: int) -> list[EchelonPattern]:
     """All pivot signatures of the given kind, shape and rank."""
-    out = []
-    for pivots in itertools.combinations(range(1, long_dim + 1), t):
-        if kind == COLUMN:
-            out.append(EchelonPattern(COLUMN, long_dim, t, pivots))
-        else:
-            out.append(EchelonPattern(ROW, t, long_dim, pivots))
-    return out
+    shape = (long_dim, t) if kind == COLUMN else (t, long_dim)
+    return [EchelonPattern(kind, *shape, pivots)
+            for pivots in itertools.combinations(range(1, long_dim + 1), t)]
 
 
 def in_pattern(a: RationalMatrix, pat: EchelonPattern) -> bool:
-    """Exact sign-pattern membership: nonzero pivots, zeros strictly before them."""
+    """
+    Exact sign-pattern membership: each line (a column of a column pattern, a
+    row of a row pattern) is nonzero at its pivot and zero before it.
+    """
     if (a.rows, a.cols) != (pat.rows, pat.cols):
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} vs {pat.rows}x{pat.cols}")
-    if pat.kind == COLUMN:
-        for j, pr in enumerate(pat.pivots, start=1):
-            if a.entry(pr, j) == 0:
-                return False
-            if any(a.entry(i, j) != 0 for i in range(1, pr)):
-                return False
-        return True
-    for i, pc in enumerate(pat.pivots, start=1):
-        if a.entry(i, pc) == 0:
-            return False
-        if any(a.entry(i, j) != 0 for j in range(1, pc)):
-            return False
-    return True
+    lines = zip(*a.entries) if pat.kind == COLUMN else a.entries
+    return all(line[p - 1] != 0 and not any(line[:p - 1])
+               for line, p in zip(lines, pat.pivots))
 
 
 def stratify_pattern(pat: EchelonPattern) -> list[tuple[Perm, Perm]]:
@@ -130,8 +126,7 @@ def stratify_pattern(pat: EchelonPattern) -> list[tuple[Perm, Perm]]:
     (``z`` pinned to the pivot rows), ``(u, v)`` pairs for a row pattern
     (``v`` pinned to the pivot columns).
     """
-    long_dim = pat.rows if pat.kind == COLUMN else pat.cols
-    t = pat.t
+    long_dim, t = pat.long_dim, pat.t
     pinned = []
     for tail in itertools.permutations(sorted(set(range(1, long_dim + 1))
                                               - set(pat.pivots))):

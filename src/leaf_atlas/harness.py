@@ -36,13 +36,14 @@ from .echelon import (COLUMN, ROW, EchelonPattern, all_patterns,
                       sample_column_stratum, sample_row_stratum,
                       stratify_pattern)
 from .exact_matrix import (RationalMatrix, from_text, sample_echelon_col,
-                           sample_echelon_row, sample_rank, _rand_nonzero)
+                           sample_rank, _rand_nonzero)
 from .leaves import (LeafIndex, all_leaves, cell_labels, classify_leaf, in_leaf,
                      leaf_profile, window_ok)
 from .permutations import (PartialPerm, all_perms, block_longest, bruhat_leq,
-                           count_partial_perms, inverse, left_compose,
-                           parse_partial, partial_identity, partial_perms,
-                           right_compose, subset_leq)
+                           count_partial_perms, identity, int_field,
+                           int_list_field, inverse, left_compose, parse_partial,
+                           partial_identity, partial_perms, right_compose,
+                           subset_leq)
 from .sigma import (SigmaTuple, decompose_partial, enumerate_sigma, phi, phi_inv,
                     phi_to_leaf)
 
@@ -180,35 +181,29 @@ def check_dense_orbit(d: DoubleCellIndex) -> bool:
 
 def check_echelon_member(a: RationalMatrix, pat: EchelonPattern) -> bool:
     """
-    A pattern member classifies into one of the pattern's strata: the
-    quadruple degenerates to a pinned pair, the opposite-side class has the
-    pattern's pivots, and membership transposes correctly.
+    A pattern member classifies into one of the pattern's strata: membership
+    transposes correctly, the quadruple degenerates to a pinned pair, and the
+    opposite-side class has the pattern's pivots.  The orientation only picks
+    the roles: for a column pattern ``v`` and ``u`` are identities, ``z`` is
+    pinned, ``(y, z)`` is a stratum of the pattern and the ``B-`` class holds
+    the pivots; for a row pattern ``y`` and ``z`` are identities, ``v`` is
+    pinned, ``(u, v)`` is a stratum and the ``B+`` class holds the pivots.
     """
-    if not in_pattern(a, pat):
+    if not in_pattern(a, pat) or not in_pattern(a.transpose(), pat.transposed()):
         return False
-    if not in_pattern(a.transpose(), pat.transposed()):
-        return False
-    if pat.kind == COLUMN:
-        sig = phi_inv(classify_leaf(a))
-        t = pat.t
-        idt = tuple(range(1, t + 1))
-        if sig.v != idt or sig.u != idt or tuple(sig.z[:t]) != pat.pivots:
-            return False
-        if (sig.y, sig.z) not in stratify_pattern(pat):
-            return False
-        lower = cells.classify(a, cells.B_MINUS)
-        return lower == PartialPerm.from_pairs(pat.rows, t,
-                                               ((j, r) for j, r in enumerate(pat.pivots, 1)))
     sig = phi_inv(classify_leaf(a))
-    t = pat.t
-    idt = tuple(range(1, t + 1))
-    if sig.y != idt or sig.z != idt or tuple(sig.v[:t]) != pat.pivots:
+    dots = tuple(enumerate(pat.pivots, 1))  # (line, pivot) of each line
+    if pat.kind == COLUMN:
+        ones, pinned, pair, side = (sig.v, sig.u), sig.z, (sig.y, sig.z), cells.B_MINUS
+    else:
+        ones, pinned, pair, side = (sig.y, sig.z), sig.v, (sig.u, sig.v), cells.B_PLUS
+        dots = tuple((p, i) for i, p in dots)
+    idt = identity(pat.t)
+    if any(e != idt for e in ones) or tuple(pinned[:pat.t]) != pat.pivots:
         return False
-    if (sig.u, sig.v) not in stratify_pattern(pat):
+    if pair not in stratify_pattern(pat):
         return False
-    upper = cells.classify(a, cells.B_PLUS)
-    return upper == PartialPerm.from_pairs(t, pat.cols,
-                                           ((c, i) for i, c in enumerate(pat.pivots, 1)))
+    return cells.classify(a, side) == PartialPerm.from_pairs(pat.rows, pat.cols, dots)
 
 
 def check_echelon_stratum(a: RationalMatrix, m: int, t: int, y, z) -> bool:
@@ -310,7 +305,7 @@ def _encode_strata(x: RationalMatrix, leaf_list) -> dict:
 
 
 def _decode_strata(p: dict) -> tuple:
-    m, n = p["m"], p["n"]
+    m, n = int_field(p, "m"), int_field(p, "n")
     if "leaves" not in p:
         return from_text(p["matrix"]), all_leaves(m, n)
     return from_text(p["matrix"]), [LeafIndex.from_w(w, m, n) for w in p["leaves"]]
@@ -325,9 +320,9 @@ _DOUBLE = (lambda d: {"m": d.shape[0], "n": d.shape[1],
 _SIGMA = (lambda s: {"m": s.m, "n": s.n, "sigma": s.to_dict()},
           lambda p: (SigmaTuple.from_dict(p["sigma"]),))
 _SHAPE = (lambda m, n: {"m": m, "n": n},
-          lambda p: (p["m"], p["n"]))
+          lambda p: (int_field(p, "m"), int_field(p, "n")))
 _RANK = (lambda m, n, t: {"m": m, "n": n, "t": t},
-         lambda p: (p["m"], p["n"], p["t"]))
+         lambda p: (int_field(p, "m"), int_field(p, "n"), int_field(p, "t")))
 
 CHECKS: dict[str, Check] = {
     "unique_membership": Check("check_unique_membership", *_STRATA),
@@ -356,7 +351,8 @@ CHECKS: dict[str, Check] = {
         "check_echelon_stratum",
         lambda a, m, t, y, z: {"m": m, "n": t, "t": t, "y": list(y), "z": list(z),
                                "matrix": a.to_text()},
-        lambda p: (from_text(p["matrix"]), p["m"], p["t"], tuple(p["y"]), tuple(p["z"]))),
+        lambda p: (from_text(p["matrix"]), int_field(p, "m"), int_field(p, "t"),
+                   int_list_field(p, "y"), int_list_field(p, "z"))),
     "echelon_product": Check(
         "check_product",
         lambda c, r, sig: {"m": sig.m, "n": sig.n, "c": c.to_text(), "r": r.to_text(),
@@ -396,18 +392,9 @@ def replay(payload: dict) -> bool:
 # Sample generation
 
 
-def _zero_row(x: RationalMatrix, i: int) -> RationalMatrix:
-    return RationalMatrix([[0] * x.cols if r == i else list(row)
-                           for r, row in enumerate(x.entries)])
-
-
-def _zero_col(x: RationalMatrix, j: int) -> RationalMatrix:
-    return RationalMatrix([[0 if c == j else e for c, e in enumerate(row)]
-                           for row in x.entries])
-
-
-def _zero_entry(x: RationalMatrix, i: int, j: int) -> RationalMatrix:
-    return RationalMatrix([[0 if (r, c) == (i, j) else e for c, e in enumerate(row)]
+def _zeroed(x: RationalMatrix, zeros: set) -> RationalMatrix:
+    """``x`` with 0 at each 0-based ``(row, col)`` position in ``zeros``."""
+    return RationalMatrix([[0 if (r, c) in zeros else e for c, e in enumerate(row)]
                            for r, row in enumerate(x.entries)])
 
 
@@ -418,15 +405,15 @@ def sample_stream(m: int, n: int, count: int, rng: random.Random):
         x = sample_rank(m, n, i % (tmax + 1), rng)
         style = rng.random()
         if style < 0.15 and m > 1:
-            x = _zero_row(x, rng.randrange(m))
+            r = rng.randrange(m)
+            x = _zeroed(x, {(r, c) for c in range(n)})
         elif style < 0.3 and n > 1:
-            x = _zero_col(x, rng.randrange(n))
+            c = rng.randrange(n)
+            x = _zeroed(x, {(r, c) for r in range(m)})
         elif style < 0.45:
-            for _ in range(rng.randint(1, max(1, m * n // 3))):
-                x = _zero_entry(x, rng.randrange(m), rng.randrange(n))
+            k = rng.randint(1, max(1, m * n // 3))
+            x = _zeroed(x, {(rng.randrange(m), rng.randrange(n)) for _ in range(k)})
         yield x
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +494,13 @@ def _run_counts(m: int, n: int, tally: _Tally) -> None:
     tally.info["leaf_count"] = len(all_leaves(m, n))
 
 
+def _pattern_sample(pat: EchelonPattern, rng: random.Random,
+                    zero_prob: float) -> RationalMatrix:
+    """A member of ``pat``: a column-echelon sample, transposed for a row pattern."""
+    a = sample_echelon_col(pat.long_dim, pat.t, pat.pivots, rng, zero_prob)
+    return a if pat.kind == COLUMN else a.transpose()
+
+
 def _run_echelon(m: int, n: int, samples: int, seed: int, tally: _Tally) -> None:
     rng = random.Random(derive_seed(seed, 0))
     per_pattern = max(3, samples // 50)
@@ -516,17 +510,10 @@ def _run_echelon(m: int, n: int, samples: int, seed: int, tally: _Tally) -> None
                 strata = stratify_pattern(pat)
                 for k in range(per_pattern):
                     zp = 0.0 if k % 2 == 0 else 0.4
-                    if pat.kind == COLUMN:
-                        a = sample_echelon_col(pat.rows, t, pat.pivots, rng, zp)
-                    else:
-                        a = sample_echelon_row(t, pat.cols, pat.pivots, rng, zp)
-                    tally.check("echelon_member", a, pat)
+                    tally.check("echelon_member", _pattern_sample(pat, rng, zp), pat)
                 rf = [_rand_nonzero(rng) for _ in range(pat.rows)]
                 cf = [_rand_nonzero(rng) for _ in range(pat.cols)]
-                a = (sample_echelon_col(pat.rows, t, pat.pivots, rng)
-                     if pat.kind == COLUMN else
-                     sample_echelon_row(t, pat.cols, pat.pivots, rng))
-                tally.check("torus_stability", a, pat, rf, cf)
+                tally.check("torus_stability", _pattern_sample(pat, rng, 0.0), pat, rf, cf)
                 if pat.kind == COLUMN:
                     for (y, z) in strata:
                         a = sample_column_stratum(pat.rows, t, y, z, rng)

@@ -259,7 +259,9 @@ def classify_leaf(x: RationalMatrix) -> LeafIndex:
         row = list(xrow) + [0] * m
         row[N - i] = 1
         rows.append(row)
-    w = PartialPerm.from_pairs(N, N, bruhat_pivots(rows, SOUTHWEST)).to_perm()
+    w = [0] * N
+    for c, r in bruhat_pivots(rows, SOUTHWEST):
+        w[c - 1] = r
     return LeafIndex.from_w(w, m, n)
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from leaf_atlas import cells
+from leaf_atlas import cells, harness
 from leaf_atlas.echelon import (COLUMN, ROW, all_patterns,
                                 column_pattern, column_stratum_representative,
                                 column_stratum_sigma, in_pattern, leaf_factors,
@@ -12,7 +12,8 @@ from leaf_atlas.echelon import (COLUMN, ROW, all_patterns,
 from leaf_atlas.exact_matrix import (RationalMatrix, rank, sample_echelon_col,
                                      sample_echelon_row)
 from leaf_atlas.leaves import LeafIndex, classify_leaf
-from leaf_atlas.sigma import enumerate_sigma, phi_to_leaf
+from leaf_atlas.permutations import PartialPerm
+from leaf_atlas.sigma import enumerate_sigma, phi_inv, phi_to_leaf
 
 
 def test_pattern_validation_and_literals():
@@ -149,3 +150,81 @@ def test_factor_products_classify_to_the_leaf():
                 assert classify_leaf(r) == phi_to_leaf(
                     row_stratum_sigma(t, n, sig.u, sig.v))
                 assert classify_leaf(c @ r) == phi_to_leaf(sig)
+
+
+def _in_pattern_by_kind(a, pat):
+    """``in_pattern`` with a branch per orientation, as a reference."""
+    if (a.rows, a.cols) != (pat.rows, pat.cols):
+        raise ValueError("dimension mismatch")
+    if pat.kind == COLUMN:
+        return all(a.entry(pr, j) != 0
+                   and all(a.entry(i, j) == 0 for i in range(1, pr))
+                   for j, pr in enumerate(pat.pivots, start=1))
+    return all(a.entry(i, pc) != 0
+               and all(a.entry(i, j) == 0 for j in range(1, pc))
+               for i, pc in enumerate(pat.pivots, start=1))
+
+
+def _echelon_member_by_kind(a, pat):
+    """``harness.check_echelon_member`` with a body per orientation, as a reference."""
+    if not _in_pattern_by_kind(a, pat):
+        return False
+    if not _in_pattern_by_kind(a.transpose(), pat.transposed()):
+        return False
+    sig = phi_inv(classify_leaf(a))
+    t = pat.t
+    idt = tuple(range(1, t + 1))
+    if pat.kind == COLUMN:
+        if sig.v != idt or sig.u != idt or tuple(sig.z[:t]) != pat.pivots:
+            return False
+        if (sig.y, sig.z) not in stratify_pattern(pat):
+            return False
+        return cells.classify(a, cells.B_MINUS) == PartialPerm.from_pairs(
+            pat.rows, t, ((j, r) for j, r in enumerate(pat.pivots, 1)))
+    if sig.y != idt or sig.z != idt or tuple(sig.v[:t]) != pat.pivots:
+        return False
+    if (sig.u, sig.v) not in stratify_pattern(pat):
+        return False
+    return cells.classify(a, cells.B_PLUS) == PartialPerm.from_pairs(
+        t, pat.cols, ((c, i) for i, c in enumerate(pat.pivots, 1)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def _edited(a, pat, line, pos, value):
+    """``a`` with entry ``pos`` (1-based) of pattern line ``line`` set to ``value``."""
+    rows = [list(r) for r in a.entries]
+    i, j = (pos, line) if pat.kind == COLUMN else (line, pos)
+    rows[i - 1][j - 1] = value
+    return RationalMatrix(rows)
+
+
+def test_one_body_echelon_checks_match_the_branch_per_kind_references():
+    rng = random.Random(16)
+    members = 0
+    for kind in (COLUMN, ROW):
+        for long_dim in range(1, 5):
+            for t in range(1, long_dim + 1):
+                pats = all_patterns(kind, long_dim, t)
+                for pat in pats:
+                    for zp in (0.0, 0.4):
+                        a = sample_echelon_col(long_dim, t, pat.pivots, rng, zp)
+                        a = a if kind == COLUMN else a.transpose()
+                        assert harness.check_echelon_member(a, pat)
+                        members += 1
+                        cases = [(a, other) for other in pats]  # shifted pivots
+                        cases.append((_edited(a, pat, 1, pat.pivots[0], 0), pat))
+                        cases.extend((_edited(a, pat, k, p - 1, 7), pat)
+                                     for k, p in enumerate(pat.pivots, 1) if p > 1)
+                        cases.append((a.transpose(), pat))
+                        for b, q in cases:
+                            assert (_outcome(in_pattern, b, q)
+                                    == _outcome(_in_pattern_by_kind, b, q))
+                            assert (_outcome(harness.check_echelon_member, b, q)
+                                    == _outcome(_echelon_member_by_kind, b, q))
+    assert members == 2 * 2 * 26

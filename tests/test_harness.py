@@ -71,7 +71,15 @@ def test_unknown_campaign_rejected():
      "sigma": {"y": [1], "v": [1], "z": [1], "u": [1], "t": "0"}},
     {"check": "phi_roundtrip", "m": 1, "n": 1,
      "sigma": {"y": 5, "v": [1], "z": [1], "u": [1], "t": 0}},
-], ids=["leaf-m-string", "leaf-w-bool", "sigma-t-string", "sigma-y-int"])
+    {"check": "sigma_count", "m": "2", "n": 2, "t": 1},
+    {"check": "orbit_partition", "m": 2.0, "n": 1},
+    {"check": "window_vs_bruhat", "m": True, "n": 1},
+    {"check": "classify_equiv", "m": True, "n": 1, "matrix": "1"},
+    {"check": "echelon_stratum", "m": "3", "n": 1, "t": 1,
+     "y": [2, 1, 3], "z": [2, 1, 3], "matrix": "0\n1\n0"},
+], ids=["leaf-m-string", "leaf-w-bool", "sigma-t-string", "sigma-y-int",
+        "rank-m-string", "shape-m-float", "shape-m-bool", "strata-m-bool",
+        "echelon-stratum-m-string"])
 def test_replay_rejects_wrong_typed_fields(payload):
     with pytest.raises(ValueError):
         harness.replay(payload)
@@ -158,6 +166,42 @@ def test_sample_stream_is_deterministic():
     assert a == b
     ranks = {x.rows for x in a}
     assert ranks == {2}
+
+
+def _stream_with_one_matrix_per_zeroed_entry(m, n, count, rng):
+    """The sample stream as it was built before ``harness._zeroed``: one matrix per zeroing."""
+    def zero_row(x, i):
+        return RationalMatrix([[0] * x.cols if r == i else list(row)
+                               for r, row in enumerate(x.entries)])
+
+    def zero_col(x, j):
+        return RationalMatrix([[0 if c == j else e for c, e in enumerate(row)]
+                               for row in x.entries])
+
+    def zero_entry(x, i, j):
+        return RationalMatrix([[0 if (r, c) == (i, j) else e for c, e in enumerate(row)]
+                               for r, row in enumerate(x.entries)])
+
+    tmax = min(m, n)
+    for i in range(count):
+        x = harness.sample_rank(m, n, i % (tmax + 1), rng)
+        style = rng.random()
+        if style < 0.15 and m > 1:
+            x = zero_row(x, rng.randrange(m))
+        elif style < 0.3 and n > 1:
+            x = zero_col(x, rng.randrange(n))
+        elif style < 0.45:
+            for _ in range(rng.randint(1, max(1, m * n // 3))):
+                x = zero_entry(x, rng.randrange(m), rng.randrange(n))
+        yield x
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (4, 1), (3, 5), (4, 4)])
+def test_sample_stream_matches_one_matrix_per_zeroed_entry(m, n):
+    import random
+    a = list(harness.sample_stream(m, n, 120, random.Random(m * 10 + n)))
+    b = list(_stream_with_one_matrix_per_zeroed_entry(m, n, 120, random.Random(m * 10 + n)))
+    assert a == b
 
 
 def test_every_failure_names_a_registered_check_and_replays(monkeypatch):
