@@ -136,6 +136,8 @@ def _integerize(row: Sequence[Fraction]) -> tuple[int, ...]:
 
 def from_text(text: str) -> RationalMatrix:
     """Parse the whitespace matrix format (one row per line)."""
+    if not isinstance(text, str):
+        raise ValueError(f"matrix text must be a string, got {text!r}")
     rows = [line.split() for line in text.strip().splitlines() if line.strip()]
     if not rows:
         raise ValueError("empty matrix text")

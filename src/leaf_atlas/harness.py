@@ -5,17 +5,20 @@ random input and/or exhaustive small enumerations, and returns a
 machine-readable report.
 
 One table, ``CHECKS``, maps each check name to a ``check_*`` function, looked
-up by name at call time, and a payload codec.  Campaigns run every check
-through it and encode a payload only on failure; ``replay`` decodes one and
-re-executes exactly the failed check on exactly the failed input.  A check
-against a sample of strata records the sampled indices (``"leaves"``).
+up by name at call time, and a payload codec.  ``VerificationReport.check``
+runs every check through it and encodes a payload only on failure; ``replay``
+decodes one and re-executes exactly the failed check on exactly the failed
+input.  A check against a sample of strata records the sampled indices
+(``"leaves"``).  A second table, ``_CAMPAIGNS``, maps each campaign to its
+body: ``run`` splits a campaign into jobs, fills one report per job in one
+worker (through a process pool if there are several), and adds them up.
 
-Determinism: all randomness flows from ``random.Random(stream_seed)`` where
-``stream_seed = seed * 1_000_003 + stream_index`` and the sample budget is
-split into fixed-size streams, so reports are bit-identical for a given
-``(campaign, m, n, samples, seed)`` regardless of the worker count.  Sample
-budgets rotate across ranks ``0..min(m, n)`` so degenerate strata are
-exercised, with random row/column/entry zeroing layered on top.
+Determinism: a sampling campaign is one job per fixed-size stream, and all
+randomness of stream ``k`` flows from ``random.Random(derive_seed(seed, k))``,
+so reports are bit-identical for a given ``(campaign, m, n, samples, seed)``
+regardless of the worker count.  Sample budgets rotate across ranks
+``0..min(m, n)`` so degenerate strata are exercised, with random
+row/column/entry zeroing layered on top.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 from . import cells
@@ -41,16 +44,10 @@ from .leaves import (LeafIndex, all_leaves, cell_labels, classify_leaf, in_leaf,
                      leaf_profile, window_ok)
 from .permutations import (PartialPerm, all_perms, block_longest, bruhat_leq,
                            count_partial_perms, identity, int_field,
-                           int_list_field, inverse, left_compose, parse_partial,
-                           partial_identity, partial_perms, right_compose,
+                           int_list_field, parse_partial, partial_perms,
                            subset_leq)
 from .sigma import (SigmaTuple, decompose_partial, enumerate_sigma, phi, phi_inv,
                     phi_to_leaf)
-
-CAMPAIGNS = ("partition", "thm42_equiv", "closure_order", "lemma75_blocks",
-             "phi_bijection", "echelon_strata", "double_cells", "counts")
-
-_SAMPLING = {"partition", "thm42_equiv", "closure_order", "lemma75_blocks"}
 
 _STREAM_CHUNK = 250          # fixed stream granularity, independent of workers
 _EXHAUSTIVE_LIMIT = 300      # exhaustive index sweeps only below this many strata
@@ -78,10 +75,10 @@ def resolve_threads(threads: Optional[int]) -> int:
 
 @dataclass
 class VerificationReport:
-    """Outcome of one campaign; ``passed + failed + skipped == attempted``."""
+    """Outcome of a campaign, or of one job; ``passed + failed + skipped == attempted``."""
 
-    campaign: str
-    params: dict
+    campaign: str = ""
+    params: dict = field(default_factory=dict)
     attempted: int = 0
     passed: int = 0
     failed: int = 0
@@ -103,6 +100,34 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
+
+    def check(self, name: str, *args) -> None:
+        """Run the registered check ``name``; encode its payload only if it fails."""
+        self.attempted += 1
+        if _call(name, args):
+            self.passed += 1
+        else:
+            self.failed += 1
+            self.counterexamples.append({"check": name, **CHECKS[name].encode(*args)})
+
+    def skip(self, note: Optional[dict] = None) -> None:
+        self.attempted += 1
+        self.skipped += 1
+        if note is not None:
+            self.info.setdefault("skips", []).append(note)
+
+    def bump(self, key: str, amount: int = 1) -> None:
+        self.info[key] = self.info.get(key, 0) + amount
+
+    def add(self, part: "VerificationReport") -> None:
+        """Add the counts, counterexamples and ``info`` of ``part``: ints add, lists extend."""
+        self.attempted += part.attempted
+        self.passed += part.passed
+        self.failed += part.failed
+        self.skipped += part.skipped
+        self.counterexamples.extend(part.counterexamples)
+        for key, value in part.info.items():
+            self.info[key] = self.info.get(key, type(value)()) + value
 
 
 @lru_cache(maxsize=1)  # the checks of one rank share an enumeration; keep one rank
@@ -136,8 +161,11 @@ def check_closure_order(x: RationalMatrix, leaf_list) -> bool:
 
 
 def _recompose(first, second, m: int, n: int, t: int) -> PartialPerm:
-    """The ``m x n`` partial permutation ``first . I_t . second^{-1}``."""
-    return left_compose(first, right_compose(partial_identity(m, n, t), inverse(second)))
+    """
+    The ``m x n`` partial permutation ``first . I_t . second^{-1}``: column
+    ``second(j)`` maps to row ``first(j)`` for ``j <= t``.
+    """
+    return PartialPerm.from_pairs(m, n, zip(second[:t], first[:t]))
 
 
 def check_block_classes(x: RationalMatrix) -> bool:
@@ -236,7 +264,7 @@ def check_window_vs_bruhat(m: int, n: int) -> bool:
 
 
 def check_sigma_count(m: int, n: int, t: int) -> bool:
-    return len(_sigmas(m, n, t)) == len(_leaves_by_rank(m, n).get(t, ()))
+    return len(_sigmas(m, n, t)) == sum(1 for L in all_leaves(m, n) if L.t == t)
 
 
 def check_phi_injective(m: int, n: int, t: int) -> bool:
@@ -277,14 +305,6 @@ def check_orbit_partition(m: int, n: int) -> bool:
     return sorted(hit) == sorted(L.w for L in all_leaves(m, n))
 
 
-@lru_cache(maxsize=None)
-def _leaves_by_rank(m: int, n: int) -> dict[int, tuple[LeafIndex, ...]]:
-    out: dict[int, list[LeafIndex]] = {}
-    for L in all_leaves(m, n):
-        out.setdefault(L.t, []).append(L)
-    return {t: tuple(v) for t, v in out.items()}
-
-
 # ---------------------------------------------------------------------------
 # The table of checks, and replay
 
@@ -308,7 +328,17 @@ def _decode_strata(p: dict) -> tuple:
     m, n = int_field(p, "m"), int_field(p, "n")
     if "leaves" not in p:
         return from_text(p["matrix"]), all_leaves(m, n)
-    return from_text(p["matrix"]), [LeafIndex.from_w(w, m, n) for w in p["leaves"]]
+    if not isinstance(p["leaves"], list):
+        raise ValueError(f"leaves must be a list, got {p['leaves']!r}")
+    return from_text(p["matrix"]), [LeafIndex.from_dict({"w": w, "m": m, "n": n})
+                                    for w in p["leaves"]]
+
+
+def _factors(p: dict, key: str) -> list[int]:
+    """``p[key]``: integers, each an ``int`` or a string (not a ``bool`` or ``float``)."""
+    if not isinstance(p[key], list) or any(type(f) not in (int, str) for f in p[key]):
+        raise ValueError(f"{key} must be a list of integers, got {p[key]!r}")
+    return [int(f) for f in p[key]]
 
 
 _STRATA = (_encode_strata, _decode_strata)
@@ -345,8 +375,7 @@ CHECKS: dict[str, Check] = {
                                 "row_factors": [str(f) for f in rf],
                                 "col_factors": [str(f) for f in cf]},
         lambda p: (from_text(p["matrix"]), parse_pattern(p["pattern"]),
-                   [int(f) for f in p["row_factors"]],
-                   [int(f) for f in p["col_factors"]])),
+                   _factors(p, "row_factors"), _factors(p, "col_factors"))),
     "echelon_stratum": Check(
         "check_echelon_stratum",
         lambda a, m, t, y, z: {"m": m, "n": t, "t": t, "y": list(y), "z": list(z),
@@ -420,78 +449,48 @@ def sample_stream(m: int, n: int, count: int, rng: random.Random):
 # Campaign bodies
 
 
-@dataclass
-class _Tally:
-    attempted: int = 0
-    passed: int = 0
-    failed: int = 0
-    skipped: int = 0
-    counterexamples: list = field(default_factory=list)
-    info: dict = field(default_factory=dict)
-
-    def check(self, name: str, *args) -> None:
-        """Run the registered check ``name``; encode its payload only if it fails."""
-        self.attempted += 1
-        if _call(name, args):
-            self.passed += 1
-        else:
-            self.failed += 1
-            self.counterexamples.append({"check": name, **CHECKS[name].encode(*args)})
-
-    def skip(self, note: Optional[dict] = None) -> None:
-        self.attempted += 1
-        self.skipped += 1
-        if note is not None:
-            self.info.setdefault("skips", []).append(note)
-
-    def bump(self, key: str, amount: int = 1) -> None:
-        self.info[key] = self.info.get(key, 0) + amount
-
-
-# Per sampling campaign over strata: (check over all strata, check over a sample).
-_STREAM_CHECKS = {"partition": ("unique_membership", "classify_equiv"),
-                  "thm42_equiv": ("classify_equiv", "classify_equiv"),
-                  "closure_order": ("closure_order", "closure_order")}
-
-
-def _matrix_checks_stream(campaign: str, m: int, n: int, count: int,
-                          stream_seed: int) -> _Tally:
+def _run_strata_stream(full: str, sampled: str, report: VerificationReport,
+                       m: int, n: int, count: int, stream_seed: int) -> None:
+    """``full`` against all strata; above ``_EXHAUSTIVE_LIMIT``, ``sampled`` on a sample."""
     rng = random.Random(stream_seed)
-    tally = _Tally()
     leaf_list = all_leaves(m, n)
     exhaustive = len(leaf_list) <= _EXHAUSTIVE_LIMIT
     for x in sample_stream(m, n, count, rng):
         L0 = classify_leaf(x)
-        if campaign == "lemma75_blocks":
-            tally.check("block_classes", x)
-        elif exhaustive:
-            tally.check(_STREAM_CHECKS[campaign][0], x, leaf_list)
+        if exhaustive:
+            report.check(full, x, leaf_list)
         else:
-            tally.check(_STREAM_CHECKS[campaign][1], x,
-                        rng.sample(leaf_list, _OTHERS_PER_SAMPLE) + [L0])
-        tally.bump(f"rank_{L0.t}")
-    return tally
+            report.check(sampled, x, rng.sample(leaf_list, _OTHERS_PER_SAMPLE) + [L0])
+        report.bump(f"rank_{L0.t}")
 
 
-def _run_phi_bijection(m: int, n: int, tally: _Tally) -> None:
+def _run_blocks_stream(report: VerificationReport, m: int, n: int, count: int,
+                       stream_seed: int) -> None:
+    for x in sample_stream(m, n, count, random.Random(stream_seed)):
+        report.check("block_classes", x)
+        report.bump(f"rank_{classify_leaf(x).t}")
+
+
+def _run_phi_bijection(report: VerificationReport, m: int, n: int, *_) -> None:
     for t in range(min(m, n) + 1):
-        tally.check("sigma_count", m, n, t)
-        tally.check("phi_injective", m, n, t)
+        report.check("sigma_count", m, n, t)
+        report.check("phi_injective", m, n, t)
         for s in _sigmas(m, n, t):
-            tally.check("phi_roundtrip", s)
-        for L in _leaves_by_rank(m, n).get(t, ()):
-            tally.check("leaf_roundtrip", L)
-        tally.bump(f"sigma_count_{t}", len(_sigmas(m, n, t)))
-    tally.check("phi_lock", m, n)
+            report.check("phi_roundtrip", s)
+        for L in all_leaves(m, n):
+            if L.t == t:
+                report.check("leaf_roundtrip", L)
+        report.bump(f"sigma_count_{t}", len(_sigmas(m, n, t)))
+    report.check("phi_lock", m, n)
 
 
-def _run_counts(m: int, n: int, tally: _Tally) -> None:
-    tally.check("window_vs_bruhat", m, n)
+def _run_counts(report: VerificationReport, m: int, n: int, *_) -> None:
+    report.check("window_vs_bruhat", m, n)
     for t in range(min(m, n) + 1):
-        tally.check("sigma_count", m, n, t)
-        tally.check("pp_count", m, n, t)
-        tally.info[f"leaves_rank_{t}"] = len(_leaves_by_rank(m, n).get(t, ()))
-    tally.info["leaf_count"] = len(all_leaves(m, n))
+        report.check("sigma_count", m, n, t)
+        report.check("pp_count", m, n, t)
+        report.info[f"leaves_rank_{t}"] = sum(1 for L in all_leaves(m, n) if L.t == t)
+    report.info["leaf_count"] = len(all_leaves(m, n))
 
 
 def _pattern_sample(pat: EchelonPattern, rng: random.Random,
@@ -501,7 +500,8 @@ def _pattern_sample(pat: EchelonPattern, rng: random.Random,
     return a if pat.kind == COLUMN else a.transpose()
 
 
-def _run_echelon(m: int, n: int, samples: int, seed: int, tally: _Tally) -> None:
+def _run_echelon(report: VerificationReport, m: int, n: int, samples: int,
+                 seed: int) -> None:
     rng = random.Random(derive_seed(seed, 0))
     per_pattern = max(3, samples // 50)
     for t in range(1, min(m, n) + 1):
@@ -510,65 +510,74 @@ def _run_echelon(m: int, n: int, samples: int, seed: int, tally: _Tally) -> None
                 strata = stratify_pattern(pat)
                 for k in range(per_pattern):
                     zp = 0.0 if k % 2 == 0 else 0.4
-                    tally.check("echelon_member", _pattern_sample(pat, rng, zp), pat)
+                    report.check("echelon_member", _pattern_sample(pat, rng, zp), pat)
                 rf = [_rand_nonzero(rng) for _ in range(pat.rows)]
                 cf = [_rand_nonzero(rng) for _ in range(pat.cols)]
-                tally.check("torus_stability", _pattern_sample(pat, rng, 0.0), pat, rf, cf)
+                report.check("torus_stability", _pattern_sample(pat, rng, 0.0), pat, rf, cf)
                 if pat.kind == COLUMN:
                     for (y, z) in strata:
                         a = sample_column_stratum(pat.rows, t, y, z, rng)
                         if a is None:
-                            tally.skip({"stratum": [list(y), list(z)],
-                                        "pattern": pat.literal()})
+                            report.skip({"stratum": [list(y), list(z)],
+                                         "pattern": pat.literal()})
                             continue
-                        tally.check("echelon_stratum", a, pat.rows, t, y, z)
+                        report.check("echelon_stratum", a, pat.rows, t, y, z)
     # product tests across full quadruples
     for t in range(min(m, n) + 1):
         sigs = enumerate_sigma(m, n, t)
         budget = min(len(sigs), max(4, samples // 25))
         for sig in (sigs if len(sigs) <= budget else rng.sample(sigs, budget)):
             if t == 0:
-                tally.check("zero_product", sig)
+                report.check("zero_product", sig)
                 continue
             c = sample_column_stratum(m, t, sig.y, sig.z, rng)
             r = sample_row_stratum(t, n, sig.u, sig.v, rng)
             if c is None or r is None:
-                tally.skip({"product_sigma": sig.to_dict()})
+                report.skip({"product_sigma": sig.to_dict()})
                 continue
-            tally.check("echelon_product", c, r, sig)
-    tally.bump("patterns_covered",
-               sum(len(all_patterns(COLUMN, m, t)) + len(all_patterns(ROW, n, t))
-                   for t in range(1, min(m, n) + 1)))
+            report.check("echelon_product", c, r, sig)
+    report.bump("patterns_covered",
+                sum(len(all_patterns(COLUMN, m, t)) + len(all_patterns(ROW, n, t))
+                    for t in range(1, min(m, n) + 1)))
 
 
-def _run_double_cells(m: int, n: int, samples: int, seed: int, tally: _Tally) -> None:
+def _run_double_cells(report: VerificationReport, m: int, n: int, samples: int,
+                      seed: int) -> None:
     rng = random.Random(derive_seed(seed, 0))
     for t in range(min(m, n) + 1):
         pps = list(partial_perms(m, n, t))
         for w1 in pps:
             for w2 in pps:
                 d = DoubleCellIndex(w1, w2)
-                tally.check("criteria_agreement", d)
+                report.check("criteria_agreement", d)
                 if is_nonempty(d):
-                    tally.check("dense_orbit", d)
-    tally.check("orbit_partition", m, n)
+                    report.check("dense_orbit", d)
+    report.check("orbit_partition", m, n)
     for x in sample_stream(m, n, samples, rng):
-        tally.check("sigma_in_double_cell", x)
+        report.check("sigma_in_double_cell", x)
 
 
-def _stream_worker(job: tuple) -> _Tally:
-    campaign, m, n, count, stream_seed = job
-    return _matrix_checks_stream(campaign, m, n, count, stream_seed)
+# Each campaign, in CLI order: its body, and whether its samples split into streams.
+_CAMPAIGNS: dict[str, tuple[Callable[..., None], bool]] = {
+    "partition": (partial(_run_strata_stream, "unique_membership", "classify_equiv"), True),
+    "thm42_equiv": (partial(_run_strata_stream, "classify_equiv", "classify_equiv"), True),
+    "closure_order": (partial(_run_strata_stream, "closure_order", "closure_order"), True),
+    "lemma75_blocks": (_run_blocks_stream, True),
+    "phi_bijection": (_run_phi_bijection, False),
+    "echelon_strata": (_run_echelon, False),
+    "double_cells": (_run_double_cells, False),
+    "counts": (_run_counts, False),
+}
+
+CAMPAIGNS = tuple(_CAMPAIGNS)
 
 
-def _merge_info(dst: dict, src: dict) -> None:
-    for k, v in src.items():
-        if isinstance(v, int) and isinstance(dst.get(k, 0), int):
-            dst[k] = dst.get(k, 0) + v
-        elif isinstance(v, list):
-            dst.setdefault(k, []).extend(v)
-        else:
-            dst[k] = v
+def _run_job(job: tuple) -> VerificationReport:
+    """Run one job ``(campaign, m, n, samples, seed)`` into a report of its own."""
+    campaign, *args = job
+    part = VerificationReport()
+    _CAMPAIGNS[campaign][0](part, *args)
+    return part
 
 
 def run(campaign: str, m: int, n: int, samples: int = 1000, seed: int = 0,
@@ -578,43 +587,25 @@ def run(campaign: str, m: int, n: int, samples: int = 1000, seed: int = 0,
         raise ValueError(f"unknown campaign {campaign!r}; choose from {CAMPAIGNS}")
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    least = 1 if campaign in _SAMPLING else 0  # a sampling campaign of 0 checks nothing
+    streamed = _CAMPAIGNS[campaign][1]
+    least = 1 if streamed else 0  # a sampling campaign of 0 checks nothing
     if samples < least:
         raise ValueError(f"{campaign} needs samples >= {least}, got {samples}")
     threads = resolve_threads(threads)
     report = VerificationReport(campaign, {"m": m, "n": n, "samples": samples,
                                            "seed": seed})
     start = time.perf_counter()
-    if campaign in _SAMPLING:
-        specs = []
-        remaining, stream = samples, 0
-        while remaining > 0:
-            count = min(_STREAM_CHUNK, remaining)
-            specs.append((campaign, m, n, count, derive_seed(seed, stream)))
-            remaining -= count
-            stream += 1
-        if threads > 1 and len(specs) > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                tallies = list(pool.map(_stream_worker, specs))
-        else:
-            tallies = [_stream_worker(s) for s in specs]
+    if streamed:  # fixed-size streams, seeded by index, whatever the worker count
+        jobs = [(campaign, m, n, min(_STREAM_CHUNK, samples - first), derive_seed(seed, k))
+                for k, first in enumerate(range(0, samples, _STREAM_CHUNK))]
     else:
-        tally = _Tally()
-        if campaign == "phi_bijection":
-            _run_phi_bijection(m, n, tally)
-        elif campaign == "counts":
-            _run_counts(m, n, tally)
-        elif campaign == "echelon_strata":
-            _run_echelon(m, n, samples, seed, tally)
-        elif campaign == "double_cells":
-            _run_double_cells(m, n, samples, seed, tally)
-        tallies = [tally]
-    for t in tallies:
-        report.attempted += t.attempted
-        report.passed += t.passed
-        report.failed += t.failed
-        report.skipped += t.skipped
-        report.counterexamples.extend(t.counterexamples)
-        _merge_info(report.info, t.info)
+        jobs = [(campaign, m, n, samples, seed)]
+    if threads > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(_run_job, jobs))
+    else:
+        parts = [_run_job(job) for job in jobs]
+    for part in parts:
+        report.add(part)
     report.wall_time = time.perf_counter() - start
     return report

@@ -49,6 +49,8 @@ class LeafIndex:
     n: int
 
     def __post_init__(self) -> None:
+        if self.m < 1 or self.n < 1:
+            raise ValueError("m and n must be positive")
         w = check_perm(self.w)
         if len(w) != self.m + self.n:
             raise ValueError(f"permutation size {len(w)} != {self.m}+{self.n}")
@@ -73,7 +75,7 @@ class LeafIndex:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LeafIndex":
-        if not {"w", "m", "n"} <= d.keys():
+        if not isinstance(d, dict) or not {"w", "m", "n"} <= d.keys():
             raise ValueError(f"a stratum index needs the keys w, m and n, got {d}")
         leaf = cls(int_list_field(d, "w"), int_field(d, "m"), int_field(d, "n"))
         for key in ("t", "dim"):
@@ -98,6 +100,8 @@ def enumerate_leaves(m: int, n: int, t: Optional[int] = None) -> list[LeafIndex]
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
+    if t is not None and not 0 <= t <= min(m, n):
+        raise ValueError(f"t={t} out of range for m={m}, n={n}")
     N = m + n
     w = [0] * N
     used = [False] * (N + 1)

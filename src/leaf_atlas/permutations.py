@@ -355,6 +355,8 @@ class PartialPerm:
 
 def parse_partial(text: str) -> PartialPerm:
     """Parse the ``"3x3:1->3,2->2"`` literal form (empty entry list allowed)."""
+    if not isinstance(text, str):
+        raise ValueError(f"a partial permutation literal must be a string, got {text!r}")
     head, sep, body = text.strip().partition(":")
     try:
         rows_s, cols_s = head.split("x")

@@ -69,7 +69,7 @@ class SigmaTuple:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SigmaTuple":
-        if not {"y", "v", "z", "u", "t"} <= d.keys():
+        if not isinstance(d, dict) or not {"y", "v", "z", "u", "t"} <= d.keys():
             raise ValueError(f"a quadruple needs the keys y, v, z, u and t, got {d}")
         return cls(*(int_list_field(d, key) for key in "yvzu"), int_field(d, "t"))
 

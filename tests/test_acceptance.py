@@ -24,7 +24,7 @@ from leaf_atlas.echelon import (COLUMN, ROW, all_patterns, sample_column_stratum
                                 sample_row_stratum)
 from leaf_atlas.exact_matrix import (RationalMatrix, rank, sample_echelon_col,
                                      sample_echelon_row)
-from leaf_atlas.harness import _sigmas, _Tally, sample_stream
+from leaf_atlas.harness import VerificationReport, _sigmas, sample_stream
 from leaf_atlas.leaves import (LeafIndex, all_leaves, classify_leaf, enumerate_leaves,
                                in_leaf)
 from leaf_atlas.permutations import block_longest, longest, parse_partial, partial_perms
@@ -53,7 +53,7 @@ def nonzero(rng):
 
 def test_criterion_01_leaf_counts_and_dual_characterization():
     start = time.perf_counter()
-    tally = _Tally()
+    tally = VerificationReport()
     failures = []
     expected = {(1, 1): 2, (2, 1): 4, (1, 2): 4, (2, 2): 14}
     for (m, n), count in expected.items():
@@ -135,7 +135,7 @@ def test_criterion_03_quadruple_examples():
 
 def test_criterion_04_phi_bijectivity():
     start = time.perf_counter()
-    tally = _Tally()
+    tally = VerificationReport()
     failures = []
     for m in range(1, 5):
         for n in range(1, 5):
@@ -153,7 +153,7 @@ def test_criterion_04_phi_bijectivity():
 
 def _sampled_strata(name):
     """``name`` on 650 samples per shape up to 4x4: all strata up to 3x3, else 12 and the own."""
-    tally = _Tally()
+    tally = VerificationReport()
     for m in range(1, 5):
         for n in range(1, 5):
             rng = random.Random(SEED + 10 * m + n)
@@ -184,7 +184,7 @@ def test_criterion_06_closure_order():
 
 def test_criterion_07_block_class_consistency():
     start = time.perf_counter()
-    tally = _Tally()
+    tally = VerificationReport()
     for m in range(1, 5):
         for n in range(1, 5):
             rng = random.Random(SEED + 100 * m + n)
@@ -196,7 +196,7 @@ def test_criterion_07_block_class_consistency():
 
 def test_criterion_08_double_cells():
     start = time.perf_counter()
-    tally = _Tally()
+    tally = VerificationReport()
     failures = []
     for m in range(1, 4):
         for n in range(1, 4):
@@ -237,7 +237,7 @@ def test_criterion_09_dimensions():
 
 def test_criterion_10_partial_permutation_counts():
     start = time.perf_counter()
-    tally = _Tally()
+    tally = VerificationReport()
     for m in range(1, 6):
         for n in range(1, 6):
             for t in range(min(m, n) + 1):
@@ -248,7 +248,7 @@ def test_criterion_10_partial_permutation_counts():
 
 def test_criterion_11_echelon_stratification():
     start = time.perf_counter()
-    tally = _Tally()
+    tally = VerificationReport()
     skipped = []
     rng = random.Random(SEED + 2)
     for m in range(1, 5):

@@ -214,9 +214,14 @@ def test_classify_rejects_reinterpretable_json(tmp_path, capsys, text, m, n):
             "--samples", "-3")),
     (None, ("verify", "--campaign", "counts", "--m", "2", "--n", "2",
             "--threads", "0")),
+    (None, ("leaves", "enumerate", "--m", "2", "--n", "2", "--rank", "5")),
+    (None, ("leaves", "enumerate", "--m", "2", "--n", "2", "--rank", "-1")),
+    (None, ("sigma", "phi-inv", "--w", "1", "--m", "0", "--n", "1")),
+    (None, ("sigma", "phi-inv", "--w", "3,2,1", "--m", "3", "--n", "0")),
 ], ids=["text-zero-denominator", "json-zero-denominator", "sigma-not-an-object",
         "sigma-without-u", "sigma-field-not-a-list", "verify-zero-samples",
-        "verify-negative-samples", "verify-zero-threads"])
+        "verify-negative-samples", "verify-zero-threads", "enumerate-rank-above",
+        "enumerate-rank-negative", "phi-inv-zero-rows", "phi-inv-zero-cols"])
 def test_malformed_input_is_a_domain_error(tmp_path, capsys, matrix, argv):
     if matrix is not None:
         path = tmp_path / "m.txt"

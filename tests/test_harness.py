@@ -51,12 +51,47 @@ def test_double_cells_campaign():
     assert r.ok
 
 
-def test_determinism_and_thread_independence():
-    a = harness.run("thm42_equiv", 2, 2, samples=300, seed=9, threads=1)
-    b = harness.run("thm42_equiv", 2, 2, samples=300, seed=9, threads=2)
+@pytest.mark.parametrize("campaign", ["partition", "thm42_equiv", "closure_order",
+                                      "lemma75_blocks"])
+def test_determinism_and_thread_independence(campaign):
+    a = harness.run(campaign, 2, 2, samples=300, seed=9, threads=1)
+    b = harness.run(campaign, 2, 2, samples=300, seed=9, threads=2)
     assert strip_time(a) == strip_time(b)
-    c = harness.run("thm42_equiv", 2, 2, samples=300, seed=10, threads=1)
+    c = harness.run(campaign, 2, 2, samples=300, seed=10, threads=1)
     assert strip_time(a) != strip_time(c)
+
+
+def test_campaigns_reach_every_registered_check(monkeypatch):
+    reached = set()
+    real = harness._call
+
+    def recording(name, args):
+        reached.add(name)
+        return real(name, args)
+
+    monkeypatch.setattr(harness, "_call", recording)
+    for campaign in harness.CAMPAIGNS:
+        assert harness.run(campaign, 2, 2, samples=20, seed=3, threads=1).ok
+    # above _EXHAUSTIVE_LIMIT strata, where a sample of strata is checked
+    before = set(reached)
+    reached.clear()
+    assert len(harness.all_leaves(4, 4)) > harness._EXHAUSTIVE_LIMIT
+    assert harness.run("partition", 4, 4, samples=5, seed=3, threads=1).ok
+    assert reached == {"classify_equiv"}
+    assert before | reached == set(harness.CHECKS)
+
+
+def test_report_add_sums_counts_and_merges_info():
+    total = harness.VerificationReport("partition", {"m": 1})
+    for k in range(3):
+        part = harness.VerificationReport()
+        part.check("window_vs_bruhat", 1, 1)
+        part.skip({"k": k})
+        part.bump("rank_0", k)
+        total.add(part)
+    assert (total.attempted, total.passed, total.failed, total.skipped) == (6, 3, 0, 3)
+    assert total.info == {"skips": [{"k": 0}, {"k": 1}, {"k": 2}], "rank_0": 3}
+    assert total.campaign == "partition" and total.params == {"m": 1}
 
 
 def test_unknown_campaign_rejected():
@@ -77,9 +112,22 @@ def test_unknown_campaign_rejected():
     {"check": "classify_equiv", "m": True, "n": 1, "matrix": "1"},
     {"check": "echelon_stratum", "m": "3", "n": 1, "t": 1,
      "y": [2, 1, 3], "z": [2, 1, 3], "matrix": "0\n1\n0"},
+    {"check": "classify_equiv", "m": 1, "n": 1, "matrix": "1", "leaves": [[True, 2], [2, 1]]},
+    {"check": "classify_equiv", "m": 1, "n": 1, "matrix": "1", "leaves": 5},
+    {"check": "torus_stability", "m": 2, "n": 1, "pattern": "col:2,1:1", "matrix": "1\n2",
+     "row_factors": [True, 2], "col_factors": ["3"]},
+    {"check": "torus_stability", "m": 2, "n": 1, "pattern": "col:2,1:1", "matrix": "1\n2",
+     "row_factors": [2.7, 2], "col_factors": ["3"]},
+    {"check": "classify_equiv", "m": 1, "n": 1, "matrix": 5},
+    {"check": "criteria_agreement", "m": 2, "n": 2, "w1": 5, "w2": "2x2:2->2"},
+    {"check": "phi_roundtrip", "m": 1, "n": 1, "sigma": [1]},
+    {"check": "leaf_roundtrip", "m": 1, "n": 1, "leaf": 5},
+    {"check": "leaf_roundtrip", "m": 0, "n": 1, "leaf": {"w": [1], "m": 0, "n": 1}},
 ], ids=["leaf-m-string", "leaf-w-bool", "sigma-t-string", "sigma-y-int",
         "rank-m-string", "shape-m-float", "shape-m-bool", "strata-m-bool",
-        "echelon-stratum-m-string"])
+        "echelon-stratum-m-string", "strata-leaves-bool", "strata-leaves-int",
+        "torus-factor-bool", "torus-factor-float", "matrix-not-a-string",
+        "w1-not-a-string", "sigma-not-an-object", "leaf-not-an-object", "leaf-m-zero"])
 def test_replay_rejects_wrong_typed_fields(payload):
     with pytest.raises(ValueError):
         harness.replay(payload)
