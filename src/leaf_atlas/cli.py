@@ -18,6 +18,7 @@ from . import harness
 from .double_bruhat import DoubleCellIndex, decompose, dense_orbit, is_nonempty
 from .echelon import COLUMN, parse_pattern, stratify_pattern
 from .exact_matrix import load_matrix
+from .jsonout import dumps
 from .leaves import (LeafIndex, all_leaves, classify_leaf, enumerate_leaves, hasse,
                      hasse_dot, in_leaf)
 from .permutations import check_perm, parse_partial
@@ -27,7 +28,7 @@ SCHEMA = "leaf-atlas/v1"
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(dumps(payload))
 
 
 def _parse_perm(text: str):
@@ -37,9 +38,9 @@ def _parse_perm(text: str):
 def _cmd_leaves_enumerate(args) -> int:
     out = enumerate_leaves(args.m, args.n, args.rank)
     if args.format == "table":
-        print(f"{'w':<24}{'t':>4}{'dim':>5}")
-        for L in out:
-            print(f"{','.join(map(str, L.w)):<24}{L.t:>4}{L.dim:>5}")
+        rows = [f"{'w':<24}{'t':>4}{'dim':>5}"]
+        rows += [f"{','.join(map(str, L.w)):<24}{L.t:>4}{L.dim:>5}" for L in out]
+        print("\n".join(rows))
         return 0
     _emit({"schema": SCHEMA, "m": args.m, "n": args.n,
            "count": len(out), "leaves": [L.to_dict() for L in out]})

@@ -22,7 +22,6 @@ row/column/entry zeroing layered on top.
 """
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
@@ -40,6 +39,7 @@ from .echelon import (COLUMN, ROW, EchelonPattern, all_patterns,
                       stratify_pattern)
 from .exact_matrix import (RationalMatrix, from_text, sample_echelon_col,
                            sample_rank, _rand_nonzero)
+from .jsonout import dumps
 from .leaves import (LeafIndex, all_leaves, cell_labels, classify_leaf, in_leaf,
                      leaf_profile, window_ok)
 from .permutations import (PartialPerm, all_perms, block_longest, bruhat_leq,
@@ -99,7 +99,7 @@ class VerificationReport:
                 "wall_time": self.wall_time, "info": self.info}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return dumps(self.to_dict()) + "\n"
 
     def check(self, name: str, *args) -> None:
         """Run the registered check ``name``; encode its payload only if it fails."""
@@ -258,9 +258,20 @@ def check_zero_product(sig: SigmaTuple) -> bool:
 
 
 def check_window_vs_bruhat(m: int, n: int) -> bool:
-    """The displacement window and the Bruhat test cut out the same index set."""
+    """
+    The displacement window and the Bruhat test cut out the same index set,
+    and the enumerator lists exactly that set, in the scan's order.  The
+    enumerator builds its indices unchecked, so this covers its output.
+    """
     base = block_longest(n, m)
-    return all(window_ok(w, m, n) == bruhat_leq(base, w) for w in all_perms(m + n))
+    inside = []
+    for w in all_perms(m + n):
+        ok = window_ok(w, m, n)
+        if ok != bruhat_leq(base, w):
+            return False
+        if ok:
+            inside.append(w)
+    return [L.w for L in all_leaves(m, n)] == inside
 
 
 def check_sigma_count(m: int, n: int, t: int) -> bool:
@@ -409,12 +420,20 @@ def replay(payload: dict) -> bool:
     """
     Re-run the check named in a counterexample payload on its embedded
     inputs; returns whether the check passes now.  A genuine counterexample
-    returns ``False``, bit-exactly reproducing the failure.
+    returns ``False``, bit-exactly reproducing the failure.  A payload that
+    is not an object, names no registered check, or lacks or mistypes a
+    field raises ``ValueError``.
     """
-    name = payload["check"]
-    if name not in CHECKS:
+    if not isinstance(payload, dict):
+        raise ValueError(f"a payload must be a JSON object, got {payload!r}")
+    name = payload.get("check")
+    if type(name) is not str or name not in CHECKS:
         raise ValueError(f"unknown check {name!r}")
-    return _call(name, CHECKS[name].decode(payload))
+    try:
+        args = CHECKS[name].decode(payload)
+    except KeyError as exc:
+        raise ValueError(f"{name} payload lacks the field {exc}") from None
+    return _call(name, args)
 
 
 # ---------------------------------------------------------------------------

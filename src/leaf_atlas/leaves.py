@@ -56,10 +56,25 @@ class LeafIndex:
             raise ValueError(f"permutation size {len(w)} != {self.m}+{self.n}")
         if not window_ok(w, self.m, self.n):
             raise ValueError(f"{w} violates the displacement window for m={self.m}, n={self.n}")
+        object.__setattr__(self, "w", w)  # the checked tuple
 
     @classmethod
     def from_w(cls, w: Sequence[int], m: int, n: int) -> "LeafIndex":
         return cls(tuple(w), m, n)
+
+    @classmethod
+    def _trusted(cls, w: Perm, m: int, n: int) -> "LeafIndex":
+        """
+        The index of ``w``, unchecked: for a producer that only builds tuple
+        permutations inside the window.  The registered check
+        ``window_vs_bruhat`` compares the enumerator's output with the
+        window-filtered scan of S_{m+n}.
+        """
+        leaf = object.__new__(cls)
+        object.__setattr__(leaf, "w", w)
+        object.__setattr__(leaf, "m", m)
+        object.__setattr__(leaf, "n", n)
+        return leaf
 
     @property
     def t(self) -> int:
@@ -110,7 +125,7 @@ def enumerate_leaves(m: int, n: int, t: Optional[int] = None) -> list[LeafIndex]
     def fill(i: int, r: int) -> None:
         # r counts the values > n among w[:i] while i <= n.
         if i == N:
-            out.append(LeafIndex.from_w(w, m, n))
+            out.append(LeafIndex._trusted(tuple(w), m, n))
             return
         ranked = t is not None and i < n
         for x in range(max(1, n - i), min(N, m + 2 * n - i) + 1):

@@ -24,7 +24,8 @@ Perm = tuple[int, ...]
 
 def is_perm(w: Sequence[int]) -> bool:
     """
-    Check that ``w`` lists each of ``1..len(w)`` exactly once.
+    Check that ``w`` lists each of ``1..len(w)`` exactly once, each an ``int``
+    (a ``bool`` is not read as 0 or 1).
 
     >>> is_perm((2, 1, 3)), is_perm((1, 1, 2)), is_perm(())
     (True, False, True)
@@ -32,7 +33,7 @@ def is_perm(w: Sequence[int]) -> bool:
     n = len(w)
     seen = [False] * (n + 1)
     for x in w:
-        if not isinstance(x, int) or not 1 <= x <= n or seen[x]:
+        if type(x) is not int or not 1 <= x <= n or seen[x]:
             return False
         seen[x] = True
     return True

@@ -37,6 +37,8 @@ class SigmaTuple:
 
     def __post_init__(self) -> None:
         y, v, z, u = map(check_perm, (self.y, self.v, self.z, self.u))
+        for name, value in zip("yvzu", (y, v, z, u)):
+            object.__setattr__(self, name, value)
         m, n, t = len(y), len(v), self.t
         if len(z) != m or len(u) != n:
             raise ValueError("component sizes disagree")

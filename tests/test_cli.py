@@ -38,6 +38,17 @@ def test_enumerate_is_byte_stable(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("argv", [
+    ("leaves", "enumerate", "--m", "2", "--n", "3"),
+    ("leaves", "hasse", "--m", "2", "--n", "2", "--format", "json"),
+    ("verify", "--campaign", "counts", "--m", "2", "--n", "2", "--threads", "1"),
+])
+def test_json_output_is_the_standard_indented_form(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
 def test_one_parser_serves_successive_calls(capsys):
     # One process, one cached parser: each call must match a fresh process,
     # so no parsed argument (such as --rank) carries over to the next call.

@@ -123,11 +123,19 @@ def test_unknown_campaign_rejected():
     {"check": "phi_roundtrip", "m": 1, "n": 1, "sigma": [1]},
     {"check": "leaf_roundtrip", "m": 1, "n": 1, "leaf": 5},
     {"check": "leaf_roundtrip", "m": 0, "n": 1, "leaf": {"w": [1], "m": 0, "n": 1}},
+    {"check": "classify_equiv"},
+    {"m": 1, "n": 1, "matrix": "1"},
+    {"check": "torus_stability", "m": 2, "n": 1, "pattern": "col:2,1:1", "matrix": "1\n2",
+     "row_factors": ["2", "3"]},
+    [1],
+    "x",
 ], ids=["leaf-m-string", "leaf-w-bool", "sigma-t-string", "sigma-y-int",
         "rank-m-string", "shape-m-float", "shape-m-bool", "strata-m-bool",
         "echelon-stratum-m-string", "strata-leaves-bool", "strata-leaves-int",
         "torus-factor-bool", "torus-factor-float", "matrix-not-a-string",
-        "w1-not-a-string", "sigma-not-an-object", "leaf-not-an-object", "leaf-m-zero"])
+        "w1-not-a-string", "sigma-not-an-object", "leaf-not-an-object", "leaf-m-zero",
+        "payload-lacks-fields", "payload-lacks-check", "torus-lacks-factors",
+        "payload-a-list", "payload-a-string"])
 def test_replay_rejects_wrong_typed_fields(payload):
     with pytest.raises(ValueError):
         harness.replay(payload)

@@ -1,0 +1,45 @@
+"""The one JSON writer: ``jsonout.dumps`` is ``json.dumps`` indented by 2, byte for byte."""
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import leaf_atlas
+from leaf_atlas.jsonout import dumps
+
+strings = st.text() | st.sampled_from(["", "é", "\x00\x1f\n\t\"\\", " ", "\ud800", "😀"])
+scalars = (st.none() | st.booleans() | st.integers()
+           | st.integers(-(10 ** 40), 10 ** 40) | st.floats() | strings
+           | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324]))
+keys = strings | st.none() | st.booleans() | st.integers() | st.floats()
+values = st.recursive(scalars, lambda inner: (st.lists(inner)
+                                              | st.lists(inner).map(tuple)
+                                              | st.dictionaries(strings, inner)
+                                              | st.dictionaries(keys, inner)),
+                      max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values)
+def test_writer_equals_indented_json_dumps(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{"x": object()}, [1, {2}], {"a": [float]},
+                                 {"a": {(1, 2): 0}}, {b"k": 0}])
+def test_writer_raises_what_json_dumps_raises(obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+        dumps(obj)
+
+
+def test_writer_is_the_only_pretty_printing_path():
+    root = Path(leaf_atlas.__file__).parent
+    found = [path.name for path in sorted(root.rglob("*.py"))
+             if "indent=" in path.read_text(encoding="utf-8")]
+    assert found == []

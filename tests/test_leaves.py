@@ -88,6 +88,14 @@ def test_from_w_checks_the_permutation_once(monkeypatch):
     assert seen == [(2, 1)]
 
 
+def test_enumerated_indices_equal_validated_ones():
+    # the enumerator builds its indices unchecked
+    for m, n in shapes(7):
+        for L in enumerate_leaves(m, n):
+            checked = LeafIndex.from_w(L.w, m, n)
+            assert L == checked and hash(L) == hash(checked) and type(L.w) is tuple
+
+
 def test_one_by_one_membership():
     zero = RationalMatrix.zero(1, 1)
     five = RationalMatrix([[5]])

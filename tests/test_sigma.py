@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from leaf_atlas.leaves import LeafIndex, enumerate_leaves
-from leaf_atlas.permutations import (PartialPerm, block_split, bruhat_leq, identity,
-                                     inverse, left_compose, min_reps_first,
+from leaf_atlas.exact_matrix import RationalMatrix
+from leaf_atlas.leaves import LeafIndex, enumerate_leaves, in_leaf
+from leaf_atlas.permutations import (PartialPerm, block_split, bruhat_leq, check_perm,
+                                     identity, inverse, left_compose, min_reps_first,
                                      min_reps_last, partial_identity,
                                      partial_perms, right_compose)
 from leaf_atlas.sigma import (SigmaTuple, decompose_partial, enumerate_sigma,
@@ -22,6 +23,24 @@ def test_validation():
         SigmaTuple((1, 2, 3), (1, 2, 3), (2, 3, 1), (1, 2, 3), 2)  # z not below y
     with pytest.raises(ValueError):
         SigmaTuple((1, 2), (1, 2), (1, 2), (1, 2), 3)              # t out of range
+
+
+def test_bool_entries_are_rejected():
+    with pytest.raises(ValueError):
+        check_perm((True, 2))
+    with pytest.raises(ValueError):
+        LeafIndex((True, 2), 1, 1)
+    with pytest.raises(ValueError):
+        SigmaTuple((True,), (1,), (1,), (1,), 0)
+
+
+def test_list_arguments_are_stored_as_tuples():
+    leaf = LeafIndex([2, 1], 1, 1)
+    assert leaf == LeafIndex((2, 1), 1, 1) and hash(leaf) == hash(LeafIndex((2, 1), 1, 1))
+    assert in_leaf(RationalMatrix([[5]]), leaf)
+    sig = SigmaTuple(*map(list, (SIGMA_513.y, SIGMA_513.v, SIGMA_513.z, SIGMA_513.u)), 1)
+    assert sig == SIGMA_513 and hash(sig) == hash(SIGMA_513)
+    assert phi_to_leaf(sig) == phi_to_leaf(SIGMA_513)
 
 
 def test_enumerate_sigma_trivial_counts():
