@@ -17,8 +17,9 @@ def dumps(obj, pad: str = "\n") -> str:
     ``json.dumps`` of ``obj`` with an indent of 2, byte for byte.  ``pad`` is
     the newline and indentation of the depth ``obj`` sits at.
 
-    Non-empty lists, tuples and dicts recurse; ``int`` and ``str`` are
-    encoded directly.  Every other value (``bool``, ``None``, ``float``,
+    Non-empty lists, tuples and dicts recurse, but write an element or value
+    whose type is exactly ``int`` in place; ``int`` and ``str`` are encoded
+    directly.  Every other value (``bool``, ``None``, ``float``,
     empty containers, and values that cannot be encoded) goes through the
     compact ``json.dumps``, which writes a scalar as the indented form does
     and raises the same errors.
@@ -40,11 +41,12 @@ def dumps(obj, pad: str = "\n") -> str:
         return _string(obj)
     if isinstance(obj, (list, tuple)) and obj:
         inner = pad + "  "
-        items = [dumps(x, inner) for x in obj]
+        items = [int.__repr__(x) if type(x) is int else dumps(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(obj, dict) and obj:
         inner = pad + "  "
-        items = [(_string(k) if type(k) is str else _key(k)) + ": " + dumps(v, inner)
+        items = [(_string(k) if type(k) is str else _key(k)) + ": "
+                 + (int.__repr__(v) if type(v) is int else dumps(v, inner))
                  for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     return json.dumps(obj)

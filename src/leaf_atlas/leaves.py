@@ -17,7 +17,7 @@ agreement, so neither delegates to the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 from . import cells
@@ -25,6 +25,8 @@ from .exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix, bruhat_pivots,
                            interval_column_ranks, interval_row_ranks, rank_profile)
 from .permutations import (Perm, PartialPerm, bruhat_leq, check_perm, int_field,
                            int_list_field, length)
+
+_TAIL = 5  # the positions that enumerate_leaves fills one prefix at a time
 
 
 def window_ok(w: Sequence[int], m: int, n: int) -> bool:
@@ -49,6 +51,8 @@ class LeafIndex:
     n: int
 
     def __post_init__(self) -> None:
+        if type(self.m) is not int or type(self.n) is not int:
+            raise ValueError(f"m and n must be integers, got {self.m!r} and {self.n!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
         w = check_perm(self.w)
@@ -104,43 +108,39 @@ def enumerate_leaves(m: int, n: int, t: Optional[int] = None) -> list[LeafIndex]
     All stratum indices for ``m x n`` matrices in lexicographic order of the
     one-line notation, optionally restricted to matrix rank ``t``.
 
-    A depth-first search fills the positions left to right.  Position ``i``
-    (0-based) tries the unused values of its window ``[n-i, m+2n-i]`` in
-    increasing order, and with ``t`` given, the count of values ``> n`` among
-    the first ``n`` positions stays reachable; so only valid prefixes are
-    visited and the order is lexicographic.
+    Prefixes grow in lexicographic order, position ``i`` (from 0) by each
+    unused value of its window ``[n-i, m+2n-i]``, the last two positions at
+    once; with ``t`` given, only while rank ``t`` stays reachable.  Every
+    prefix of ``m+n-_TAIL`` positions comes first, then the completions of
+    one prefix at a time, to bound peak memory.
 
     >>> [L.w for L in enumerate_leaves(1, 1)]
     [(1, 2), (2, 1)]
     """
+    if type(m) is not int or type(n) is not int or t is not None and type(t) is not int:
+        raise ValueError(f"m, n and t must be integers, got {m!r}, {n!r} and {t!r}")
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     if t is not None and not 0 <= t <= min(m, n):
         raise ValueError(f"t={t} out of range for m={m}, n={n}")
     N = m + n
-    w = [0] * N
-    used = [False] * (N + 1)
-    out: list[LeafIndex] = []
+    windows = [range(max(1, n - i), min(N, m + 2 * n - i) + 1) for i in range(N)]
+    total, last = N * (N + 1) // 2, windows[-1]
 
-    def fill(i: int, r: int) -> None:
-        # r counts the values > n among w[:i] while i <= n.
-        if i == N:
-            out.append(LeafIndex._trusted(tuple(w), m, n))
-            return
-        ranked = t is not None and i < n
-        for x in range(max(1, n - i), min(N, m + 2 * n - i) + 1):
-            if used[x]:
-                continue
-            r2 = r + (x > n)
-            if ranked and not t - (n - 1 - i) <= r2 <= t:
-                continue
-            used[x] = True
-            w[i] = x
-            fill(i + 1, r2)
-            used[x] = False
+    def extend(prefixes: list[Perm], i: int) -> list[Perm]:
+        win = windows[i]  # at i = N-2, the last position is filled too
+        if i < N - 2:
+            prefixes = [p + (x,) for p in prefixes for x in win if x not in p]
+        else:
+            prefixes = [p + (x, s - x) for p in prefixes for s in (total - sum(p),)
+                        for x in win if x not in p and s - x in last]
+        if t is not None and i < n:
+            prefixes = [p for p in prefixes if t - (n - 1 - i) <= sum(x > n for x in p[:n]) <= t]
+        return prefixes
 
-    fill(0, 0)
-    return out
+    split = max(0, N - _TAIL)
+    return [LeafIndex._trusted(w, m, n) for head in reduce(extend, range(split), [()])
+            for w in reduce(extend, range(split, N - 1), [head])]
 
 
 @lru_cache(maxsize=None)

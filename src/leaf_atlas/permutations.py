@@ -14,7 +14,7 @@ Conventions used across the package (all indices and values are 1-based):
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, Iterator, Optional, Sequence
@@ -107,15 +107,13 @@ def length(w: Sequence[int]) -> int:
     """
     Coxeter length of ``w``: the number of inversions.
 
-    >>> length((1, 2, 3, 4)), length(longest(4)), length((6, 2, 3, 5, 4, 1))
-    (0, 6, 10)
+    >>> length((1, 2, 3, 4)), length(longest(4)), length((6, 2, 3, 5, 4, 1)), length(())
+    (0, 6, 10, 0)
     """
-    seen: list[int] = []  # the images right of the current position, sorted
-    total = 0
-    for x in reversed(w):
-        k = bisect_left(seen, x)
-        total += k
-        seen.insert(k, x)
+    seen = total = 0  # seen: bit x set for each image x left of the current position
+    for x in w:
+        total += (seen >> x).bit_count()
+        seen |= 1 << x
     return total
 
 

@@ -40,6 +40,8 @@ class SigmaTuple:
         for name, value in zip("yvzu", (y, v, z, u)):
             object.__setattr__(self, name, value)
         m, n, t = len(y), len(v), self.t
+        if type(t) is not int:
+            raise ValueError(f"t must be an integer, got {t!r}")
         if len(z) != m or len(u) != n:
             raise ValueError("component sizes disagree")
         if not 0 <= t <= min(m, n):

@@ -1,4 +1,5 @@
 """The one JSON writer: ``jsonout.dumps`` is ``json.dumps`` indented by 2, byte for byte."""
+import enum
 import json
 import math
 import re
@@ -11,8 +12,14 @@ from hypothesis import strategies as st
 import leaf_atlas
 from leaf_atlas.jsonout import dumps
 
+
+class Colour(enum.IntEnum):
+    RED = 1
+    BLUE = -7
+
+
 strings = st.text() | st.sampled_from(["", "é", "\x00\x1f\n\t\"\\", " ", "\ud800", "😀"])
-scalars = (st.none() | st.booleans() | st.integers()
+scalars = (st.none() | st.booleans() | st.integers() | st.sampled_from(Colour)
            | st.integers(-(10 ** 40), 10 ** 40) | st.floats() | strings
            | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324]))
 keys = strings | st.none() | st.booleans() | st.integers() | st.floats()
@@ -26,6 +33,12 @@ values = st.recursive(scalars, lambda inner: (st.lists(inner)
 @settings(max_examples=200, deadline=None)
 @given(values)
 def test_writer_equals_indented_json_dumps(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_only_exact_ints_are_written_in_place():
+    # bool and IntEnum are int subclasses: json writes true/false and the int value
+    obj = [1, True, Colour.RED, {"a": 2, "b": False, "c": Colour.BLUE, "d": [0, Colour.RED]}]
     assert dumps(obj) == json.dumps(obj, indent=2)
 
 

@@ -51,6 +51,16 @@ def test_enumeration_matches_filtered_scan():
                     == [w for w in scan if rank_of_index(w, n) == t])
 
 
+@pytest.mark.parametrize("m, n", [(4, 5), (5, 4), (1, 8), (8, 1)])
+def test_rank_filter_keeps_the_unfiltered_order(m, n):
+    # The rank window prunes both the prefixes built first and their
+    # completions: 4x5 and 5x4 rank positions on both sides of the split,
+    # 1x8 every position but the last, 8x1 only the first.
+    everything = enumerate_leaves(m, n)
+    for t in range(min(m, n) + 1):
+        assert enumerate_leaves(m, n, t) == [L for L in everything if L.t == t]
+
+
 def test_rank_counts_equal_quadruple_factors():
     # Independent count: rank-t strata correspond to pairs (y, z) in S_m and
     # (v, u) in S_n of minimal coset representatives with z <= y and v <= u.

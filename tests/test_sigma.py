@@ -34,6 +34,18 @@ def test_bool_entries_are_rejected():
         SigmaTuple((True,), (1,), (1,), (1,), 0)
 
 
+def test_bool_shape_and_rank_are_rejected():
+    with pytest.raises(ValueError, match="m and n must be integers"):
+        LeafIndex((1, 2), True, True)
+    with pytest.raises(ValueError, match="t must be an integer"):
+        SigmaTuple((1,), (1,), (1,), (1,), True)
+    with pytest.raises(ValueError, match="t must be an integer"):
+        SigmaTuple((1,), (1,), (1,), (1,), False)
+    for args in [(True, True), (True, 2), (2, 2, True), (2, 2, False)]:
+        with pytest.raises(ValueError, match="m, n and t must be integers"):
+            enumerate_leaves(*args)
+
+
 def test_list_arguments_are_stored_as_tuples():
     leaf = LeafIndex([2, 1], 1, 1)
     assert leaf == LeafIndex((2, 1), 1, 1) and hash(leaf) == hash(LeafIndex((2, 1), 1, 1))
