@@ -8,18 +8,16 @@ from .double_bruhat import (DoubleCellIndex, classify_double, decompose,
                             dense_orbit, is_nonempty, nonempty_by_completion)
 from .echelon import (EchelonPattern, column_pattern, in_pattern, leaf_factors,
                       parse_pattern, row_pattern, stratify_pattern)
-from .exact_matrix import (RankProfile, RationalMatrix, from_json, from_text,
-                           load_matrix, rank, rank_profile, sample_dense,
-                           sample_echelon_col, sample_echelon_row,
-                           sample_invertible_triangular, sample_rank)
+from .exact_matrix import (RationalMatrix, from_json, from_text, load_matrix,
+                           rank, rank_profile, sample_echelon_col,
+                           sample_echelon_row, sample_rank)
 from .harness import CAMPAIGNS, VerificationReport, replay, run
 from .leaves import (LeafIndex, classify_leaf, closure_leq, enumerate_leaves,
                      hasse, hasse_dot, in_leaf, leaf_profile)
-from .permutations import (PartialPerm, Perm, block_longest, block_split,
-                           bruhat_leq, compose, identity, inverse, length,
-                           longest, parse_partial, partial_identity,
-                           subset_leq, w_mn)
+from .permutations import (PartialPerm, Perm, block_longest, bruhat_leq,
+                           compose, identity, inverse, length, longest,
+                           parse_partial, subset_leq)
 from .sigma import (SigmaTuple, decompose_partial, enumerate_sigma, phi,
-                    phi_inv, phi_to_leaf, sigma_retile)
+                    phi_inv, phi_to_leaf)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,8 +19,8 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Sequence, Union
 
-from .exact_matrix import (NORTHEAST, SOUTHWEST, RankProfile, RationalMatrix,
-                           _half_turn, bruhat_pivots, rank_profile)
+from .exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix, _half_turn,
+                           bruhat_pivots, rank_profile)
 from .permutations import PartialPerm, as_partial
 
 B_PLUS = "B+"
@@ -41,19 +41,18 @@ def _kind(side: str) -> str:
     raise ValueError(f"side must be 'B+' or 'B-', got {side!r}")
 
 
-def pp_rank_profile(w: CellLabel, kind: str) -> RankProfile:
-    """Corner rank profile of a (partial) permutation matrix, by dot counting."""
+def pp_rank_profile(w: CellLabel, kind: str) -> tuple[tuple[int, ...], ...]:
+    """Corner rank table of a (partial) permutation matrix, by dot counting."""
     w = _as_pp(w)
     m, n = w.rows, w.cols
     if kind == NORTHEAST:
         turned = PartialPerm(m, n, tuple(None if r is None else m + 1 - r
                                          for r in reversed(w.image)))
-        return RankProfile(kind, m, n, _half_turn(pp_rank_profile(turned, SOUTHWEST).table))
+        return _half_turn(pp_rank_profile(turned, SOUTHWEST))
     if kind != SOUTHWEST:
         raise ValueError(f"unknown profile kind {kind!r}")
-    table = tuple(tuple(accumulate((r is not None and r >= p for r in w.image), initial=0))
-                  for p in range(1, m + 2))
-    return RankProfile(kind, m, n, table)
+    return tuple(tuple(accumulate((r is not None and r >= p for r in w.image), initial=0))
+                 for p in range(1, m + 2))
 
 
 def in_cell(x: RationalMatrix, w: CellLabel, side: str = B_PLUS,
@@ -66,8 +65,8 @@ def in_cell(x: RationalMatrix, w: CellLabel, side: str = B_PLUS,
     if (x.rows, x.cols) != (w.rows, w.cols):
         raise ValueError(f"dimension mismatch: {x.rows}x{x.cols} vs {w.rows}x{w.cols}")
     kind = _kind(side)
-    xt = rank_profile(x, kind).table
-    wt = pp_rank_profile(w, kind).table
+    xt = rank_profile(x, kind)
+    wt = pp_rank_profile(w, kind)
     if mode == "cell":
         return xt == wt
     if mode == "closure":

@@ -33,6 +33,8 @@ class DoubleCellIndex:
     def __post_init__(self) -> None:
         if (self.w1.rows, self.w1.cols) != (self.w2.rows, self.w2.cols):
             raise ValueError("dimension mismatch between the two labels")
+        if self.w1.rows < 1 or self.w1.cols < 1:
+            raise ValueError("m and n must be positive")
 
     @property
     def shape(self) -> tuple[int, int]:

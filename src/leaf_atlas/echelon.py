@@ -145,11 +145,6 @@ def column_stratum_sigma(m: int, t: int, y: Perm, z: Perm) -> SigmaTuple:
     return SigmaTuple(check_perm(y), identity(t), check_perm(z), identity(t), t)
 
 
-def row_stratum_sigma(t: int, n: int, u: Perm, v: Perm) -> SigmaTuple:
-    """The quadruple ``(1, v, 1, u)`` naming a row stratum inside ``t x n``."""
-    return SigmaTuple(identity(t), check_perm(v), identity(t), check_perm(u), t)
-
-
 def leaf_factors(L: LeafIndex) -> tuple[tuple[Perm, Perm], tuple[Perm, Perm]]:
     """
     Echelon factor descriptors of a stratum: the column-side pair ``(y, z)``

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -124,9 +123,6 @@ class RationalMatrix:
     def to_text(self) -> str:
         """Rows of whitespace-separated entries, each ``p/q`` or a plain integer."""
         return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
-
-    def to_json_obj(self) -> list[list[str]]:
-        return [[str(e) for e in row] for row in self.entries]
 
 
 def _integerize(row: Sequence[Fraction]) -> tuple[int, ...]:
@@ -232,34 +228,6 @@ def _echelon_insert(basis: list[tuple[int, list[int]]], vec: list[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    """
-    Table of ranks of corner-anchored submatrices.
-
-    ``southwest``: ``rank_at(p, q)`` is the rank of rows ``p..rows`` and
-    columns ``1..q``, for ``p`` in ``1..rows+1`` and ``q`` in ``0..cols``.
-    ``northeast``: ``rank_at(p, q)`` is the rank of rows ``1..p`` and columns
-    ``q..cols``, for ``p`` in ``0..rows`` and ``q`` in ``1..cols+1``.
-    Either table has ``(rows+1) x (cols+1)`` entries; out-of-corner indices
-    denote empty submatrices and give 0.
-    """
-
-    kind: str
-    rows: int
-    cols: int
-    table: tuple[tuple[int, ...], ...]
-
-    def rank_at(self, p: int, q: int) -> int:
-        if self.kind == SOUTHWEST:
-            if not (1 <= p <= self.rows + 1 and 0 <= q <= self.cols):
-                raise ValueError(f"({p},{q}) outside the southwest index range")
-            return self.table[p - 1][q]
-        if not (0 <= p <= self.rows and 1 <= q <= self.cols + 1):
-            raise ValueError(f"({p},{q}) outside the northeast index range")
-        return self.table[p][q - 1]
-
-
 def _sw_table(irows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
     """
     Insert the rows bottom-up into one echelon basis whose leads are first
@@ -286,13 +254,21 @@ def _half_turn(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row[::-1]) for row in rows[::-1])
 
 
-def rank_profile(x: RationalMatrix, kind: str) -> RankProfile:
-    """Full corner rank profile, from one pass of fraction-free row insertions."""
+def rank_profile(x: RationalMatrix, kind: str) -> tuple[tuple[int, ...], ...]:
+    """
+    Full corner rank table, ``(rows+1) x (cols+1)``, from one pass of
+    fraction-free row insertions.  ``southwest``: ``table[p-1][q]`` is the
+    rank of rows ``p..rows`` and columns ``1..q``.  ``northeast``:
+    ``table[p][q-1]`` is the rank of rows ``1..p`` and columns ``q..cols``.
+    An empty corner gives 0.
+
+    >>> rank_profile(RationalMatrix([[1, 0], [0, 1]]), NORTHEAST)
+    ((0, 0, 0), (1, 0, 0), (2, 1, 0))
+    """
     if kind == SOUTHWEST:
-        return RankProfile(kind, x.rows, x.cols, _sw_table(x._irows, x.cols))
+        return _sw_table(x._irows, x.cols)
     if kind == NORTHEAST:
-        table = _half_turn(_sw_table(_half_turn(x._irows), x.cols))
-        return RankProfile(kind, x.rows, x.cols, table)
+        return _half_turn(_sw_table(_half_turn(x._irows), x.cols))
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
@@ -402,12 +378,6 @@ def interval_row_ranks(x: RationalMatrix) -> list[list[int]]:
 # Seeded sampling
 
 
-def sample_dense(m: int, n: int, seed: Seed) -> RationalMatrix:
-    """Uniform integer entries in ``-9..9``."""
-    rng = _as_rng(seed)
-    return RationalMatrix([[_rand_entry(rng) for _ in range(n)] for _ in range(m)])
-
-
 def sample_rank(m: int, n: int, t: int, seed: Seed) -> RationalMatrix:
     """
     A matrix of rank exactly ``t``: the product of full-rank ``m x t`` and
@@ -426,25 +396,6 @@ def sample_rank(m: int, n: int, t: int, seed: Seed) -> RationalMatrix:
                 return f
 
     return full_rank_factor(m, t) @ full_rank_factor(t, n)
-
-
-def sample_invertible_triangular(sign: str, n: int, seed: Seed) -> RationalMatrix:
-    """Invertible upper (``"+"``) or lower (``"-"``) triangular matrix."""
-    if sign not in {"+", "-"}:
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    rng = _as_rng(seed)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(_rand_nonzero(rng))
-            elif (i < j) == (sign == "+"):
-                row.append(_rand_entry(rng))
-            else:
-                row.append(0)
-        rows.append(row)
-    return RationalMatrix(rows)
 
 
 def sample_echelon_col(m: int, t: int, pivots: Sequence[int], seed: Seed,

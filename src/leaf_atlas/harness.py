@@ -352,6 +352,21 @@ def _factors(p: dict, key: str) -> list[int]:
     return [int(f) for f in p[key]]
 
 
+def _decode_shape(p: dict) -> tuple[int, int]:
+    m, n = int_field(p, "m"), int_field(p, "n")
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
+    return m, n
+
+
+def _decode_rank(p: dict) -> tuple[int, int, int]:
+    m, n = _decode_shape(p)
+    t = int_field(p, "t")
+    if not 0 <= t <= min(m, n):
+        raise ValueError(f"t={t} out of range for m={m}, n={n}")
+    return m, n, t
+
+
 _STRATA = (_encode_strata, _decode_strata)
 _MATRIX = (lambda x: {"m": x.rows, "n": x.cols, "matrix": x.to_text()},
            lambda p: (from_text(p["matrix"]),))
@@ -360,10 +375,8 @@ _DOUBLE = (lambda d: {"m": d.shape[0], "n": d.shape[1],
            lambda p: (DoubleCellIndex(parse_partial(p["w1"]), parse_partial(p["w2"])),))
 _SIGMA = (lambda s: {"m": s.m, "n": s.n, "sigma": s.to_dict()},
           lambda p: (SigmaTuple.from_dict(p["sigma"]),))
-_SHAPE = (lambda m, n: {"m": m, "n": n},
-          lambda p: (int_field(p, "m"), int_field(p, "n")))
-_RANK = (lambda m, n, t: {"m": m, "n": n, "t": t},
-         lambda p: (int_field(p, "m"), int_field(p, "n"), int_field(p, "t")))
+_SHAPE = (lambda m, n: {"m": m, "n": n}, _decode_shape)
+_RANK = (lambda m, n, t: {"m": m, "n": n, "t": t}, _decode_rank)
 
 CHECKS: dict[str, Check] = {
     "unique_membership": Check("check_unique_membership", *_STRATA),

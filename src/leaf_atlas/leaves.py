@@ -185,8 +185,8 @@ class LeafTables:
 def leaf_profile(x: RationalMatrix) -> LeafTables:
     return LeafTables(
         x.rows, x.cols,
-        rank_profile(x, SOUTHWEST).table,
-        rank_profile(x, NORTHEAST).table,
+        rank_profile(x, SOUTHWEST),
+        rank_profile(x, NORTHEAST),
         tuple(tuple(r) for r in interval_column_ranks(x)),
         tuple(tuple(r) for r in interval_row_ranks(x)),
     )
@@ -208,7 +208,7 @@ def _leaf_targets(L: LeafIndex) -> _LeafTargets:
     dot-count table of ``w``.
     """
     m, n, N = L.m, L.n, L.m + L.n
-    S = cells.pp_rank_profile(L.w, SOUTHWEST).table
+    S = cells.pp_rank_profile(L.w, SOUTHWEST)
 
     def dots(r1: int, r2: int, c1: int, c2: int) -> int:
         """Dots of ``w`` in rows ``r1..r2`` and columns ``c1..c2``."""

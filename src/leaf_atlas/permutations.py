@@ -8,8 +8,7 @@ Conventions used across the package (all indices and values are 1-based):
 - The 0/1 matrix attached to ``w`` carries the 1 of column ``j`` in row
   ``w(j)``; with this convention matrix products agree with ``compose``.
 - A partial permutation on an ``m x n`` grid injects part of the column set
-  ``{1..n}`` into the row set ``{1..m}``.  Storage is column-indexed; the
-  row-indexed view is obtained with ``transpose()``.
+  ``{1..n}`` into the row set ``{1..m}``, stored column-indexed.
 """
 from __future__ import annotations
 
@@ -170,17 +169,6 @@ def block_longest(n: int, m: int) -> Perm:
     return longest(n) + tuple(2 * n + m + 1 - i for i in range(n + 1, n + m + 1))
 
 
-def w_mn(n: int, m: int) -> Perm:
-    """
-    The longest element of S_{n+m} times ``block_longest(n, m)``; its matrix
-    is the block anti-identity ``[[0, I_m], [I_n, 0]]``.
-
-    >>> w_mn(2, 2)
-    (3, 4, 1, 2)
-    """
-    return compose(longest(n + m), block_longest(n, m))
-
-
 def is_min_rep_first(w: Sequence[int], t: int) -> bool:
     """
     True iff ``w`` is the minimal-length representative of its coset modulo
@@ -203,27 +191,6 @@ def is_min_rep_last(w: Sequence[int], k: int) -> bool:
     if not 0 <= k <= n:
         raise ValueError(f"k out of range: {k}")
     return all(w[i] < w[i + 1] for i in range(n - k, n - 1))
-
-
-def min_rep_first(w: Sequence[int], t: int) -> Perm:
-    """
-    Minimal representative of the coset of ``w`` modulo the subgroup
-    permuting positions ``1..t``: sort the first ``t`` images ascending.
-
-    >>> min_rep_first((2, 1, 3), 2)
-    (1, 2, 3)
-    """
-    if not 0 <= t <= len(w):
-        raise ValueError(f"t out of range: {t}")
-    return tuple(sorted(w[:t])) + tuple(w[t:])
-
-
-def min_rep_last(w: Sequence[int], k: int) -> Perm:
-    """Minimal coset representative: sort the last ``k`` images ascending."""
-    n = len(w)
-    if not 0 <= k <= n:
-        raise ValueError(f"k out of range: {k}")
-    return tuple(w[: n - k]) + tuple(sorted(w[n - k:]))
 
 
 def extend_ascending(n: int, head: Sequence[int]) -> Perm:
@@ -302,16 +269,6 @@ class PartialPerm:
             image[c - 1] = r
         return cls(rows, cols, tuple(image))
 
-    @classmethod
-    def empty(cls, rows: int, cols: int) -> "PartialPerm":
-        return cls(rows, cols, (None,) * cols)
-
-    def __call__(self, j: int) -> Optional[int]:
-        """Row hit by column ``j`` (1-based), or ``None``."""
-        if not 1 <= j <= self.cols:
-            raise ValueError(f"column {j} out of range 1..{self.cols}")
-        return self.image[j - 1]
-
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Defined ``(column, row)`` pairs in column order."""
         return tuple((j + 1, r) for j, r in enumerate(self.image) if r is not None)
@@ -326,20 +283,6 @@ class PartialPerm:
 
     def rank(self) -> int:
         return sum(1 for r in self.image if r is not None)
-
-    def transpose(self) -> "PartialPerm":
-        """The inverse bijection, mapping hit rows back to columns."""
-        return PartialPerm.from_pairs(self.cols, self.rows,
-                                      ((r, j) for j, r in self.pairs()))
-
-    def is_total(self) -> bool:
-        return self.rows == self.cols == self.rank()
-
-    def to_perm(self) -> Perm:
-        """One-line notation; requires a total square partial permutation."""
-        if not self.is_total():
-            raise ValueError("not a total permutation")
-        return check_perm([r for r in self.image])  # type: ignore[misc]
 
     def literal(self) -> str:
         """
@@ -376,95 +319,6 @@ def as_partial(w: Sequence[int]) -> PartialPerm:
     """View a permutation as a total square partial permutation."""
     w = check_perm(w)
     return PartialPerm(len(w), len(w), w)
-
-
-def partial_identity(m: int, n: int, t: int) -> PartialPerm:
-    """
-    The rank-``t`` partial identity on the ``m x n`` grid: column ``j`` maps
-    to row ``j`` for ``j <= t``.
-
-    >>> partial_identity(2, 3, 0).rank()
-    0
-    """
-    if not 0 <= t <= min(m, n):
-        raise ValueError(f"t out of range: {t}")
-    return PartialPerm.from_pairs(m, n, ((j, j) for j in range(1, t + 1)))
-
-
-def partial_identity_tail(m: int, t: int) -> PartialPerm:
-    """The ``m x m`` partial identity on columns ``t+1..m`` (zero block then identity)."""
-    if not 0 <= t <= m:
-        raise ValueError(f"t out of range: {t}")
-    return PartialPerm.from_pairs(m, m, ((j, j) for j in range(t + 1, m + 1)))
-
-
-def left_compose(p: Sequence[int], w: PartialPerm) -> PartialPerm:
-    """Relabel rows of ``w`` by the permutation ``p``: column ``j`` maps to ``p(w(j))``."""
-    p = check_perm(p)
-    if len(p) != w.rows:
-        raise ValueError(f"size mismatch: {len(p)} vs {w.rows} rows")
-    return PartialPerm(w.rows, w.cols,
-                       tuple(None if r is None else p[r - 1] for r in w.image))
-
-
-def right_compose(w: PartialPerm, p: Sequence[int]) -> PartialPerm:
-    """Precompose columns: the result maps column ``j`` to ``w(p(j))``."""
-    p = check_perm(p)
-    if len(p) != w.cols:
-        raise ValueError(f"size mismatch: {w.cols} cols vs {len(p)}")
-    return PartialPerm(w.rows, w.cols, tuple(w.image[j - 1] for j in p))
-
-
-@dataclass(frozen=True)
-class Blocks:
-    """The four blocks of a permutation matrix split after row/column ``n``."""
-
-    w11: PartialPerm  # n x n
-    w12: PartialPerm  # n x m
-    w21: PartialPerm  # m x n
-    w22: PartialPerm  # m x m
-
-
-def block_split(w: Sequence[int], n: int, m: int) -> Blocks:
-    """
-    Split a permutation of ``{1..n+m}`` into the four partial permutations
-    whose matrix blocks (split after row and column ``n``) reassemble it.
-
-    >>> block_split((6, 2, 3, 5, 4, 1), 3, 3).w21.pairs()
-    ((1, 3),)
-    """
-    w = check_perm(w)
-    if len(w) != n + m:
-        raise ValueError(f"block sizes inconsistent: {len(w)} != {n}+{m}")
-    p11, p12, p21, p22 = [], [], [], []
-    for j in range(1, n + 1):
-        r = w[j - 1]
-        (p11 if r <= n else p21).append((j, r if r <= n else r - n))
-    for j in range(1, m + 1):
-        r = w[n + j - 1]
-        (p12 if r <= n else p22).append((j, r if r <= n else r - n))
-    return Blocks(PartialPerm.from_pairs(n, n, p11), PartialPerm.from_pairs(n, m, p12),
-                  PartialPerm.from_pairs(m, n, p21), PartialPerm.from_pairs(m, m, p22))
-
-
-def block_join(blocks: Blocks) -> Perm:
-    """Reassemble a permutation from its four blocks (inverse of ``block_split``)."""
-    w11, w12, w21, w22 = blocks.w11, blocks.w12, blocks.w21, blocks.w22
-    n, m = w11.rows, w22.rows
-    if (w11.cols, w12.rows, w12.cols, w21.rows, w21.cols, w22.cols) != (n, n, m, m, n, m):
-        raise ValueError("block sizes inconsistent")
-    image = []
-    for j in range(1, n + 1):
-        top, bottom = w11(j), w21(j)
-        if (top is None) == (bottom is None):
-            raise ValueError(f"column {j} covered {'twice' if top else 'never'}")
-        image.append(top if top is not None else n + bottom)  # type: ignore[operator]
-    for j in range(1, m + 1):
-        top, bottom = w12(j), w22(j)
-        if (top is None) == (bottom is None):
-            raise ValueError(f"column {n + j} covered {'twice' if top else 'never'}")
-        image.append(top if top is not None else n + bottom)  # type: ignore[operator]
-    return check_perm(image)
 
 
 def partial_perms(m: int, n: int, rank: Optional[int] = None) -> Iterator[PartialPerm]:

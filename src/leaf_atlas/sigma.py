@@ -16,8 +16,7 @@ from .leaves import LeafIndex
 from .permutations import (Perm, PartialPerm, bruhat_leq, check_perm, compose,
                            extend_ascending, int_field, int_list_field,
                            inverse, is_min_rep_first, is_min_rep_last,
-                           longest, min_rep_last, min_reps_first,
-                           min_reps_last)
+                           longest, min_reps_first, min_reps_last)
 
 
 @dataclass(frozen=True)
@@ -168,17 +167,3 @@ def decompose_partial(w: PartialPerm, form: str) -> tuple[Perm, Perm]:
     dots = w.pairs() if form == "yv" else sorted(w.pairs(), key=lambda cr: cr[1])
     return (extend_ascending(w.rows, [r for _, r in dots]),
             extend_ascending(w.cols, [c for c, _ in dots]))
-
-
-def sigma_retile(sig: SigmaTuple) -> tuple[SigmaTuple, Perm, Perm]:
-    """
-    Split ``z = z0 . tau1`` and ``v = v0 . tau2`` with ``z0``, ``v0`` minimal
-    on both ranges and ``tau1``, ``tau2`` permuting only positions past ``t``.
-    The base quadruple ``(y, v0, z0, u)`` is again valid.
-    """
-    m, n, t = sig.m, sig.n, sig.t
-    z0 = min_rep_last(sig.z, m - t)
-    v0 = min_rep_last(sig.v, n - t)
-    tau1 = compose(inverse(z0), sig.z)
-    tau2 = compose(inverse(v0), sig.v)
-    return SigmaTuple(sig.y, v0, z0, sig.u, t), tau1, tau2

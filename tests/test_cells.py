@@ -12,6 +12,7 @@ from leaf_atlas.exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix,
 from leaf_atlas.leaves import LeafIndex, classify_leaf, in_leaf
 from leaf_atlas.permutations import PartialPerm, identity, partial_perms
 from matrix_strategies import oracle_matrices
+from perm_oracles import rank_at
 
 
 def test_in_cell_examples():
@@ -38,10 +39,10 @@ def test_classify_examples():
 def test_pp_profile_matches_numeric_profile():
     # dot counting agrees with the rank profile of the 0/1 matrix
     for pp in partial_perms(3, 4):
-        dense = RationalMatrix([[1 if pp(j) == i else 0 for j in range(1, 5)]
+        dense = RationalMatrix([[1 if r == i else 0 for r in pp.image]
                                 for i in range(1, 4)])
         for kind in (SOUTHWEST, NORTHEAST):
-            assert cells.pp_rank_profile(pp, kind).table == rank_profile(dense, kind).table
+            assert cells.pp_rank_profile(pp, kind) == rank_profile(dense, kind)
 
 
 def test_partition_property():
@@ -67,7 +68,7 @@ def brute_ne_class(x):
     """Independent search: the unique label with matching upper-right ranks."""
     hits = []
     for w in partial_perms(x.rows, x.cols):
-        if cells.pp_rank_profile(w, NORTHEAST).table == rank_profile(x, NORTHEAST).table:
+        if cells.pp_rank_profile(w, NORTHEAST) == rank_profile(x, NORTHEAST):
             hits.append(w)
     assert len(hits) == 1
     return hits[0]
@@ -92,9 +93,9 @@ def test_closure_matches_profile_order():
     for i in range(200):
         x = sample_rank(2, 3, i % 3, rng)
         mine = cells.classify(x, "B+")
-        my_table = cells.pp_rank_profile(mine, SOUTHWEST).table
+        my_table = cells.pp_rank_profile(mine, SOUTHWEST)
         for w in labels:
-            wt = cells.pp_rank_profile(w, SOUTHWEST).table
+            wt = cells.pp_rank_profile(w, SOUTHWEST)
             profile_leq = all(a <= b for ra, rb in zip(my_table, wt)
                               for a, b in zip(ra, rb))
             assert cells.in_cell(x, w, "B+", "closure") == profile_leq
@@ -103,11 +104,14 @@ def test_closure_matches_profile_order():
 def table_classify(x, side):
     """Oracle: the dots are where the second difference of the corner rank table is 1."""
     kind = SOUTHWEST if side == "B+" else NORTHEAST
-    prof = rank_profile(x, kind)
+    table = rank_profile(x, kind)
     step = 1 if kind == SOUTHWEST else -1
+
+    def r(p, q):
+        return rank_at(table, kind, p, q)
+
     pairs = [(q, p) for p in range(1, x.rows + 1) for q in range(1, x.cols + 1)
-             if prof.rank_at(p, q) - prof.rank_at(p + step, q)
-             - prof.rank_at(p, q - step) + prof.rank_at(p + step, q - step) == 1]
+             if r(p, q) - r(p + step, q) - r(p, q - step) + r(p + step, q - step) == 1]
     return PartialPerm.from_pairs(x.rows, x.cols, pairs)
 
 
@@ -117,7 +121,7 @@ def table_classify_leaf(x):
     rows = [[int(j == n - i) for j in range(m + n)] for i in range(1, n + 1)]
     rows += [list(x.entries[i - 1]) + [int(j == m - i) for j in range(m)]
              for i in range(1, m + 1)]
-    return LeafIndex.from_w(table_classify(RationalMatrix(rows), "B+").to_perm(), m, n)
+    return LeafIndex.from_w(table_classify(RationalMatrix(rows), "B+").image, m, n)
 
 
 @given(oracle_matrices(6))

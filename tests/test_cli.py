@@ -229,10 +229,14 @@ def test_classify_rejects_reinterpretable_json(tmp_path, capsys, text, m, n):
     (None, ("leaves", "enumerate", "--m", "2", "--n", "2", "--rank", "-1")),
     (None, ("sigma", "phi-inv", "--w", "1", "--m", "0", "--n", "1")),
     (None, ("sigma", "phi-inv", "--w", "3,2,1", "--m", "3", "--n", "0")),
+    (None, ("dbc", "nonempty", "--w1", "0x0:", "--w2", "0x0:")),
+    (None, ("dbc", "decompose", "--w1", "0x3:", "--w2", "0x3:")),
+    (None, ("dbc", "dense", "--w1", "2x0:", "--w2", "2x0:")),
 ], ids=["text-zero-denominator", "json-zero-denominator", "sigma-not-an-object",
         "sigma-without-u", "sigma-field-not-a-list", "verify-zero-samples",
         "verify-negative-samples", "verify-zero-threads", "enumerate-rank-above",
-        "enumerate-rank-negative", "phi-inv-zero-rows", "phi-inv-zero-cols"])
+        "enumerate-rank-negative", "phi-inv-zero-rows", "phi-inv-zero-cols",
+        "dbc-nonempty-empty-grid", "dbc-decompose-zero-rows", "dbc-dense-zero-cols"])
 def test_malformed_input_is_a_domain_error(tmp_path, capsys, matrix, argv):
     if matrix is not None:
         path = tmp_path / "m.txt"

@@ -1,11 +1,15 @@
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-from leaf_atlas import cells, exact_matrix, jsonout, leaves, permutations
+import leaf_atlas
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(leaf_atlas.__path__, "leaf_atlas."))
 
 
-@pytest.mark.parametrize("module", [permutations, exact_matrix, cells, leaves, jsonout])
-def test_module_doctests(module):
-    result = doctest.testmod(module)
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    result = doctest.testmod(importlib.import_module(name))
     assert result.failed == 0

@@ -7,9 +7,9 @@ from leaf_atlas.double_bruhat import (DoubleCellIndex, classify_double,
                                       nonempty_by_completion)
 from leaf_atlas.exact_matrix import RationalMatrix, sample_rank
 from leaf_atlas.leaves import classify_leaf, enumerate_leaves
-from leaf_atlas.permutations import (as_partial, bruhat_leq, parse_partial,
-                                     partial_identity, partial_perms)
+from leaf_atlas.permutations import as_partial, bruhat_leq, parse_partial, partial_perms
 from leaf_atlas.sigma import SigmaTuple, phi_inv, phi_to_leaf
+from perm_oracles import partial_identity
 
 CELL_45 = DoubleCellIndex(parse_partial("3x3:1->3"), parse_partial("3x3:3->1"))
 SIGMA_513 = SigmaTuple((3, 1, 2), (1, 3, 2), (1, 2, 3), (3, 1, 2), 1)

@@ -6,14 +6,14 @@ from leaf_atlas import cells, harness
 from leaf_atlas.echelon import (COLUMN, ROW, all_patterns,
                                 column_pattern, column_stratum_representative,
                                 column_stratum_sigma, in_pattern, leaf_factors,
-                                parse_pattern, row_pattern, row_stratum_sigma,
+                                parse_pattern, row_pattern,
                                 sample_column_stratum, sample_row_stratum,
                                 stratify_pattern)
 from leaf_atlas.exact_matrix import (RationalMatrix, rank, sample_echelon_col,
                                      sample_echelon_row)
 from leaf_atlas.leaves import LeafIndex, classify_leaf
-from leaf_atlas.permutations import PartialPerm
-from leaf_atlas.sigma import enumerate_sigma, phi_inv, phi_to_leaf
+from leaf_atlas.permutations import PartialPerm, identity
+from leaf_atlas.sigma import SigmaTuple, enumerate_sigma, phi_inv, phi_to_leaf
 
 
 def test_pattern_validation_and_literals():
@@ -118,7 +118,7 @@ def test_targeted_stratum_sampling():
     u, v = stratify_pattern(row_pattern(3, (2,)))[0]
     r = sample_row_stratum(1, 3, u, v, rng)
     assert r is not None
-    assert classify_leaf(r) == phi_to_leaf(row_stratum_sigma(1, 3, u, v))
+    assert classify_leaf(r) == phi_to_leaf(SigmaTuple(identity(1), v, identity(1), u, 1))
 
 
 def test_leaf_factors_descriptors():
@@ -148,7 +148,7 @@ def test_factor_products_classify_to_the_leaf():
                 assert classify_leaf(c) == phi_to_leaf(
                     column_stratum_sigma(m, t, sig.y, sig.z))
                 assert classify_leaf(r) == phi_to_leaf(
-                    row_stratum_sigma(t, n, sig.u, sig.v))
+                    SigmaTuple(identity(t), sig.v, identity(t), sig.u, t))
                 assert classify_leaf(c @ r) == phi_to_leaf(sig)
 
 

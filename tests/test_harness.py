@@ -129,13 +129,17 @@ def test_unknown_campaign_rejected():
      "row_factors": ["2", "3"]},
     [1],
     "x",
+    {"check": "pp_count", "m": 2, "n": 2, "t": 3},
+    {"check": "pp_count", "m": 0, "n": 2, "t": 0},
+    {"check": "phi_lock", "m": -4, "n": 7},
 ], ids=["leaf-m-string", "leaf-w-bool", "sigma-t-string", "sigma-y-int",
         "rank-m-string", "shape-m-float", "shape-m-bool", "strata-m-bool",
         "echelon-stratum-m-string", "strata-leaves-bool", "strata-leaves-int",
         "torus-factor-bool", "torus-factor-float", "matrix-not-a-string",
         "w1-not-a-string", "sigma-not-an-object", "leaf-not-an-object", "leaf-m-zero",
         "payload-lacks-fields", "payload-lacks-check", "torus-lacks-factors",
-        "payload-a-list", "payload-a-string"])
+        "payload-a-list", "payload-a-string", "rank-t-above", "rank-m-zero",
+        "shape-m-negative"])
 def test_replay_rejects_wrong_typed_fields(payload):
     with pytest.raises(ValueError):
         harness.replay(payload)

@@ -10,9 +10,9 @@ from leaf_atlas.exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix, rank,
 from leaf_atlas.leaves import (LeafIndex, classify_leaf, closure_leq,
                                enumerate_leaves, hasse, hasse_dot, in_leaf,
                                leaf_profile, rank_of_index, window_ok)
-from leaf_atlas.permutations import (block_longest, block_split, bruhat_leq, left_compose,
-                                     longest, min_reps_first, min_reps_last,
-                                     right_compose)
+from leaf_atlas.permutations import (block_longest, bruhat_leq, longest, min_reps_first,
+                                     min_reps_last)
+from perm_oracles import block_split, left_compose, right_compose, transpose
 
 
 def shapes(max_size):
@@ -195,7 +195,7 @@ def test_block_containment():
         b = block_split(classify_leaf(x).w, n, m)
         assert cells.classify(x, "B+") == b.w21
         assert cells.classify(x, "B-") == left_compose(
-            longest(m), right_compose(b.w12.transpose(), longest(n)))
+            longest(m), right_compose(transpose(b.w12), longest(n)))
 
 
 def _dots_in(w, r1, r2, c1, c2):
@@ -207,9 +207,9 @@ def block_relabel_targets(L):
     """Oracle: the targets from the four blocks of ``w``, relabelled by longest elements."""
     m, n = L.m, L.n
     b = block_split(L.w, n, m)
-    sw = cells.pp_rank_profile(b.w21, SOUTHWEST).table
-    lower = left_compose(longest(m), right_compose(b.w12.transpose(), longest(n)))
-    ne = cells.pp_rank_profile(lower, NORTHEAST).table
+    sw = cells.pp_rank_profile(b.w21, SOUTHWEST)
+    lower = left_compose(longest(m), right_compose(transpose(b.w12), longest(n)))
+    ne = cells.pp_rank_profile(lower, NORTHEAST)
     top_left = left_compose(longest(n), b.w11)
     col = tuple((p, q, q + 1 - p - _dots_in(top_left, p, n, p, q))
                 for p in range(2, n + 1) for q in range(p, n + 1))

@@ -1,0 +1,58 @@
+"""Every module-level ``def`` and ``class`` of the library is reached by the library.
+
+A name passes if another part of ``src/leaf_atlas`` refers to it (the
+``__init__`` re-exports do not count), if it is the function of a registered
+check in ``harness.CHECKS``, if the benchmark's tracer wraps it
+(``perfbench/tracing.py`` ``TARGETS``), or if it is listed in ``PUBLIC``.
+A helper that only tests call belongs in ``tests/``.
+"""
+import ast
+from pathlib import Path
+
+import leaf_atlas
+from leaf_atlas.harness import CHECKS
+from test_trace_targets import _targets
+
+# The API of the paper's presentations, and the harness entry point for a
+# report's counterexamples, that no other module happens to call.
+PUBLIC = (
+    ("in_cell", "Bruhat-cell membership, the rank-condition side of cells.classify"),
+    ("closure_leq", "the closure order on strata, the paper's partial order"),
+    ("leaf_factors", "the echelon factor pairs of a stratum, the paper's third presentation"),
+    ("column_pattern", "constructor of the column-echelon pattern of a factor"),
+    ("row_pattern", "constructor of the row-echelon pattern of a factor"),
+    ("replay", "re-runs the failed check of a counterexample payload in a report"),
+)
+
+
+def _unreached() -> list[str]:
+    """``module.name`` of each definition that passes none of the tests above."""
+    root = Path(leaf_atlas.__file__).parent
+    defined, uses = [], []  # uses: (module, definition or None, names it refers to)
+    for path in sorted(root.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            if own is not None:
+                defined.append((path.stem, own))
+            uses.append((path.stem, own, {n.id if isinstance(n, ast.Name) else n.attr
+                                          for n in ast.walk(node)
+                                          if isinstance(n, (ast.Name, ast.Attribute))}))
+    checked = {check.fn for check in CHECKS.values()}
+    traced = {(module, path.split(".")[0]) for module, path in _targets()}
+    public = {name for name, _ in PUBLIC}
+    return [f"{module}.{name}" for module, name in defined
+            if not any(name in names and (where, own) != (module, name)
+                       for where, own, names in uses)
+            and name not in checked and (module, name) not in traced
+            and name not in public]
+
+
+def test_every_definition_is_reached():
+    assert _unreached() == []
+
+
+def test_public_names_exist():
+    for name, reason in PUBLIC:
+        assert reason and callable(getattr(leaf_atlas, name, None)), name

@@ -4,12 +4,12 @@ import pytest
 
 from leaf_atlas.exact_matrix import RationalMatrix
 from leaf_atlas.leaves import LeafIndex, enumerate_leaves, in_leaf
-from leaf_atlas.permutations import (PartialPerm, block_split, bruhat_leq, check_perm,
-                                     identity, inverse, left_compose, min_reps_first,
-                                     min_reps_last, partial_identity,
-                                     partial_perms, right_compose)
+from leaf_atlas.permutations import (PartialPerm, bruhat_leq, check_perm, identity,
+                                     inverse, min_reps_first, min_reps_last,
+                                     partial_perms)
 from leaf_atlas.sigma import (SigmaTuple, decompose_partial, enumerate_sigma,
-                              phi, phi_inv, phi_to_leaf, sigma_retile)
+                              phi, phi_inv, phi_to_leaf)
+from perm_oracles import block_split, left_compose, partial_identity, right_compose
 
 SIGMA_513 = SigmaTuple((3, 1, 2), (1, 3, 2), (1, 2, 3), (3, 1, 2), 1)
 
@@ -131,7 +131,7 @@ def test_decompose_partial_trivial():
     p = partial_identity(3, 4, 2)
     assert decompose_partial(p, "yv") == (identity(3), identity(4))
     assert decompose_partial(p, "zu") == (identity(3), identity(4))
-    empty = PartialPerm.empty(2, 3)
+    empty = PartialPerm(2, 3, (None,) * 3)
     assert decompose_partial(empty, "yv") == (identity(2), identity(3))
     with pytest.raises(ValueError):
         decompose_partial(p, "xy")
@@ -177,29 +177,3 @@ def test_decompose_uniqueness():
                  and is_min_rep_first(v, t) and is_min_rep_last(v, n - t)
                  and recompose(y, v, m, n, t) == w]
         assert found == [expected]
-
-
-# --- retiling ---------------------------------------------------------------
-
-def test_sigma_retile_identity_case():
-    base, tau1, tau2 = sigma_retile(SIGMA_513)
-    assert tau1 == identity(3)
-    assert base.z == SIGMA_513.z
-    # v = (1,3,2) has a non-minimal tail; it splits off tau2 = (1,3,2)
-    assert base.v == (1, 2, 3) and tau2 == (1, 3, 2)
-
-
-def test_sigma_retile_roundtrip_and_minimality():
-    from leaf_atlas.permutations import compose, is_min_rep_last
-    for m, n in [(2, 2), (3, 2), (3, 3)]:
-        for t in range(min(m, n) + 1):
-            for sig in enumerate_sigma(m, n, t):
-                base, tau1, tau2 = sigma_retile(sig)
-                assert is_min_rep_last(base.z, m - t)
-                assert is_min_rep_last(base.v, n - t)
-                assert compose(base.z, tau1) == sig.z
-                assert compose(base.v, tau2) == sig.v
-                assert all(tau1[j] == j + 1 for j in range(t))
-                assert all(tau2[j] == j + 1 for j in range(t))
-                assert bruhat_leq(base.z, sig.y)
-                assert bruhat_leq(base.v, sig.u)
