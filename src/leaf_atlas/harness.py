@@ -367,6 +367,35 @@ def _decode_rank(p: dict) -> tuple[int, int, int]:
     return m, n, t
 
 
+def _require_shape(name: str, a: RationalMatrix, rows: int, cols: int) -> None:
+    if (a.rows, a.cols) != (rows, cols):
+        raise ValueError(f"{name} must be {rows}x{cols}, got {a.rows}x{a.cols}")
+
+
+def _decode_echelon_stratum(p: dict) -> tuple:
+    """A column stratum sample: an ``m x t`` matrix, ``n == t``, ``y`` and ``z`` in S_m."""
+    m, n, t = _decode_rank(p)
+    if n != t:
+        raise ValueError(f"an echelon_stratum payload has n == t, got n={n}, t={t}")
+    a, y, z = from_text(p["matrix"]), int_list_field(p, "y"), int_list_field(p, "z")
+    _require_shape("matrix", a, m, t)
+    if len(y) != m or len(z) != m:
+        raise ValueError(f"y and z must have length m={m}, got {list(y)} and {list(z)}")
+    return a, m, t, y, z
+
+
+def _decode_product(p: dict) -> tuple:
+    """Factors ``c`` (``m x t``) and ``r`` (``t x n``) of the quadruple's shape."""
+    sig = SigmaTuple.from_dict(p["sigma"])
+    if _decode_shape(p) != (sig.m, sig.n):
+        raise ValueError(f"m, n = {p['m']}, {p['n']} disagree with the quadruple's "
+                         f"{sig.m}, {sig.n}")
+    c, r = from_text(p["c"]), from_text(p["r"])
+    _require_shape("c", c, sig.m, sig.t)
+    _require_shape("r", r, sig.t, sig.n)
+    return c, r, sig
+
+
 _STRATA = (_encode_strata, _decode_strata)
 _MATRIX = (lambda x: {"m": x.rows, "n": x.cols, "matrix": x.to_text()},
            lambda p: (from_text(p["matrix"]),))
@@ -404,13 +433,12 @@ CHECKS: dict[str, Check] = {
         "check_echelon_stratum",
         lambda a, m, t, y, z: {"m": m, "n": t, "t": t, "y": list(y), "z": list(z),
                                "matrix": a.to_text()},
-        lambda p: (from_text(p["matrix"]), int_field(p, "m"), int_field(p, "t"),
-                   int_list_field(p, "y"), int_list_field(p, "z"))),
+        _decode_echelon_stratum),
     "echelon_product": Check(
         "check_product",
         lambda c, r, sig: {"m": sig.m, "n": sig.n, "c": c.to_text(), "r": r.to_text(),
                            "sigma": sig.to_dict()},
-        lambda p: (from_text(p["c"]), from_text(p["r"]), SigmaTuple.from_dict(p["sigma"]))),
+        _decode_product),
     "zero_product": Check("check_zero_product", *_SIGMA),
     "window_vs_bruhat": Check("check_window_vs_bruhat", *_SHAPE),
     "sigma_count": Check("check_sigma_count", *_RANK),
@@ -504,14 +532,16 @@ def _run_blocks_stream(report: VerificationReport, m: int, n: int, count: int,
 
 
 def _run_phi_bijection(report: VerificationReport, m: int, n: int, *_) -> None:
-    for t in range(min(m, n) + 1):
+    by_rank: list[list[LeafIndex]] = [[] for _ in range(min(m, n) + 1)]
+    for L in all_leaves(m, n):
+        by_rank[L.t].append(L)
+    for t, leaves_of_rank in enumerate(by_rank):
         report.check("sigma_count", m, n, t)
         report.check("phi_injective", m, n, t)
         for s in _sigmas(m, n, t):
             report.check("phi_roundtrip", s)
-        for L in all_leaves(m, n):
-            if L.t == t:
-                report.check("leaf_roundtrip", L)
+        for L in leaves_of_rank:
+            report.check("leaf_roundtrip", L)
         report.bump(f"sigma_count_{t}", len(_sigmas(m, n, t)))
     report.check("phi_lock", m, n)
 

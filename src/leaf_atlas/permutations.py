@@ -13,9 +13,9 @@ Conventions used across the package (all indices and values are 1-based):
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from dataclasses import dataclass
 from math import comb, factorial
+from operator import lt
 from typing import Iterable, Iterator, Optional, Sequence
 
 Perm = tuple[int, ...]
@@ -136,25 +136,30 @@ def subset_leq(left: Iterable[int], right: Iterable[int]) -> bool:
 
 def bruhat_leq(y: Sequence[int], z: Sequence[int]) -> bool:
     """
-    Bruhat order on S_n: ``y <= z`` iff for every p the sorted prefix
-    ``{y(1)..y(p)}`` is entrywise <= the sorted prefix ``{z(1)..z(p)}``.
+    Bruhat order on S_n: ``y <= z`` iff for every prefix length ``p`` and
+    every threshold ``k``, no more of ``y(1)..y(p)`` than of ``z(1)..z(p)``
+    are ``>= k`` (Björner & Brenti, *Combinatorics of Coxeter Groups*, ch. 2).
+    Both must be permutations of ``1..n``; each prefix is a bitmask of its
+    values, and the count of ``y``'s exceeds that of ``z``'s first, if at
+    all, at a threshold ``k`` in ``y``'s prefix and not in ``z``'s.
 
     >>> bruhat_leq((2, 1, 3), (2, 3, 1))
     True
     >>> bruhat_leq((3, 1, 2), (2, 3, 1)), bruhat_leq((2, 3, 1), (3, 1, 2))
     (False, False)
     """
-    n = len(y)
-    if n != len(z):
-        raise ValueError(f"size mismatch: {n} vs {len(z)}")
-    ys: list[int] = []
-    zs: list[int] = []
-    for p in range(n - 1):  # the full prefix is always equal
-        insort(ys, y[p])
-        insort(zs, z[p])
-        for a, b in zip(ys, zs):
-            if a > b:
+    if len(y) != len(z):
+        raise ValueError(f"size mismatch: {len(y)} vs {len(z)}")
+    ys = zs = 0
+    for a, b in zip(y, z):
+        ys |= 1 << a
+        zs |= 1 << b
+        only_y = ys & ~zs
+        while only_y:
+            k = only_y.bit_length() - 1
+            if (ys >> k).bit_count() > (zs >> k).bit_count():
                 return False
+            only_y ^= 1 << k
     return True
 
 
@@ -179,7 +184,7 @@ def is_min_rep_first(w: Sequence[int], t: int) -> bool:
     """
     if not 0 <= t <= len(w):
         raise ValueError(f"t out of range: {t}")
-    return all(w[i] < w[i + 1] for i in range(t - 1))
+    return all(map(lt, w[:t], w[1:t]))
 
 
 def is_min_rep_last(w: Sequence[int], k: int) -> bool:
@@ -190,7 +195,7 @@ def is_min_rep_last(w: Sequence[int], k: int) -> bool:
     n = len(w)
     if not 0 <= k <= n:
         raise ValueError(f"k out of range: {k}")
-    return all(w[i] < w[i + 1] for i in range(n - k, n - 1))
+    return all(map(lt, w[n - k:], w[n - k + 1:]))
 
 
 def extend_ascending(n: int, head: Sequence[int]) -> Perm:
@@ -202,10 +207,11 @@ def extend_ascending(n: int, head: Sequence[int]) -> Perm:
     (3, 1, 2, 4)
     """
     head = tuple(head)
-    rest = sorted(set(range(1, n + 1)) - set(head))
+    used = set(head)
+    rest = tuple(x for x in range(1, n + 1) if x not in used)
     if len(head) + len(rest) != n:
         raise ValueError(f"head {head} is not injective into 1..{n}")
-    return head + tuple(rest)
+    return head + rest
 
 
 def min_reps_first(n: int, t: int) -> Iterator[Perm]:

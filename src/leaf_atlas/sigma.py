@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .leaves import LeafIndex
-from .permutations import (Perm, PartialPerm, bruhat_leq, check_perm, compose,
+from .permutations import (Perm, PartialPerm, bruhat_leq, check_perm,
                            extend_ascending, int_field, int_list_field,
                            inverse, is_min_rep_first, is_min_rep_last,
-                           longest, min_reps_first, min_reps_last)
+                           min_reps_first, min_reps_last)
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,22 @@ class SigmaTuple:
         if not bruhat_leq(v, u):
             raise ValueError(f"v={v} is not Bruhat-below u={u}")
 
+    @classmethod
+    def _trusted(cls, y: Perm, v: Perm, z: Perm, u: Perm, t: int) -> "SigmaTuple":
+        """
+        The quadruple ``(y, v, z, u, t)``, unchecked: for ``enumerate_sigma``
+        alone, whose generators give the minimal representatives and whose
+        filter gives ``z <= y`` and ``v <= u``.  The registered check
+        ``phi_roundtrip`` covers each one: it compares it with
+        ``phi_inv(phi_to_leaf(...))``, which is built by the validating
+        constructor, so an invalid quadruple fails that check or raises
+        ``ValueError``.
+        """
+        sig = object.__new__(cls)
+        for name, value in zip("yvzut", (y, v, z, u, t)):
+            object.__setattr__(sig, name, value)
+        return sig
+
     @property
     def m(self) -> int:
         return len(self.y)
@@ -78,16 +94,23 @@ class SigmaTuple:
 
 
 def enumerate_sigma(m: int, n: int, t: int) -> list[SigmaTuple]:
-    """All valid quadruples for rank ``t``, ordered lexicographically by (y, v, z, u)."""
+    """
+    All valid quadruples for rank ``t``, ordered lexicographically by
+    ``(y, v, z, u)``.  They are built unchecked (``SigmaTuple._trusted``):
+    ``y``, ``z``, ``v`` and ``u`` come from the minimal-representative
+    generators, each in lexicographic order, and are kept only in pairs with
+    ``z <= y`` and ``v <= u``.  The campaign ``phi_bijection`` runs the
+    registered check ``phi_roundtrip`` on every one of them, which fails or
+    raises on an invalid quadruple.
+    """
     if not 0 <= t <= min(m, n):
         raise ValueError(f"t={t} out of range for m={m}, n={n}")
-    yz = [(y, z) for y in min_reps_last(m, m - t)
-          for z in min_reps_first(m, t) if bruhat_leq(z, y)]
-    vu = [(v, u) for v in min_reps_first(n, t)
-          for u in min_reps_last(n, n - t) if bruhat_leq(v, u)]
-    out = [SigmaTuple(y, v, z, u, t) for (y, z) in yz for (v, u) in vu]
-    out.sort(key=lambda s: (s.y, s.v, s.z, s.u))
-    return out
+    zs, us = tuple(min_reps_first(m, t)), tuple(min_reps_last(n, n - t))
+    below = [(y, [z for z in zs if bruhat_leq(z, y)]) for y in min_reps_last(m, m - t)]
+    above = [(v, [u for u in us if bruhat_leq(v, u)]) for v in min_reps_first(n, t)]
+    trusted = SigmaTuple._trusted
+    return [trusted(y, v, z, u, t) for y, zs_of_y in below for v, us_of_v in above
+            for z in zs_of_y for u in us_of_v]
 
 
 def phi(sig: SigmaTuple) -> Perm:
@@ -115,35 +138,32 @@ def phi(sig: SigmaTuple) -> Perm:
 def phi_to_leaf(sig: SigmaTuple) -> LeafIndex:
     """The stratum index of a quadruple: the longest element times ``phi``."""
     N = sig.m + sig.n
-    return LeafIndex.from_w(compose(longest(N), phi(sig)), sig.m, sig.n)
+    return LeafIndex.from_w(tuple(N + 1 - x for x in phi(sig)), sig.m, sig.n)
 
 
 def phi_inv(L: LeafIndex) -> SigmaTuple:
     """
-    The unique quadruple mapping to ``L``, reconstructed from the blocks of
-    the reflected permutation: ``y`` from the top-left block along its domain
-    in ascending order, ``u`` from the bottom-right block along its domain in
-    descending order, then ``v`` and ``z`` extended through the transposed
-    off-diagonal blocks.
+    The unique quadruple mapping to ``L``, read off the blocks of the
+    reflected permutation ``c -> m+n+1 - w(c)``, whose top rows are the
+    images ``w(c) > n``: ``y`` from the top-left block along its domain in
+    ascending order, ``u`` from the bottom-right block along its domain in
+    descending order, then ``v`` and ``z`` extended through the
+    off-diagonal blocks, inverted by ``col_of``.  The result goes through
+    the validating constructor.
     """
-    m, n, t = L.m, L.n, L.t
+    m, n, w = L.m, L.n, L.w
     N = m + n
-    wt = tuple(N + 1 - x for x in L.w)
-    # Blocks of wt with rows split (m, n) and columns split (n, m).
-    w11 = {c: r for c, r in enumerate(wt[:n], 1) if r <= m}
-    w21 = {c: r - m for c, r in enumerate(wt[:n], 1) if r > m}
-    w12 = {c: r for c, r in enumerate(wt[n:], 1) if r <= m}
-    w22 = {c: r - m for c, r in enumerate(wt[n:], 1) if r > m}
-
-    vs = sorted(w11)
-    y = extend_ascending(m, [m + 1 - w11[c] for c in vs])
-    zs = sorted(w22, reverse=True)
-    u = extend_ascending(n, [w22[c] for c in zs])
-    w21_inv = {r: c for c, r in w21.items()}
-    v = tuple(vs) + tuple(w21_inv[u[j - 1]] for j in range(t + 1, n + 1))
-    w12_inv = {r: c for c, r in w12.items()}
-    z = (tuple(m + 1 - c for c in zs)
-         + tuple(m + 1 - w12_inv[m + 1 - y[j - 1]] for j in range(t + 1, m + 1)))
+    col_of = [0] * (N + 1)  # image of the reflected permutation -> column
+    for c, x in enumerate(w, 1):
+        col_of[N + 1 - x] = c
+    top = [x - n for x in w[:n] if x > n]
+    t = len(top)  # L.t
+    y = extend_ascending(m, top)
+    u = extend_ascending(n, [n + 1 - x for x in reversed(w[n:]) if x <= n])
+    v = (tuple([c for c, x in enumerate(w[:n], 1) if x > n])
+         + tuple([col_of[m + r] for r in u[t:]]))
+    z = (tuple([c for c, x in enumerate(reversed(w[n:]), 1) if x <= n])
+         + tuple([N + 1 - col_of[m + 1 - r] for r in y[t:]]))
     return SigmaTuple(y, v, z, u, t)
 
 

@@ -1,9 +1,13 @@
-"""Permutation helpers that only the tests use: independent oracles for what
-the library computes another way, from one-line notation or a rank table."""
+"""Permutation and quadruple helpers that only the tests use: independent
+oracles for what the library computes another way, from one-line notation or
+a rank table, and the earlier, slower forms of the library's own functions."""
+from bisect import insort
 from typing import NamedTuple
 
 from leaf_atlas.exact_matrix import SOUTHWEST
-from leaf_atlas.permutations import PartialPerm, check_perm
+from leaf_atlas.permutations import (PartialPerm, check_perm, min_reps_first,
+                                     min_reps_last)
+from leaf_atlas.sigma import SigmaTuple
 
 
 class Blocks(NamedTuple):
@@ -72,3 +76,79 @@ def rank_at(table, kind, p, q):
     if not (0 <= i < len(table) and 0 <= j < len(table[0])):
         raise IndexError(f"({p},{q}) outside the {kind} index range")
     return table[i][j]
+
+
+def bruhat_leq_by_sorted_prefixes(y, z):
+    """Bruhat order on S_n: every sorted prefix of ``y`` is entrywise <= that of ``z``."""
+    n = len(y)
+    if n != len(z):
+        raise ValueError(f"size mismatch: {n} vs {len(z)}")
+    ys, zs = [], []
+    for p in range(n - 1):  # the full prefix is always equal
+        insort(ys, y[p])
+        insort(zs, z[p])
+        for a, b in zip(ys, zs):
+            if a > b:
+                return False
+    return True
+
+
+def is_min_rep_first_by_pairs(w, t):
+    """``w(1) < ... < w(t)``, pair by pair."""
+    if not 0 <= t <= len(w):
+        raise ValueError(f"t out of range: {t}")
+    return all(w[i] < w[i + 1] for i in range(t - 1))
+
+
+def is_min_rep_last_by_pairs(w, k):
+    """``w(n-k+1) < ... < w(n)``, pair by pair."""
+    n = len(w)
+    if not 0 <= k <= n:
+        raise ValueError(f"k out of range: {k}")
+    return all(w[i] < w[i + 1] for i in range(n - k, n - 1))
+
+
+def extend_ascending_by_set_difference(n, head):
+    """``head`` followed by the sorted rest of ``1..n``."""
+    head = tuple(head)
+    rest = sorted(set(range(1, n + 1)) - set(head))
+    if len(head) + len(rest) != n:
+        raise ValueError(f"head {head} is not injective into 1..{n}")
+    return head + tuple(rest)
+
+
+def enumerate_sigma_validated(m, n, t):
+    """Every quadruple of rank ``t``, each built through the validating
+    constructor, sorted by ``(y, v, z, u)``."""
+    yz = [(y, z) for y in min_reps_last(m, m - t) for z in min_reps_first(m, t)
+          if bruhat_leq_by_sorted_prefixes(z, y)]
+    vu = [(v, u) for v in min_reps_first(n, t) for u in min_reps_last(n, n - t)
+          if bruhat_leq_by_sorted_prefixes(v, u)]
+    out = [SigmaTuple(y, v, z, u, t) for (y, z) in yz for (v, u) in vu]
+    out.sort(key=lambda s: (s.y, s.v, s.z, s.u))
+    return out
+
+
+def phi_inv_by_blocks(L):
+    """
+    The quadruple of ``L`` from the four blocks of the reflected permutation,
+    each a dict from column to row, and the inverses of the off-diagonal two.
+    """
+    m, n, t = L.m, L.n, L.t
+    N = m + n
+    wt = tuple(N + 1 - x for x in L.w)
+    w11 = {c: r for c, r in enumerate(wt[:n], 1) if r <= m}
+    w21 = {c: r - m for c, r in enumerate(wt[:n], 1) if r > m}
+    w12 = {c: r for c, r in enumerate(wt[n:], 1) if r <= m}
+    w22 = {c: r - m for c, r in enumerate(wt[n:], 1) if r > m}
+
+    vs = sorted(w11)
+    y = extend_ascending_by_set_difference(m, [m + 1 - w11[c] for c in vs])
+    zs = sorted(w22, reverse=True)
+    u = extend_ascending_by_set_difference(n, [w22[c] for c in zs])
+    w21_inv = {r: c for c, r in w21.items()}
+    v = tuple(vs) + tuple(w21_inv[u[j - 1]] for j in range(t + 1, n + 1))
+    w12_inv = {r: c for c, r in w12.items()}
+    z = (tuple(m + 1 - c for c in zs)
+         + tuple(m + 1 - w12_inv[m + 1 - y[j - 1]] for j in range(t + 1, m + 1)))
+    return SigmaTuple(y, v, z, u, t)

@@ -4,6 +4,7 @@ import pytest
 
 from leaf_atlas import harness
 from leaf_atlas.exact_matrix import RationalMatrix
+from leaf_atlas.sigma import SigmaTuple
 
 
 def strip_time(report):
@@ -94,6 +95,48 @@ def test_report_add_sums_counts_and_merges_info():
     assert total.campaign == "partition" and total.params == {"m": 1}
 
 
+# One quadruple per condition of SigmaTuple, failing that condition alone:
+# y not ascending after t, v or z not ascending on 1..t, u not ascending
+# after t, z not below y, v not below u.
+INVALID_QUADRUPLES = {
+    (2, 2): [((2, 1), (1, 2), (1, 2), (1, 2), 0),
+             ((1, 2), (2, 1), (1, 2), (2, 1), 2),
+             ((2, 1), (1, 2), (2, 1), (1, 2), 2),
+             ((1, 2), (1, 2), (1, 2), (2, 1), 0),
+             ((1, 2), (1, 2), (2, 1), (1, 2), 1),
+             ((1, 2), (2, 1), (1, 2), (1, 2), 1)],
+    (3, 3): [((1, 3, 2), (1, 2, 3), (1, 2, 3), (1, 2, 3), 1),
+             ((1, 2, 3), (2, 1, 3), (1, 2, 3), (3, 2, 1), 2),
+             ((3, 2, 1), (1, 2, 3), (2, 1, 3), (1, 2, 3), 2),
+             ((1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 3, 2), 1),
+             ((1, 2, 3), (1, 2, 3), (2, 1, 3), (1, 2, 3), 1),
+             ((1, 2, 3), (2, 1, 3), (1, 2, 3), (1, 2, 3), 1)],
+}
+
+
+@pytest.mark.parametrize("shape,fields", [(shape, f) for shape, cases in
+                                          INVALID_QUADRUPLES.items() for f in cases])
+def test_phi_bijection_catches_an_invalid_enumerated_quadruple(monkeypatch, shape, fields):
+    # enumerate_sigma builds its quadruples unchecked; phi_roundtrip must catch a bad one
+    with pytest.raises(ValueError):
+        SigmaTuple(*fields)
+    bad = SigmaTuple._trusted(*fields)
+    real = harness._sigmas
+
+    def with_bad(m, n, t):  # the first quadruple of rank bad.t replaced by bad
+        sigs = real(m, n, t)
+        return (bad,) + sigs[1:] if t == bad.t else sigs
+
+    monkeypatch.setattr(harness, "_sigmas", with_bad)
+    try:
+        r = harness.run("phi_bijection", *shape, threads=1)
+    except ValueError:
+        return
+    assert r.failed > 0
+    assert {"check": "phi_roundtrip", "m": shape[0], "n": shape[1],
+            "sigma": bad.to_dict()} in r.counterexamples
+
+
 def test_unknown_campaign_rejected():
     with pytest.raises(ValueError):
         harness.run("nope", 2, 2)
@@ -132,6 +175,20 @@ def test_unknown_campaign_rejected():
     {"check": "pp_count", "m": 2, "n": 2, "t": 3},
     {"check": "pp_count", "m": 0, "n": 2, "t": 0},
     {"check": "phi_lock", "m": -4, "n": 7},
+    {"check": "echelon_stratum", "m": 3, "n": 1, "t": 1,
+     "y": [1, 2, 3], "z": [1, 2, 3], "matrix": "1\n0"},
+    {"check": "echelon_stratum", "m": 3, "n": 2, "t": 1,
+     "y": [2, 1, 3], "z": [2, 1, 3], "matrix": "0\n1\n0"},
+    {"check": "echelon_stratum", "m": 3, "n": 1, "t": 1,
+     "y": [2, 1], "z": [2, 1], "matrix": "0\n1\n0"},
+    {"check": "echelon_product", "m": 3, "n": 3, "c": "1\n1", "r": "1 0 0",
+     "sigma": {"y": [3, 1, 2], "v": [1, 3, 2], "z": [1, 2, 3], "u": [3, 1, 2], "t": 1}},
+    {"check": "echelon_product", "m": 3, "n": 3, "c": "1\n1\n1", "r": "1 0",
+     "sigma": {"y": [3, 1, 2], "v": [1, 3, 2], "z": [1, 2, 3], "u": [3, 1, 2], "t": 1}},
+    {"check": "echelon_product", "m": 3, "n": 3, "c": "1 0\n1 0\n1 0", "r": "1 0 0\n0 0 0",
+     "sigma": {"y": [3, 1, 2], "v": [1, 3, 2], "z": [1, 2, 3], "u": [3, 1, 2], "t": 1}},
+    {"check": "echelon_product", "m": 2, "n": 3, "c": "1\n1\n1", "r": "1 0 0",
+     "sigma": {"y": [3, 1, 2], "v": [1, 3, 2], "z": [1, 2, 3], "u": [3, 1, 2], "t": 1}},
 ], ids=["leaf-m-string", "leaf-w-bool", "sigma-t-string", "sigma-y-int",
         "rank-m-string", "shape-m-float", "shape-m-bool", "strata-m-bool",
         "echelon-stratum-m-string", "strata-leaves-bool", "strata-leaves-int",
@@ -139,7 +196,9 @@ def test_unknown_campaign_rejected():
         "w1-not-a-string", "sigma-not-an-object", "leaf-not-an-object", "leaf-m-zero",
         "payload-lacks-fields", "payload-lacks-check", "torus-lacks-factors",
         "payload-a-list", "payload-a-string", "rank-t-above", "rank-m-zero",
-        "shape-m-negative"])
+        "shape-m-negative", "echelon-stratum-matrix-rows", "echelon-stratum-n-not-t",
+        "echelon-stratum-y-length", "product-c-rows", "product-r-cols",
+        "product-inner-not-t", "product-m-not-sigma"])
 def test_replay_rejects_wrong_typed_fields(payload):
     with pytest.raises(ValueError):
         harness.replay(payload)

@@ -10,8 +10,10 @@ from leaf_atlas.permutations import (
     is_min_rep_last, length, longest, min_reps_first, min_reps_last,
     parse_partial, partial_perms, subset_leq,
 )
-from perm_oracles import (block_split, left_compose, partial_identity,
-                          right_compose, transpose)
+from perm_oracles import (block_split, bruhat_leq_by_sorted_prefixes,
+                          extend_ascending_by_set_difference,
+                          is_min_rep_first_by_pairs, is_min_rep_last_by_pairs,
+                          left_compose, partial_identity, right_compose, transpose)
 
 perms = st.integers(1, 6).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple))
@@ -121,6 +123,35 @@ def test_bruhat_matches_subword_oracle_s5():
             assert bruhat_leq(y, w) == (y in lower)
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_bruhat_matches_sorted_prefix_oracle_exhaustive(n):
+    ws = list(all_perms(n))
+    assert all(bruhat_leq(y, z) == bruhat_leq_by_sorted_prefixes(y, z)
+               for y in ws for z in ws)
+
+
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.permutations(tuple(range(1, n + 1))).map(tuple),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))))
+def test_bruhat_matches_sorted_prefix_oracle(case):
+    # each swap of an ascending pair moves up, so z >= y; both directions are tested
+    y, swaps = case
+    z = list(y)
+    for i, j in swaps:
+        i, j = min(i, j), max(i, j)
+        if z[i] < z[j]:
+            z[i], z[j] = z[j], z[i]
+    z = tuple(z)
+    assert bruhat_leq(y, z)
+    for a, b in ((y, z), (z, y), (y, tuple(reversed(z)))):
+        assert bruhat_leq(a, b) == bruhat_leq_by_sorted_prefixes(a, b)
+
+
+def test_bruhat_size_mismatch():
+    with pytest.raises(ValueError, match="size mismatch: 2 vs 3"):
+        bruhat_leq((1, 2), (1, 2, 3))
+
+
 def test_bruhat_antitone_under_longest():
     w0 = longest(4)
     for y in all_perms(4):
@@ -182,6 +213,33 @@ def test_extend_ascending():
     assert extend_ascending(4, (3, 1)) == (3, 1, 2, 4)
     with pytest.raises(ValueError):
         extend_ascending(3, (2, 2))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_min_rep_checks_match_pairwise_oracle():
+    # every word over 1..n+1 of length n <= 4, and every t from -1 to n+1
+    for n in range(5):
+        for w in itertools.product(range(1, n + 2), repeat=n):
+            for t in range(-1, n + 2):
+                assert (_outcome(is_min_rep_first, w, t)
+                        == _outcome(is_min_rep_first_by_pairs, w, t))
+                assert (_outcome(is_min_rep_last, w, t)
+                        == _outcome(is_min_rep_last_by_pairs, w, t))
+
+
+def test_extend_ascending_matches_set_difference_oracle():
+    # every head over 0..n+1 of length up to n+1, for n <= 4
+    for n in range(5):
+        for k in range(n + 2):
+            for head in itertools.product(range(n + 2), repeat=k):
+                assert (_outcome(extend_ascending, n, head)
+                        == _outcome(extend_ascending_by_set_difference, n, head))
 
 
 # --- partial permutations ---------------------------------------------------

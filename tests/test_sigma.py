@@ -9,7 +9,10 @@ from leaf_atlas.permutations import (PartialPerm, bruhat_leq, check_perm, identi
                                      partial_perms)
 from leaf_atlas.sigma import (SigmaTuple, decompose_partial, enumerate_sigma,
                               phi, phi_inv, phi_to_leaf)
-from perm_oracles import block_split, left_compose, partial_identity, right_compose
+from perm_oracles import (block_split, enumerate_sigma_validated, left_compose,
+                          partial_identity, phi_inv_by_blocks, right_compose)
+
+SHAPES_UP_TO_8 = [(m, N - m) for N in range(2, 9) for m in range(1, N)]  # 1x7 and 7x1 too
 
 SIGMA_513 = SigmaTuple((3, 1, 2), (1, 3, 2), (1, 2, 3), (3, 1, 2), 1)
 
@@ -88,6 +91,19 @@ def test_roundtrips(m, n):
         assert len(images) == len(sigs)
     for L in enumerate_leaves(m, n):
         assert phi_to_leaf(phi_inv(L)) == L
+
+
+@pytest.mark.parametrize("m,n", SHAPES_UP_TO_8)
+def test_phi_inv_matches_block_dict_oracle(m, n):
+    for L in enumerate_leaves(m, n):
+        assert phi_inv(L) == phi_inv_by_blocks(L)
+
+
+@pytest.mark.parametrize("m,n", SHAPES_UP_TO_8)
+def test_enumerate_sigma_matches_validated_sorted_list(m, n):
+    for t in range(min(m, n) + 1):
+        fast, slow = enumerate_sigma(m, n, t), enumerate_sigma_validated(m, n, t)
+        assert [s.to_dict() for s in fast] == [s.to_dict() for s in slow]  # order too
 
 
 def test_identity_sigma_gives_partial_identity_block():
