@@ -115,7 +115,7 @@ def in_pattern(a: RationalMatrix, pat: EchelonPattern) -> bool:
     """
     if (a.rows, a.cols) != (pat.rows, pat.cols):
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} vs {pat.rows}x{pat.cols}")
-    lines = zip(*a.entries) if pat.kind == COLUMN else a.entries
+    lines = zip(*a._irows) if pat.kind == COLUMN else a._irows  # row scaling keeps zeros
     return all(line[p - 1] != 0 and not any(line[:p - 1])
                for line, p in zip(lines, pat.pivots))
 

@@ -2,9 +2,12 @@
 seeded sampling.
 
 Every membership decision in this package runs on exact rationals; floating
-point never enters the logic.  Internally each row is scaled to integers
-once (rank is insensitive to row scaling), and all elimination is
-fraction-free so intermediate values stay integral.
+point never enters the logic.  A matrix holds integer rows: each row scaled
+by the lcm of its denominators (rank, zeros and every cell are insensitive
+to row scaling).  Integer input is stored as given, with no ``Fraction``
+made; ``Fraction`` entries are computed only on access or for rational
+operands.  All elimination is fraction-free, in the style of Bareiss, so
+intermediate values stay integral.
 
 Each rank table comes from one pass of insertions.  The southwest corner
 table feeds the rows bottom-up into one echelon basis and counts its leads;
@@ -23,8 +26,9 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 SOUTHWEST = "southwest"
@@ -50,27 +54,36 @@ def _rand_nonzero(rng: random.Random) -> int:
 
 class RationalMatrix:
     """
-    Immutable dense matrix of normalized ``Fraction`` entries.
+    Immutable dense matrix over the rationals, stored as integer rows.
 
-    ``entry(i, j)`` uses 1-based indices matching the usual submatrix
-    notation; ``entries`` is the raw 0-based tuple-of-tuples.
+    Row ``i`` is kept as ``_irows[i]``, the row times ``_d[i]``, the lcm of
+    its entries' denominators; ``(_d, _irows)`` is canonical, so equality
+    and hashing compare it directly.  A matrix built from ``int`` entries
+    only is stored as given, with every ``d_i = 1``, and no ``Fraction`` is
+    made.  ``entries``, the 0-based tuple-of-tuples of normalized
+    ``Fraction``s, is computed on access.  Entries must be ``int`` (not
+    ``bool``), ``Fraction`` or ``str``.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_irows")
+    __slots__ = ("rows", "cols", "_d", "_irows")
 
     def __init__(self, entries: Iterable[Iterable[object]]) -> None:
-        try:
-            data = tuple(tuple(Fraction(e) for e in row) for row in entries)
-        except ZeroDivisionError as exc:
-            raise ValueError(f"zero denominator in matrix entry {exc}") from None
+        data = tuple(map(tuple, entries))
+        if set(map(type, chain.from_iterable(data))) <= {int}:
+            d, irows = (1,) * len(data), data
+        else:
+            nums = [[_number(e) for e in row] for row in data]
+            d = tuple(lcm(*(e.denominator for e in row)) for row in nums)
+            irows = tuple(tuple(e.numerator * (di // e.denominator) for e in row)
+                          for row, di in zip(nums, d))
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and column")
         if any(len(row) != len(data[0]) for row in data):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "entries", data)
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", len(data[0]))
-        object.__setattr__(self, "_irows", tuple(_integerize(row) for row in data))
+        object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "_irows", irows)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RationalMatrix is immutable")
@@ -79,43 +92,43 @@ class RationalMatrix:
     def zero(cls, m: int, n: int) -> "RationalMatrix":
         return cls([[0] * n for _ in range(m)])
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(a, d) for a in row)
+                     for row, d in zip(self._irows, self._d))
 
-    def entry(self, i: int, j: int) -> Fraction:
-        """Entry in row ``i``, column ``j`` (both 1-based)."""
-        if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            raise ValueError(f"index ({i},{j}) outside {self.rows}x{self.cols}")
-        return self.entries[i - 1][j - 1]
+    def _values(self) -> tuple[tuple[Union[int, Fraction], ...], ...]:
+        """The rows as ``int``s if every ``d_i`` is 1, else as ``entries``."""
+        return self.entries if any(d != 1 for d in self._d) else self._irows
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(zip(*self.entries))
+        return RationalMatrix(zip(*self._values()))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.cols} vs {other.rows}")
-        cols = list(zip(*other.entries))
-        return RationalMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
-                               for row in self.entries])
+        cols = list(zip(*other._values()))
+        return RationalMatrix([[sum(map(mul, row, col)) for col in cols]
+                               for row in self._values()])
 
     def scaled(self, row_factors: Sequence[object],
                col_factors: Sequence[object]) -> "RationalMatrix":
         """Scale row ``i`` by ``row_factors[i-1]`` and column ``j`` by ``col_factors[j-1]``."""
-        rf = [Fraction(f) for f in row_factors]
-        cf = [Fraction(f) for f in col_factors]
+        rf = [_number(f) for f in row_factors]
+        cf = [_number(f) for f in col_factors]
         if len(rf) != self.rows or len(cf) != self.cols:
             raise ValueError("factor count mismatch")
         if any(f == 0 for f in rf + cf):
             raise ValueError("zero scale factor")
-        return RationalMatrix([[rf[i] * a * cf[j] for j, a in enumerate(row)]
-                               for i, row in enumerate(self.entries)])
+        return RationalMatrix([[r * a * c for a, c in zip(row, cf)]
+                               for r, row in zip(rf, self._values())])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
+        return (isinstance(other, RationalMatrix) and self._d == other._d
+                and self._irows == other._irows)
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self._d, self._irows))
 
     def __repr__(self) -> str:
         return f"RationalMatrix({[list(map(str, row)) for row in self.entries]})"
@@ -125,9 +138,16 @@ class RationalMatrix:
         return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
 
 
-def _integerize(row: Sequence[Fraction]) -> tuple[int, ...]:
-    scale = lcm(*(e.denominator for e in row)) if row else 1
-    return tuple(e.numerator * (scale // e.denominator) for e in row)
+def _number(e: object) -> Union[int, Fraction]:
+    """An entry or scale factor: an ``int`` kept, a ``Fraction`` or ``str`` as a ``Fraction``."""
+    if type(e) is int:
+        return e
+    if not isinstance(e, (int, Fraction, str)) or isinstance(e, bool):
+        raise ValueError(f"entry or factor {e!r} is not an integer, a fraction or a string")
+    try:
+        return Fraction(e)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in matrix entry {exc}") from None
 
 
 def from_text(text: str) -> RationalMatrix:

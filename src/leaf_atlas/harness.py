@@ -135,6 +135,15 @@ def _sigmas(m: int, n: int, t: int) -> tuple[SigmaTuple, ...]:
     return tuple(enumerate_sigma(m, n, t))
 
 
+@lru_cache(maxsize=None)
+def _leaves_by_rank(m: int, n: int) -> tuple[tuple[LeafIndex, ...], ...]:
+    """``all_leaves(m, n)`` split by rank ``t = 0..min(m, n)``, in one scan."""
+    by_rank: list[list[LeafIndex]] = [[] for _ in range(min(m, n) + 1)]
+    for L in all_leaves(m, n):
+        by_rank[L.t].append(L)
+    return tuple(map(tuple, by_rank))
+
+
 # ---------------------------------------------------------------------------
 # Individual checks (run by campaigns and replay through ``CHECKS``)
 
@@ -275,7 +284,7 @@ def check_window_vs_bruhat(m: int, n: int) -> bool:
 
 
 def check_sigma_count(m: int, n: int, t: int) -> bool:
-    return len(_sigmas(m, n, t)) == sum(1 for L in all_leaves(m, n) if L.t == t)
+    return len(_sigmas(m, n, t)) == len(_leaves_by_rank(m, n)[t])
 
 
 def check_phi_injective(m: int, n: int, t: int) -> bool:
@@ -484,7 +493,7 @@ def replay(payload: dict) -> bool:
 def _zeroed(x: RationalMatrix, zeros: set) -> RationalMatrix:
     """``x`` with 0 at each 0-based ``(row, col)`` position in ``zeros``."""
     return RationalMatrix([[0 if (r, c) in zeros else e for c, e in enumerate(row)]
-                           for r, row in enumerate(x.entries)])
+                           for r, row in enumerate(x._values())])
 
 
 def sample_stream(m: int, n: int, count: int, rng: random.Random):
@@ -532,10 +541,7 @@ def _run_blocks_stream(report: VerificationReport, m: int, n: int, count: int,
 
 
 def _run_phi_bijection(report: VerificationReport, m: int, n: int, *_) -> None:
-    by_rank: list[list[LeafIndex]] = [[] for _ in range(min(m, n) + 1)]
-    for L in all_leaves(m, n):
-        by_rank[L.t].append(L)
-    for t, leaves_of_rank in enumerate(by_rank):
+    for t, leaves_of_rank in enumerate(_leaves_by_rank(m, n)):
         report.check("sigma_count", m, n, t)
         report.check("phi_injective", m, n, t)
         for s in _sigmas(m, n, t):
@@ -551,7 +557,7 @@ def _run_counts(report: VerificationReport, m: int, n: int, *_) -> None:
     for t in range(min(m, n) + 1):
         report.check("sigma_count", m, n, t)
         report.check("pp_count", m, n, t)
-        report.info[f"leaves_rank_{t}"] = sum(1 for L in all_leaves(m, n) if L.t == t)
+        report.info[f"leaves_rank_{t}"] = len(_leaves_by_rank(m, n)[t])
     report.info["leaf_count"] = len(all_leaves(m, n))
 
 

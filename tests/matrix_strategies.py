@@ -1,9 +1,21 @@
-"""Hypothesis strategies shared by the rank-kernel oracle tests."""
+"""Hypothesis strategies and matrix helpers shared by the rank-kernel oracle tests."""
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from leaf_atlas.exact_matrix import RationalMatrix
+
+
+def entry(x, i, j):
+    """Entry of ``x`` in row ``i``, column ``j`` (both 1-based), as a ``Fraction``."""
+    if not (1 <= i <= x.rows and 1 <= j <= x.cols):
+        raise ValueError(f"index ({i},{j}) outside {x.rows}x{x.cols}")
+    return x.entries[i - 1][j - 1]
+
+
+def identity_matrix(n):
+    """The ``n x n`` identity."""
+    return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 @st.composite

@@ -11,12 +11,12 @@ from leaf_atlas.exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix,
                                      rank_profile, sample_rank)
 from leaf_atlas.leaves import LeafIndex, classify_leaf, in_leaf
 from leaf_atlas.permutations import PartialPerm, identity, partial_perms
-from matrix_strategies import oracle_matrices
+from matrix_strategies import identity_matrix, oracle_matrices
 from perm_oracles import rank_at
 
 
 def test_in_cell_examples():
-    eye = RationalMatrix.identity(3)
+    eye = identity_matrix(3)
     assert cells.in_cell(eye, identity(3), "B+", "cell")
     swap = RationalMatrix([[0, 1], [1, 0]])
     assert not cells.in_cell(swap, identity(2), "B+", "cell")
@@ -29,7 +29,7 @@ def test_in_cell_examples():
 
 
 def test_classify_examples():
-    assert cells.classify(RationalMatrix.identity(3)).pairs() == ((1, 1), (2, 2), (3, 3))
+    assert cells.classify(identity_matrix(3)).pairs() == ((1, 1), (2, 2), (3, 3))
     assert cells.classify(RationalMatrix.zero(3, 4)).rank() == 0
     x = RationalMatrix([[1, 0, 2], [3, 0, 6], [2, 0, 4]])
     assert cells.classify(x, "B+").pairs() == ((1, 3),)

@@ -14,6 +14,7 @@ from leaf_atlas.exact_matrix import (RationalMatrix, rank, sample_echelon_col,
 from leaf_atlas.leaves import LeafIndex, classify_leaf
 from leaf_atlas.permutations import PartialPerm, identity
 from leaf_atlas.sigma import SigmaTuple, enumerate_sigma, phi_inv, phi_to_leaf
+from matrix_strategies import entry, identity_matrix
 
 
 def test_pattern_validation_and_literals():
@@ -33,7 +34,7 @@ def test_in_pattern_examples():
                            [0, 0, 0, 0, 1, 0]])
     assert in_pattern(rows, pat)
     assert not in_pattern(RationalMatrix.zero(3, 6), pat)
-    assert in_pattern(RationalMatrix.identity(2), column_pattern(2, (1, 2)))
+    assert in_pattern(identity_matrix(2), column_pattern(2, (1, 2)))
     with pytest.raises(ValueError):
         in_pattern(RationalMatrix.zero(2, 2), pat)
 
@@ -157,11 +158,11 @@ def _in_pattern_by_kind(a, pat):
     if (a.rows, a.cols) != (pat.rows, pat.cols):
         raise ValueError("dimension mismatch")
     if pat.kind == COLUMN:
-        return all(a.entry(pr, j) != 0
-                   and all(a.entry(i, j) == 0 for i in range(1, pr))
+        return all(entry(a, pr, j) != 0
+                   and all(entry(a, i, j) == 0 for i in range(1, pr))
                    for j, pr in enumerate(pat.pivots, start=1))
-    return all(a.entry(i, pc) != 0
-               and all(a.entry(i, j) == 0 for j in range(1, pc))
+    return all(entry(a, i, pc) != 0
+               and all(entry(a, i, j) == 0 for j in range(1, pc))
                for i, pc in enumerate(pat.pivots, start=1))
 
 

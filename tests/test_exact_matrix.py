@@ -1,5 +1,6 @@
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -14,18 +15,20 @@ from leaf_atlas.exact_matrix import (
     sample_echelon_col, sample_echelon_row, sample_rank,
 )
 from leaf_atlas.permutations import PartialPerm
-from matrix_strategies import oracle_matrices
+from matrix_strategies import entry, identity_matrix, oracle_matrices
 from perm_oracles import rank_at
 
 
 def minor_rank(x):
     """Independent oracle: largest k with a nonzero k x k minor (Laplace dets)."""
+    e = x.entries
+
     def det(rows, cols):
         if len(rows) == 1:
-            return x.entry(rows[0], cols[0])
-        return sum((-1) ** i * x.entry(rows[0], c)
+            return e[rows[0] - 1][cols[0] - 1]
+        return sum((-1) ** i * e[rows[0] - 1][c - 1]
                    * det(rows[1:], cols[:i] + cols[i + 1:])
-                   for i, c in enumerate(cols) if x.entry(rows[0], c) != 0)
+                   for i, c in enumerate(cols) if e[rows[0] - 1][c - 1] != 0)
 
     for k in range(min(x.rows, x.cols), 0, -1):
         for rows in itertools.combinations(range(1, x.rows + 1), k):
@@ -38,14 +41,13 @@ def minor_rank(x):
 def submatrix(x, r1, r2, c1, c2):
     if r1 > r2 or c1 > c2:
         return None
-    return RationalMatrix([[x.entry(i, j) for j in range(c1, c2 + 1)]
-                           for i in range(r1, r2 + 1)])
+    return RationalMatrix([row[c1 - 1:c2] for row in x.entries[r1 - 1:r2]])
 
 
 def test_construction_normalizes():
     x = RationalMatrix([["2/4", 3], [Fraction(1, 3), "-6/2"]])
-    assert x.entry(1, 1) == Fraction(1, 2)
-    assert x.entry(2, 2) == -3
+    assert entry(x, 1, 1) == Fraction(1, 2)
+    assert entry(x, 2, 2) == -3
     assert all(e.denominator > 0 for row in x.entries for e in row)
 
 
@@ -59,7 +61,7 @@ def test_construction_errors():
 
 
 def test_rank_examples():
-    assert rank(RationalMatrix.identity(3)) == 3
+    assert rank(identity_matrix(3)) == 3
     assert rank(RationalMatrix.zero(2, 5)) == 0
     assert rank(RationalMatrix([[1, 0, 2], [3, 0, 6], [2, 0, 4]])) == 1
 
@@ -171,7 +173,7 @@ def test_interval_ranks_need_the_newest_vector_at_each_lead():
 
 
 def test_profile_spec_examples():
-    sw = rank_profile(RationalMatrix.identity(2), SOUTHWEST)
+    sw = rank_profile(identity_matrix(2), SOUTHWEST)
     assert rank_at(sw, SOUTHWEST, 2, 1) == 0  # submatrix [x21] = 0
     x = sample_rank(3, 4, 3, 5)
     assert rank_at(rank_profile(x, SOUTHWEST), SOUTHWEST, 1, x.cols) == rank(x)
@@ -201,12 +203,12 @@ def test_sampler_determinism():
 def test_echelon_samplers_match_displayed_pattern():
     a = sample_echelon_row(3, 6, (2, 4, 5), 3)
     for i, pc in enumerate((2, 4, 5), start=1):
-        assert a.entry(i, pc) != 0
-        assert all(a.entry(i, j) == 0 for j in range(1, pc))
+        assert entry(a, i, pc) != 0
+        assert all(entry(a, i, j) == 0 for j in range(1, pc))
     b = sample_echelon_col(4, 2, (1, 3), 3)
     for j, pr in enumerate((1, 3), start=1):
-        assert b.entry(pr, j) != 0
-        assert all(b.entry(i, j) == 0 for i in range(1, pr))
+        assert entry(b, pr, j) != 0
+        assert all(entry(b, i, j) == 0 for i in range(1, pr))
     with pytest.raises(ValueError):
         sample_echelon_col(3, 2, (2, 2), 0)
     with pytest.raises(ValueError):
@@ -277,3 +279,93 @@ def test_matmul_and_scaled():
     assert s == RationalMatrix([[2, -4], [1, "-4/3"]])
     with pytest.raises(ValueError):
         a.scaled([0, 1], [1, 1])
+
+
+@pytest.mark.parametrize("entries", [[[0.1, True]], [[1j]], [[True]], [[1, False]],
+                                     [[None]], [[1.0]], [[b"1"]], [[Decimal(1)]]])
+def test_entries_of_other_types_are_rejected(entries):
+    # 0.1 and True used to read as 3602879701896397/36028797018963968 and 1
+    with pytest.raises(ValueError):
+        RationalMatrix(entries)
+
+
+def test_scale_factors_of_other_types_are_rejected():
+    a = RationalMatrix([[1, 2], [3, 4]])
+    for bad in (0.5, True, None):
+        with pytest.raises(ValueError):
+            a.scaled([bad, 1], [1, 1])
+        with pytest.raises(ValueError):
+            a.scaled([1, 1], [1, bad])
+
+
+# --- integer rows and Fraction rows build the same matrix ----------------------
+
+def _grids(cell):
+    return st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda mnk: st.tuples(
+            st.lists(st.lists(cell, min_size=mnk[1], max_size=mnk[1]),
+                     min_size=mnk[0], max_size=mnk[0]),
+            st.lists(st.lists(st.integers(-9, 9), min_size=mnk[2], max_size=mnk[2]),
+                     min_size=mnk[1], max_size=mnk[1]),
+            st.lists(st.lists(st.fractions(-5, 5, max_denominator=6),
+                              min_size=mnk[2], max_size=mnk[2]),
+                     min_size=mnk[1], max_size=mnk[1])))
+
+
+nonzero_ints = st.integers(-5, 5).filter(bool)
+nonzero_fractions = st.fractions(-5, 5, max_denominator=6).filter(bool)
+
+
+def _product(a, b):
+    """The product of two lists of rows, entry by entry in ``Fraction`` arithmetic."""
+    return tuple(tuple(sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0))
+                       for col in zip(*b)) for row in a)
+
+
+def _builds_agree(grid, right_int, right_frac, data):
+    """
+    ``grid`` built from its own entries, from ``Fraction``s and from strings
+    agrees on every view and operation; the ``Fraction``-built matrix is the
+    oracle, and ``entries`` of each product are checked against ``_product``.
+    """
+    fracs = [[Fraction(e) for e in row] for row in grid]
+    oracle = RationalMatrix(fracs)
+    assert oracle.entries == tuple(map(tuple, fracs))
+    assert all(type(e) is Fraction for row in oracle.entries for e in row)
+    rows, cols = len(grid), len(grid[0])
+    rf_int = data.draw(st.lists(nonzero_ints, min_size=rows, max_size=rows))
+    cf_int = data.draw(st.lists(nonzero_ints, min_size=cols, max_size=cols))
+    rf_frac = data.draw(st.lists(nonzero_fractions, min_size=rows, max_size=rows))
+    cf_frac = data.draw(st.lists(nonzero_fractions, min_size=cols, max_size=cols))
+    right_i, right_f = RationalMatrix(right_int), RationalMatrix(right_frac)
+    for x in (RationalMatrix(grid), RationalMatrix([[str(e) for e in row] for row in grid])):
+        assert x.entries == oracle.entries
+        assert (x._d, x._irows) == (oracle._d, oracle._irows)
+        assert x.to_text() == oracle.to_text() and repr(x) == repr(oracle)
+        assert x == oracle and hash(x) == hash(oracle)
+        assert rank(x) == rank(oracle)
+        assert x.transpose() == oracle.transpose()
+        assert x.transpose().entries == tuple(zip(*oracle.entries))
+        for right in (right_i, right_f):
+            assert x @ right == oracle @ right
+            assert (x @ right).entries == _product(grid, right.entries)
+        for rf, cf in ((rf_int, cf_int), (rf_frac, cf_frac), (rf_int, cf_frac)):
+            assert x.scaled(rf, cf) == oracle.scaled(rf, cf)
+            assert x.scaled(rf, cf).entries == tuple(
+                tuple(Fraction(r) * e * c for e, c in zip(row, cf))
+                for r, row in zip(rf, oracle.entries))
+
+
+@given(_grids(st.integers(-9, 9)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_integer_built_matrix_agrees_with_fraction_built(grids, data):
+    grid = grids[0]
+    x = RationalMatrix(grid)
+    assert x._irows == tuple(map(tuple, grid)) and x._d == (1,) * len(grid)
+    _builds_agree(*grids, data)
+
+
+@given(_grids(st.fractions(-5, 5, max_denominator=12)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_rational_matrix_agrees_with_fraction_built(grids, data):
+    _builds_agree(*grids, data)

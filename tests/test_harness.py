@@ -5,6 +5,7 @@ import pytest
 from leaf_atlas import harness
 from leaf_atlas.exact_matrix import RationalMatrix
 from leaf_atlas.sigma import SigmaTuple
+from matrix_strategies import identity_matrix
 
 
 def strip_time(report):
@@ -246,11 +247,11 @@ def test_replay_covers_emitted_check_kinds():
         {"check": "unique_membership", "m": 2, "n": 2,
          "matrix": RationalMatrix.zero(2, 2).to_text()},
         {"check": "closure_order", "m": 2, "n": 2,
-         "matrix": RationalMatrix.identity(2).to_text()},
+         "matrix": identity_matrix(2).to_text()},
         {"check": "block_classes", "m": 2, "n": 2,
-         "matrix": RationalMatrix.identity(2).to_text()},
+         "matrix": identity_matrix(2).to_text()},
         {"check": "sigma_in_double_cell", "m": 2, "n": 2,
-         "matrix": RationalMatrix.identity(2).to_text()},
+         "matrix": identity_matrix(2).to_text()},
         {"check": "criteria_agreement", "m": 2, "n": 2,
          "w1": "2x2:1->1", "w2": "2x2:2->2"},
         {"check": "dense_orbit", "m": 2, "n": 2,

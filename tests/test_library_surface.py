@@ -1,10 +1,13 @@
-"""Every module-level ``def`` and ``class`` of the library is reached by the library.
+"""Every module-level ``def`` and ``class``, and every method, of the library is reached.
 
-A name passes if another part of ``src/leaf_atlas`` refers to it (the
-``__init__`` re-exports do not count), if it is the function of a registered
-check in ``harness.CHECKS``, if the benchmark's tracer wraps it
+A module-level name passes if another part of ``src/leaf_atlas`` refers to
+it (the ``__init__`` re-exports do not count), if it is the function of a
+registered check in ``harness.CHECKS``, if the benchmark's tracer wraps it
 (``perfbench/tracing.py`` ``TARGETS``), or if it is listed in ``PUBLIC``.
-A helper that only tests call belongs in ``tests/``.
+A method (a ``def`` in a class body, dunders aside) passes if some module of
+``src/leaf_atlas`` uses its name as an attribute, if the tracer wraps it, or
+if it is listed in ``PUBLIC``.  A helper that only tests call belongs in
+``tests/``.
 """
 import ast
 from pathlib import Path
@@ -25,20 +28,24 @@ PUBLIC = (
 )
 
 
+def _modules() -> list[tuple[str, ast.Module]]:
+    """``(module name, syntax tree)`` of each library module but ``__init__``."""
+    root = Path(leaf_atlas.__file__).parent
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(root.glob("*.py")) if path.name != "__init__.py"]
+
+
 def _unreached() -> list[str]:
     """``module.name`` of each definition that passes none of the tests above."""
-    root = Path(leaf_atlas.__file__).parent
     defined, uses = [], []  # uses: (module, definition or None, names it refers to)
-    for path in sorted(root.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, tree in _modules():
+        for node in tree.body:
             own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
             if own is not None:
-                defined.append((path.stem, own))
-            uses.append((path.stem, own, {n.id if isinstance(n, ast.Name) else n.attr
-                                          for n in ast.walk(node)
-                                          if isinstance(n, (ast.Name, ast.Attribute))}))
+                defined.append((module, own))
+            uses.append((module, own, {n.id if isinstance(n, ast.Name) else n.attr
+                                       for n in ast.walk(node)
+                                       if isinstance(n, (ast.Name, ast.Attribute))}))
     checked = {check.fn for check in CHECKS.values()}
     traced = {(module, path.split(".")[0]) for module, path in _targets()}
     public = {name for name, _ in PUBLIC}
@@ -49,8 +56,28 @@ def _unreached() -> list[str]:
             and name not in public]
 
 
+def _unreached_methods() -> list[str]:
+    """``module.Class.method`` of each method that passes none of the tests above."""
+    methods, attributes = [], set()
+    for module, tree in _modules():
+        attributes |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        methods += [(module, f"{cls.name}.{item.name}", item.name)
+                    for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    for item in cls.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")]
+    traced = set(_targets())
+    public = {name for name, _ in PUBLIC}
+    return [f"{module}.{path}" for module, path, name in methods
+            if name not in attributes and (module, path) not in traced
+            and name not in public]
+
+
 def test_every_definition_is_reached():
     assert _unreached() == []
+
+
+def test_every_method_is_reached():
+    assert _unreached_methods() == []
 
 
 def test_public_names_exist():
