@@ -203,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--threads", type=int, default=None,
-                   help=f"worker count (default: ${harness.ENV_THREADS} or all cores)")
+                   help="worker count (default: all cores)")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -12,14 +12,13 @@ factorization quadruple naming the unique open dense one.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import cells
 from .exact_matrix import RationalMatrix
 from .leaves import block_pairs
-from .permutations import Perm, PartialPerm, bruhat_leq, compose
+from .permutations import Perm, PartialPerm, bruhat_leq, with_head
 from .sigma import SigmaTuple, decompose_partial
 
 
@@ -39,13 +38,6 @@ class DoubleCellIndex:
     @property
     def shape(self) -> tuple[int, int]:
         return self.w1.rows, self.w1.cols
-
-
-def _tail_perms(n: int, t: int) -> Iterator[Perm]:
-    """Permutations fixing ``1..t`` pointwise, lexicographically."""
-    head = tuple(range(1, t + 1))
-    for tail in itertools.permutations(range(t + 1, n + 1)):
-        yield head + tail
 
 
 def _base(d: DoubleCellIndex) -> Optional[tuple[Perm, Perm, Perm, Perm]]:
@@ -81,9 +73,11 @@ def nonempty_by_completion(d: DoubleCellIndex) -> bool:
 
 def decompose(d: DoubleCellIndex) -> list[SigmaTuple]:
     """
-    The strata contained in the double cell: all quadruples
-    ``(y, v0 tau2, z0 tau1, u)`` with the tails Bruhat-compatible, the base
-    quadruple ``(y, v0, z0, u)`` first; order is lexicographic in ``(tau1, tau2)``.
+    The strata contained in the double cell: all quadruples ``(y, v, z, u)``
+    with ``z`` sharing the first ``t`` images of ``z0`` and ``z <= y``, and
+    ``v`` sharing those of ``v0`` and ``v <= u``.  The tails of ``z0`` and
+    ``v0`` ascend, so the base quadruple ``(y, v0, z0, u)`` comes first; order
+    is lexicographic in ``(z, v)``.
     """
     base = _base(d)
     if base is None:
@@ -91,16 +85,9 @@ def decompose(d: DoubleCellIndex) -> list[SigmaTuple]:
     y, v0, z0, u = base
     m, n = d.shape
     t = d.w1.rank()
-    out = []
-    for tau1 in _tail_perms(m, t):
-        z = compose(z0, tau1)
-        if not bruhat_leq(z, y):
-            continue
-        for tau2 in _tail_perms(n, t):
-            v = compose(v0, tau2)
-            if bruhat_leq(v, u):
-                out.append(SigmaTuple(y, v, z, u, t))
-    return out
+    vs = [v for v in with_head(n, v0[:t]) if bruhat_leq(v, u)]
+    return [SigmaTuple(y, v, z, u, t)
+            for z in with_head(m, z0[:t]) if bruhat_leq(z, y) for v in vs]
 
 
 def dense_orbit(d: DoubleCellIndex) -> SigmaTuple:

@@ -28,7 +28,7 @@ from .exact_matrix import (RationalMatrix, Seed, _as_rng, _rand_nonzero,
                            sample_echelon_col)
 from .leaves import LeafIndex, classify_leaf
 from .permutations import (Perm, bruhat_leq, check_perm, identity,
-                           min_reps_last)
+                           min_reps_last, with_head)
 from .sigma import SigmaTuple, phi_inv, phi_to_leaf
 
 COLUMN = "column"
@@ -124,20 +124,13 @@ def stratify_pattern(pat: EchelonPattern) -> list[tuple[Perm, Perm]]:
     """
     Stratum index pairs of a pattern: ``(y, z)`` pairs for a column pattern
     (``z`` pinned to the pivot rows), ``(u, v)`` pairs for a row pattern
-    (``v`` pinned to the pivot columns).
+    (``v`` pinned to the pivot columns), sorted: both factors are listed
+    lexicographically.
     """
-    long_dim, t = pat.long_dim, pat.t
-    pinned = []
-    for tail in itertools.permutations(sorted(set(range(1, long_dim + 1))
-                                              - set(pat.pivots))):
-        pinned.append(pat.pivots + tail)
-    out = []
-    for big in min_reps_last(long_dim, long_dim - t):
-        for small in pinned:
-            if bruhat_leq(small, big):
-                out.append((big, small))
-    out.sort()
-    return out
+    long_dim = pat.long_dim
+    pinned = tuple(with_head(long_dim, pat.pivots))
+    return [(big, small) for big in min_reps_last(long_dim, long_dim - pat.t)
+            for small in pinned if bruhat_leq(small, big)]
 
 
 def column_stratum_sigma(m: int, t: int, y: Perm, z: Perm) -> SigmaTuple:

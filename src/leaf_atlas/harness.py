@@ -38,7 +38,7 @@ from .echelon import (COLUMN, ROW, EchelonPattern, all_patterns,
                       sample_column_stratum, sample_row_stratum,
                       stratify_pattern)
 from .exact_matrix import (RationalMatrix, from_text, sample_echelon_col,
-                           sample_rank, _rand_nonzero)
+                           sample_echelon_row, sample_rank, _rand_nonzero)
 from .jsonout import dumps
 from .leaves import (LeafIndex, all_leaves, cell_labels, classify_leaf, in_leaf,
                      leaf_profile, window_ok)
@@ -53,39 +53,36 @@ _STREAM_CHUNK = 250          # fixed stream granularity, independent of workers
 _EXHAUSTIVE_LIMIT = 300      # exhaustive index sweeps only below this many strata
 _OTHERS_PER_SAMPLE = 12      # spot-checked wrong indices above the limit
 
-ENV_THREADS = "LEAF_ATLAS_THREADS"
-
 
 def derive_seed(seed: int, stream: int) -> int:
     return seed * 1_000_003 + stream
 
 
 def resolve_threads(threads: Optional[int]) -> int:
-    """The worker count: ``threads``, else ``$LEAF_ATLAS_THREADS``, else all cores."""
-    name = "threads"
+    """The worker count: ``threads``, or all cores if it is ``None``."""
     if threads is None:
-        env = os.environ.get(ENV_THREADS)
-        if not env:
-            return os.cpu_count() or 1
-        name, threads = ENV_THREADS, int(env)
+        return os.cpu_count() or 1
     if threads < 1:
-        raise ValueError(f"{name} must be at least 1, got {threads}")
+        raise ValueError(f"threads must be at least 1, got {threads}")
     return threads
 
 
 @dataclass
 class VerificationReport:
-    """Outcome of a campaign, or of one job; ``passed + failed + skipped == attempted``."""
+    """Outcome of a campaign, or of one job."""
 
     campaign: str = ""
     params: dict = field(default_factory=dict)
-    attempted: int = 0
     passed: int = 0
     failed: int = 0
     skipped: int = 0
     counterexamples: list = field(default_factory=list)
     wall_time: float = 0.0
     info: dict = field(default_factory=dict)
+
+    @property
+    def attempted(self) -> int:
+        return self.passed + self.failed + self.skipped
 
     @property
     def ok(self) -> bool:
@@ -103,7 +100,6 @@ class VerificationReport:
 
     def check(self, name: str, *args) -> None:
         """Run the registered check ``name``; encode its payload only if it fails."""
-        self.attempted += 1
         if _call(name, args):
             self.passed += 1
         else:
@@ -111,7 +107,6 @@ class VerificationReport:
             self.counterexamples.append({"check": name, **CHECKS[name].encode(*args)})
 
     def skip(self, note: Optional[dict] = None) -> None:
-        self.attempted += 1
         self.skipped += 1
         if note is not None:
             self.info.setdefault("skips", []).append(note)
@@ -121,7 +116,6 @@ class VerificationReport:
 
     def add(self, part: "VerificationReport") -> None:
         """Add the counts, counterexamples and ``info`` of ``part``: ints add, lists extend."""
-        self.attempted += part.attempted
         self.passed += part.passed
         self.failed += part.failed
         self.skipped += part.skipped
@@ -346,12 +340,13 @@ def _encode_strata(x: RationalMatrix, leaf_list) -> dict:
 
 def _decode_strata(p: dict) -> tuple:
     m, n = int_field(p, "m"), int_field(p, "n")
+    x = from_text(p["matrix"])
+    _require_shape("matrix", x, m, n)  # before the encoder enumerates x's strata
     if "leaves" not in p:
-        return from_text(p["matrix"]), all_leaves(m, n)
+        return x, all_leaves(m, n)
     if not isinstance(p["leaves"], list):
         raise ValueError(f"leaves must be a list, got {p['leaves']!r}")
-    return from_text(p["matrix"]), [LeafIndex.from_dict({"w": w, "m": m, "n": n})
-                                    for w in p["leaves"]]
+    return x, [LeafIndex.from_dict({"w": w, "m": m, "n": n}) for w in p["leaves"]]
 
 
 def _factors(p: dict, key: str) -> list[int]:
@@ -382,10 +377,8 @@ def _require_shape(name: str, a: RationalMatrix, rows: int, cols: int) -> None:
 
 
 def _decode_echelon_stratum(p: dict) -> tuple:
-    """A column stratum sample: an ``m x t`` matrix, ``n == t``, ``y`` and ``z`` in S_m."""
-    m, n, t = _decode_rank(p)
-    if n != t:
-        raise ValueError(f"an echelon_stratum payload has n == t, got n={n}, t={t}")
+    """A column stratum sample: an ``m x t`` matrix (so ``n == t``), ``y`` and ``z`` in S_m."""
+    m, _, t = _decode_rank(p)
     a, y, z = from_text(p["matrix"]), int_list_field(p, "y"), int_list_field(p, "z")
     _require_shape("matrix", a, m, t)
     if len(y) != m or len(z) != m:
@@ -396,9 +389,6 @@ def _decode_echelon_stratum(p: dict) -> tuple:
 def _decode_product(p: dict) -> tuple:
     """Factors ``c`` (``m x t``) and ``r`` (``t x n``) of the quadruple's shape."""
     sig = SigmaTuple.from_dict(p["sigma"])
-    if _decode_shape(p) != (sig.m, sig.n):
-        raise ValueError(f"m, n = {p['m']}, {p['n']} disagree with the quadruple's "
-                         f"{sig.m}, {sig.n}")
     c, r = from_text(p["c"]), from_text(p["r"])
     _require_shape("c", c, sig.m, sig.t)
     _require_shape("r", r, sig.t, sig.n)
@@ -471,8 +461,9 @@ def replay(payload: dict) -> bool:
     Re-run the check named in a counterexample payload on its embedded
     inputs; returns whether the check passes now.  A genuine counterexample
     returns ``False``, bit-exactly reproducing the failure.  A payload that
-    is not an object, names no registered check, or lacks or mistypes a
-    field raises ``ValueError``.
+    is not an object, names no registered check, lacks or mistypes a field,
+    or whose ``m``, ``n`` differ from those its decoded inputs encode to,
+    raises ``ValueError``.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"a payload must be a JSON object, got {payload!r}")
@@ -481,8 +472,13 @@ def replay(payload: dict) -> bool:
         raise ValueError(f"unknown check {name!r}")
     try:
         args = CHECKS[name].decode(payload)
+        shape = _decode_shape(payload)
     except KeyError as exc:
         raise ValueError(f"{name} payload lacks the field {exc}") from None
+    encoded = CHECKS[name].encode(*args)
+    if (encoded["m"], encoded["n"]) != shape:
+        raise ValueError(f"m, n = {shape[0]}, {shape[1]} disagree with the "
+                         f"{encoded['m']}, {encoded['n']} of the {name} inputs")
     return _call(name, args)
 
 
@@ -563,9 +559,10 @@ def _run_counts(report: VerificationReport, m: int, n: int, *_) -> None:
 
 def _pattern_sample(pat: EchelonPattern, rng: random.Random,
                     zero_prob: float) -> RationalMatrix:
-    """A member of ``pat``: a column-echelon sample, transposed for a row pattern."""
-    a = sample_echelon_col(pat.long_dim, pat.t, pat.pivots, rng, zero_prob)
-    return a if pat.kind == COLUMN else a.transpose()
+    """A member of ``pat``: a column- or row-echelon sample."""
+    if pat.kind == COLUMN:
+        return sample_echelon_col(pat.rows, pat.t, pat.pivots, rng, zero_prob)
+    return sample_echelon_row(pat.t, pat.cols, pat.pivots, rng, zero_prob)
 
 
 def _run_echelon(report: VerificationReport, m: int, n: int, samples: int,

@@ -4,9 +4,10 @@ Conventions used across the package (all indices and values are 1-based):
 
 - A permutation of ``{1..n}`` is a tuple ``w`` of length ``n`` listing its
   images, so ``w[i-1]`` is ``w(i)``.
-- ``compose(a, b)`` is the map ``i -> a(b(i))``.
+- The product ``ab`` of two permutations is the map ``i -> a(b(i))``.
 - The 0/1 matrix attached to ``w`` carries the 1 of column ``j`` in row
-  ``w(j)``; with this convention matrix products agree with ``compose``.
+  ``w(j)``; with this convention matrix products agree with products of
+  permutations.
 - A partial permutation on an ``m x n`` grid injects part of the column set
   ``{1..n}`` into the row set ``{1..m}``, stored column-indexed.
 """
@@ -75,18 +76,6 @@ def longest(n: int) -> Perm:
     (4, 3, 2, 1)
     """
     return tuple(range(n, 0, -1))
-
-
-def compose(a: Sequence[int], b: Sequence[int]) -> Perm:
-    """
-    Right-to-left composition: ``compose(a, b)(i) = a(b(i))``.
-
-    >>> compose((2, 1, 3), (1, 3, 2))
-    (2, 3, 1)
-    """
-    if len(a) != len(b):
-        raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
-    return tuple(a[j - 1] for j in b)
 
 
 def inverse(w: Sequence[int]) -> Perm:
@@ -214,13 +203,29 @@ def extend_ascending(n: int, head: Sequence[int]) -> Perm:
     return head + rest
 
 
+def with_head(n: int, head: Sequence[int]) -> Iterator[Perm]:
+    """
+    All permutations of ``{1..n}`` that start with ``head``, lexicographically:
+    ``head`` followed by each arrangement of the other images.
+
+    >>> list(with_head(3, ()))
+    [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    >>> list(with_head(4, (3, 1)))
+    [(3, 1, 2, 4), (3, 1, 4, 2)]
+    >>> list(with_head(3, (2, 3, 1)))
+    [(2, 3, 1)]
+    """
+    head = tuple(head)
+    rest = [x for x in range(1, n + 1) if x not in head]
+    if len(head) + len(rest) != n:
+        raise ValueError(f"head {head} is not injective into 1..{n}")
+    return (head + tail for tail in itertools.permutations(rest))
+
+
 def min_reps_first(n: int, t: int) -> Iterator[Perm]:
     """All ``w`` in S_n with ``w(1) < ... < w(t)``, lexicographically."""
-    universe = range(1, n + 1)
-    for head in itertools.combinations(universe, t):
-        rest = [x for x in universe if x not in head]
-        for tail in itertools.permutations(rest):
-            yield head + tail
+    for head in itertools.combinations(range(1, n + 1), t):
+        yield from with_head(n, head)
 
 
 def min_reps_last(n: int, k: int) -> Iterator[Perm]:

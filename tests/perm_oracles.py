@@ -1,12 +1,14 @@
 """Permutation and quadruple helpers that only the tests use: independent
 oracles for what the library computes another way, from one-line notation or
 a rank table, and the earlier, slower forms of the library's own functions."""
+import itertools
 from bisect import insort
 from typing import NamedTuple
 
+from leaf_atlas.double_bruhat import dense_orbit
 from leaf_atlas.exact_matrix import SOUTHWEST
-from leaf_atlas.permutations import (PartialPerm, check_perm, min_reps_first,
-                                     min_reps_last)
+from leaf_atlas.permutations import (PartialPerm, bruhat_leq, check_perm,
+                                     min_reps_first, min_reps_last)
 from leaf_atlas.sigma import SigmaTuple
 
 
@@ -43,6 +45,13 @@ def partial_identity(m, n, t):
     if not 0 <= t <= min(m, n):
         raise ValueError(f"t out of range: {t}")
     return PartialPerm.from_pairs(m, n, ((j, j) for j in range(1, t + 1)))
+
+
+def compose(a, b):
+    """Right-to-left composition: ``compose(a, b)(i) = a(b(i))``."""
+    if len(a) != len(b):
+        raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
+    return tuple(a[j - 1] for j in b)
 
 
 def left_compose(p, w):
@@ -152,3 +161,43 @@ def phi_inv_by_blocks(L):
     z = (tuple(m + 1 - c for c in zs)
          + tuple(m + 1 - w12_inv[m + 1 - y[j - 1]] for j in range(t + 1, m + 1)))
     return SigmaTuple(y, v, z, u, t)
+
+
+def _tail_perms(n, t):
+    """Permutations fixing ``1..t`` pointwise, lexicographically."""
+    head = tuple(range(1, t + 1))
+    for tail in itertools.permutations(range(t + 1, n + 1)):
+        yield head + tail
+
+
+def decompose_by_tails(d):
+    """
+    The strata of a nonempty double cell as products of the base factors
+    with tails: ``(y, v0 tau2, z0 tau1, u)`` for ``tau1``, ``tau2`` fixing
+    ``1..t``, with ``z0 tau1 <= y`` and ``v0 tau2 <= u``, lexicographic in
+    ``(tau1, tau2)``.
+    """
+    base = dense_orbit(d)
+    y, v0, z0, u, t = base.y, base.v, base.z, base.u, base.t
+    m, n = d.shape
+    out = []
+    for tau1 in _tail_perms(m, t):
+        z = compose(z0, tau1)
+        if not bruhat_leq(z, y):
+            continue
+        for tau2 in _tail_perms(n, t):
+            v = compose(v0, tau2)
+            if bruhat_leq(v, u):
+                out.append(SigmaTuple(y, v, z, u, t))
+    return out
+
+
+def stratify_pattern_sorted(pat):
+    """The stratum pairs of an echelon pattern, collected in any order and then sorted."""
+    long_dim, t = pat.long_dim, pat.t
+    pinned = [pat.pivots + tail for tail in itertools.permutations(
+        sorted(set(range(1, long_dim + 1)) - set(pat.pivots)))]
+    out = [(big, small) for big in min_reps_last(long_dim, long_dim - t)
+           for small in pinned if bruhat_leq(small, big)]
+    out.sort()
+    return out

@@ -193,7 +193,7 @@ def test_verify_stdout_byte_stable_modulo_wall_time(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     def fake_run(campaign, m, n, samples=1000, seed=0, threads=None):
-        return harness.VerificationReport(campaign, {}, attempted=1, failed=1)
+        return harness.VerificationReport(campaign, {}, failed=1)
 
     monkeypatch.setattr(cli.harness, "run", fake_run)
     code, out, _ = run_cli(capsys, "verify", "--campaign", "counts",

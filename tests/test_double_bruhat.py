@@ -9,7 +9,7 @@ from leaf_atlas.exact_matrix import RationalMatrix, sample_rank
 from leaf_atlas.leaves import classify_leaf, enumerate_leaves
 from leaf_atlas.permutations import as_partial, bruhat_leq, parse_partial, partial_perms
 from leaf_atlas.sigma import SigmaTuple, phi_inv, phi_to_leaf
-from perm_oracles import partial_identity
+from perm_oracles import decompose_by_tails, partial_identity
 
 CELL_45 = DoubleCellIndex(parse_partial("3x3:1->3"), parse_partial("3x3:3->1"))
 SIGMA_513 = SigmaTuple((3, 1, 2), (1, 3, 2), (1, 2, 3), (3, 1, 2), 1)
@@ -104,3 +104,19 @@ def test_sampled_matrices_live_in_their_cells_decomposition():
         d = classify_double(x)
         assert is_nonempty(d)
         assert phi_inv(classify_leaf(x)) in decompose(d)
+
+
+def test_decompose_matches_the_tail_product_form():
+    # every nonempty equal-rank double cell up to 4x4, order included
+    cells = 0
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for t in range(min(m, n) + 1):
+                pps = list(partial_perms(m, n, t))
+                for w1 in pps:
+                    for w2 in pps:
+                        d = DoubleCellIndex(w1, w2)
+                        if is_nonempty(d):
+                            assert decompose(d) == decompose_by_tails(d), d
+                            cells += 1
+    assert cells > 1000

@@ -15,6 +15,7 @@ from leaf_atlas.leaves import LeafIndex, classify_leaf
 from leaf_atlas.permutations import PartialPerm, identity
 from leaf_atlas.sigma import SigmaTuple, enumerate_sigma, phi_inv, phi_to_leaf
 from matrix_strategies import entry, identity_matrix
+from perm_oracles import stratify_pattern_sorted
 
 
 def test_pattern_validation_and_literals():
@@ -229,3 +230,12 @@ def test_one_body_echelon_checks_match_the_branch_per_kind_references():
                             assert (_outcome(harness.check_echelon_member, b, q)
                                     == _outcome(_echelon_member_by_kind, b, q))
     assert members == 2 * 2 * 26
+
+
+def test_stratify_pattern_is_the_sorted_pair_list():
+    # every column and row pattern with long side up to 6, order included
+    for long_dim in range(1, 7):
+        for t in range(1, long_dim + 1):
+            for kind in (COLUMN, ROW):
+                for pat in all_patterns(kind, long_dim, t):
+                    assert stratify_pattern(pat) == stratify_pattern_sorted(pat), pat

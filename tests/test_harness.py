@@ -190,6 +190,19 @@ def test_unknown_campaign_rejected():
      "sigma": {"y": [3, 1, 2], "v": [1, 3, 2], "z": [1, 2, 3], "u": [3, 1, 2], "t": 1}},
     {"check": "echelon_product", "m": 2, "n": 3, "c": "1\n1\n1", "r": "1 0 0",
      "sigma": {"y": [3, 1, 2], "v": [1, 3, 2], "z": [1, 2, 3], "u": [3, 1, 2], "t": 1}},
+    {"check": "block_classes", "m": 5, "n": 7, "matrix": "1 0\n0 1"},
+    {"check": "sigma_in_double_cell", "m": 2, "n": 3, "matrix": "1 0\n0 1"},
+    {"check": "criteria_agreement", "m": 3, "n": 2, "w1": "2x2:1->1", "w2": "2x2:2->2"},
+    {"check": "dense_orbit", "m": 7, "n": 7, "w1": "2x2:1->2", "w2": "2x2:2->1"},
+    {"check": "zero_product", "m": 2, "n": 3,
+     "sigma": {"y": [1, 2], "v": [1, 2], "z": [1, 2], "u": [1, 2], "t": 0}},
+    {"check": "phi_roundtrip", "m": 3, "n": 2,
+     "sigma": {"y": [2, 1], "v": [1, 2], "z": [1, 2], "u": [2, 1], "t": 1}},
+    {"check": "leaf_roundtrip", "m": 2, "n": 1, "leaf": {"w": [2, 1], "m": 1, "n": 1}},
+    {"check": "echelon_member", "m": 3, "n": 3, "pattern": "col:3,2:1,2",
+     "matrix": "1 0\n2 3\n4 5"},
+    {"check": "torus_stability", "m": 4, "n": 2, "pattern": "col:3,2:1,2",
+     "matrix": "1 0\n2 3\n4 5", "row_factors": ["2", "-1", "3"], "col_factors": ["5", "1"]},
 ], ids=["leaf-m-string", "leaf-w-bool", "sigma-t-string", "sigma-y-int",
         "rank-m-string", "shape-m-float", "shape-m-bool", "strata-m-bool",
         "echelon-stratum-m-string", "strata-leaves-bool", "strata-leaves-int",
@@ -199,22 +212,20 @@ def test_unknown_campaign_rejected():
         "payload-a-list", "payload-a-string", "rank-t-above", "rank-m-zero",
         "shape-m-negative", "echelon-stratum-matrix-rows", "echelon-stratum-n-not-t",
         "echelon-stratum-y-length", "product-c-rows", "product-r-cols",
-        "product-inner-not-t", "product-m-not-sigma"])
+        "product-inner-not-t", "product-m-not-sigma", "block-classes-m-n-not-matrix",
+        "sigma-in-double-cell-n-not-matrix", "criteria-m-not-cell", "dense-orbit-m-n-not-cell",
+        "zero-product-n-not-sigma", "phi-roundtrip-m-not-sigma", "leaf-m-not-leaf",
+        "echelon-member-n-not-pattern", "torus-m-not-pattern"])
 def test_replay_rejects_wrong_typed_fields(payload):
     with pytest.raises(ValueError):
         harness.replay(payload)
 
 
-def test_counts_that_verify_nothing_are_rejected(monkeypatch):
-    monkeypatch.delenv(harness.ENV_THREADS, raising=False)
+def test_counts_that_verify_nothing_are_rejected():
     for threads in (0, -2):
         with pytest.raises(ValueError, match="threads"):
             harness.resolve_threads(threads)
-    monkeypatch.setenv(harness.ENV_THREADS, "0")
-    with pytest.raises(ValueError, match=harness.ENV_THREADS):
-        harness.resolve_threads(None)
     assert harness.resolve_threads(2) == 2
-    monkeypatch.delenv(harness.ENV_THREADS)
     for campaign in harness.CAMPAIGNS:
         with pytest.raises(ValueError, match="samples"):
             harness.run(campaign, 2, 2, samples=-3, threads=1)

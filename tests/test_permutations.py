@@ -5,12 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from leaf_atlas.permutations import (
-    PartialPerm, all_perms, as_partial, block_longest, bruhat_leq, compose,
+    PartialPerm, all_perms, as_partial, block_longest, bruhat_leq,
     count_partial_perms, extend_ascending, identity, inverse, is_min_rep_first,
     is_min_rep_last, length, longest, min_reps_first, min_reps_last,
-    parse_partial, partial_perms, subset_leq,
+    parse_partial, partial_perms, subset_leq, with_head,
 )
-from perm_oracles import (block_split, bruhat_leq_by_sorted_prefixes,
+from perm_oracles import (block_split, bruhat_leq_by_sorted_prefixes, compose,
                           extend_ascending_by_set_difference,
                           is_min_rep_first_by_pairs, is_min_rep_last_by_pairs,
                           left_compose, partial_identity, right_compose, transpose)
@@ -44,6 +44,10 @@ def test_length_matches_double_loop_oracle():
 def test_length_matches_pairwise_inversions(w):
     brute = sum(1 for i, j in itertools.combinations(range(len(w)), 2) if w[i] > w[j])
     assert length(w) == brute
+
+
+def test_compose_example():
+    assert compose((2, 1, 3), (1, 3, 2)) == (2, 3, 1)
 
 
 def test_compose_size_mismatch():
@@ -202,9 +206,23 @@ def test_min_rep_is_shortest_in_coset():
         assert length(reps[0]) == min(length(u) for u in coset)
 
 
+def test_with_head_lists_the_perms_with_that_head():
+    for n in range(6):
+        for k in range(n + 1):
+            for head in itertools.permutations(range(1, n + 1), k):
+                assert list(with_head(n, head)) == [
+                    w for w in all_perms(n) if w[:k] == head]
+    for bad in ((1, 1), (0,), (4,)):
+        with pytest.raises(ValueError, match="not injective"):
+            with_head(3, bad)
+
+
 def test_min_reps_enumerators():
-    assert sorted(min_reps_first(3, 2)) == sorted(
-        w for w in all_perms(3) if is_min_rep_first(w, 2))
+    # all_perms is lexicographic, so this pins the order of min_reps_first too
+    for n in range(7):
+        for t in range(n + 1):
+            assert list(min_reps_first(n, t)) == [
+                w for w in all_perms(n) if is_min_rep_first(w, t)]
     assert sorted(min_reps_last(4, 2)) == sorted(
         w for w in all_perms(4) if is_min_rep_last(w, 2))
 
