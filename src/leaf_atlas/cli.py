@@ -4,6 +4,8 @@ Subcommands cover enumeration, classification, the Hasse diagram, the
 quadruple bijection, echelon stratification, double cells, and the
 verification campaigns.  Output is JSON by default (schema-tagged, byte
 stable for fixed inputs and seeds); ``--format table``/``dot`` where noted.
+Listings are written one record or line at a time, after all validation
+and computation are done.
 Exit codes: 0 success, 1 domain or usage error, 2 verification failure.
 """
 from __future__ import annotations
@@ -12,13 +14,13 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from . import harness
 from .double_bruhat import DoubleCellIndex, decompose, dense_orbit, is_nonempty
 from .echelon import COLUMN, parse_pattern, stratify_pattern
 from .exact_matrix import load_matrix
-from .jsonout import dumps
+from .jsonout import dump
 from .leaves import (LeafIndex, all_leaves, classify_leaf, enumerate_leaves, hasse,
                      hasse_dot, in_leaf)
 from .permutations import check_perm, parse_partial
@@ -27,8 +29,10 @@ from .sigma import SigmaTuple, phi, phi_inv, phi_to_leaf
 SCHEMA = "leaf-atlas/v1"
 
 
-def _emit(payload: dict) -> None:
-    print(dumps(payload))
+def _emit(payload: dict, stream: Optional[TextIO] = None) -> None:
+    """Write ``payload`` as indented JSON to ``stream``, by default the current
+    ``sys.stdout``; list values may be iterators, built as they are written."""
+    dump(payload, sys.stdout if stream is None else stream)
 
 
 def _parse_perm(text: str):
@@ -38,12 +42,12 @@ def _parse_perm(text: str):
 def _cmd_leaves_enumerate(args) -> int:
     out = enumerate_leaves(args.m, args.n, args.rank)
     if args.format == "table":
-        rows = [f"{'w':<24}{'t':>4}{'dim':>5}"]
-        rows += [f"{','.join(map(str, L.w)):<24}{L.t:>4}{L.dim:>5}" for L in out]
-        print("\n".join(rows))
+        sys.stdout.write(f"{'w':<24}{'t':>4}{'dim':>5}\n")
+        sys.stdout.writelines(f"{','.join(map(str, L.w)):<24}{L.t:>4}{L.dim:>5}\n"
+                              for L in out)
         return 0
     _emit({"schema": SCHEMA, "m": args.m, "n": args.n,
-           "count": len(out), "leaves": [L.to_dict() for L in out]})
+           "count": len(out), "leaves": map(LeafIndex.to_dict, out)})
     return 0
 
 
@@ -64,13 +68,14 @@ def _cmd_leaves_classify(args) -> int:
 
 def _cmd_leaves_hasse(args) -> int:
     if args.format == "dot":
-        sys.stdout.write(hasse_dot(args.m, args.n))
+        sys.stdout.writelines(hasse_dot(args.m, args.n))
         return 0
     nodes = all_leaves(args.m, args.n)
+    covers = hasse(args.m, args.n)
     index = {L: i for i, L in enumerate(nodes)}
-    edges = [[index[a], index[b]] for a, b in hasse(args.m, args.n)]
     _emit({"schema": SCHEMA, "m": args.m, "n": args.n,
-           "nodes": [L.to_dict() for L in nodes], "edges": edges})
+           "nodes": map(LeafIndex.to_dict, nodes),
+           "edges": ([index[a], index[b]] for a, b in covers)})
     return 0
 
 
@@ -99,9 +104,10 @@ def _cmd_sigma_phi_inv(args) -> int:
 def _cmd_echelon_stratify(args) -> int:
     pat = parse_pattern(args.pattern)
     roles = ("y", "z") if pat.kind == COLUMN else ("u", "v")
-    strata = [{roles[0]: list(a), roles[1]: list(b)} for a, b in stratify_pattern(pat)]
+    pairs = stratify_pattern(pat)
     _emit({"schema": SCHEMA, "pattern": pat.literal(), "kind": pat.kind,
-           "count": len(strata), "strata": strata})
+           "count": len(pairs),
+           "strata": ({roles[0]: list(a), roles[1]: list(b)} for a, b in pairs)})
     return 0
 
 
@@ -113,7 +119,7 @@ def _cmd_dbc(args) -> int:
     if args.dbc_cmd == "decompose":
         orbits = decompose(d)
         _emit({"schema": SCHEMA, "count": len(orbits),
-               "orbits": [s.to_dict() for s in orbits]})
+               "orbits": map(SigmaTuple.to_dict, orbits)})
         return 0
     _emit({"schema": SCHEMA, "dense": dense_orbit(d).to_dict()})
     return 0
@@ -123,12 +129,11 @@ def _cmd_verify(args) -> int:
     report = harness.run(args.campaign, args.m, args.n,
                          samples=args.samples, seed=args.seed,
                          threads=args.threads)
-    text = report.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _emit(report.to_dict(), fh)
     else:
-        sys.stdout.write(text)
+        _emit(report.to_dict())
     return 0 if report.ok else 2
 
 

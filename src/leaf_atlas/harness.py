@@ -39,7 +39,6 @@ from .echelon import (COLUMN, ROW, EchelonPattern, all_patterns,
                       stratify_pattern)
 from .exact_matrix import (RationalMatrix, from_text, sample_echelon_col,
                            sample_echelon_row, sample_rank, _rand_nonzero)
-from .jsonout import dumps
 from .leaves import (LeafIndex, all_leaves, cell_labels, classify_leaf, in_leaf,
                      leaf_profile, window_ok)
 from .permutations import (PartialPerm, all_perms, block_longest, bruhat_leq,
@@ -94,9 +93,6 @@ class VerificationReport:
                 "passed": self.passed, "failed": self.failed,
                 "skipped": self.skipped, "counterexamples": self.counterexamples,
                 "wall_time": self.wall_time, "info": self.info}
-
-    def to_json(self) -> str:
-        return dumps(self.to_dict()) + "\n"
 
     def check(self, name: str, *args) -> None:
         """Run the registered check ``name``; encode its payload only if it fails."""

@@ -4,12 +4,15 @@
 indented, every value goes through the pure-Python ``json.encoder``.
 ``dumps`` writes the same text as ``json.dumps`` with an indent of 2,
 encoding strings with the C ``encode_basestring_ascii`` and integers with
-``int.__repr__``.  No other code of the package pretty-prints JSON.
+``int.__repr__``.  ``dump`` writes the same text, and a final newline, to a
+stream, listing by listing.  No other code of the package pretty-prints JSON.
 """
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _string
+from typing import TextIO
 
 
 def dumps(obj, pad: str = "\n") -> str:
@@ -50,6 +53,48 @@ def dumps(obj, pad: str = "\n") -> str:
                  for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     return json.dumps(obj)
+
+
+def dump(obj, stream: TextIO) -> None:
+    """
+    Write ``dumps(obj) + "\n"`` to ``stream``, one element at a time for a
+    list, tuple or iterator that is ``obj`` itself or a value of the dict
+    ``obj``.  Such an iterator (``map(LeafIndex.to_dict, leaves)``, say) is
+    written as the list of its elements, so a listing is never held whole,
+    neither as records nor as text.
+
+    >>> import sys
+    >>> dump({"count": 1, "w": iter([[]])}, sys.stdout)
+    {
+      "count": 1,
+      "w": [
+        []
+      ]
+    }
+    """
+    if isinstance(obj, dict) and obj:
+        head = "{\n  "
+        for k, v in obj.items():
+            stream.write(head + (_string(k) if type(k) is str else _key(k)) + ": ")
+            _dump_value(v, "\n  ", stream)
+            head = ",\n  "
+        stream.write("\n}\n")
+    else:
+        _dump_value(obj, "\n", stream)
+        stream.write("\n")
+
+
+def _dump_value(obj, pad: str, stream: TextIO) -> None:
+    """``dumps(obj, pad)`` to ``stream``, a list, tuple or iterator an element at a time."""
+    if not isinstance(obj, (list, tuple, Iterator)):
+        stream.write(dumps(obj, pad))
+        return
+    inner = pad + "  "
+    head = "[" + inner
+    for x in obj:
+        stream.write(head + dumps(x, inner))
+        head = "," + inner
+    stream.write("[]" if head[0] == "[" else pad + "]")
 
 
 def _key(key) -> str:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterator, Optional, Sequence
 
 from . import cells
 from .exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix, bruhat_pivots,
@@ -324,14 +325,18 @@ def hasse(m: int, n: int) -> list[tuple[LeafIndex, LeafIndex]]:
             for w in sorted(_upper_covers(a.w))]
 
 
-def hasse_dot(m: int, n: int) -> str:
-    """Hasse diagram in DOT format, low strata at the bottom."""
-    lines = ["digraph leaves {", "  rankdir=BT;"]
-    for leaf in all_leaves(m, n):
-        label = ",".join(map(str, leaf.w))
-        lines.append(f'  "{label}" [dim={leaf.dim}, rank={leaf.t}];')
-    for a, b in hasse(m, n):
-        la, lb = ",".join(map(str, a.w)), ",".join(map(str, b.w))
-        lines.append(f'  "{la}" -> "{lb}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def hasse_dot(m: int, n: int) -> Iterator[str]:
+    """
+    Hasse diagram in DOT format, low strata at the bottom, as its lines (each
+    ending in a newline).  The strata and covers are computed before the
+    first line is made, so a bad shape raises here.
+    """
+    leaves, covers = all_leaves(m, n), hasse(m, n)
+
+    def label(L: LeafIndex) -> str:
+        return ",".join(map(str, L.w))
+
+    return chain(["digraph leaves {\n", "  rankdir=BT;\n"],
+                 (f'  "{label(L)}" [dim={L.dim}, rank={L.t}];\n' for L in leaves),
+                 (f'  "{label(a)}" -> "{label(b)}";\n' for a, b in covers),
+                 ["}\n"])

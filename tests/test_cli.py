@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from leaf_atlas import cli, harness
+from leaf_atlas.jsonout import dumps
+from leaf_atlas.leaves import all_leaves, enumerate_leaves, hasse
 
 
 def run_cli(capsys, *argv):
@@ -244,3 +247,113 @@ def test_malformed_input_is_a_domain_error(tmp_path, capsys, matrix, argv):
         argv += ("--matrix", str(path))
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+# Listings are streamed; each oracle below builds the whole text at once, as
+# the one-shot writers did, and the CLI must match it byte for byte.
+
+def _label(L):
+    return ",".join(map(str, L.w))
+
+
+def _enumerate_oracle(m, n, t, fmt):
+    leaves = enumerate_leaves(m, n, t)
+    if fmt == "table":
+        rows = [f"{'w':<24}{'t':>4}{'dim':>5}"]
+        rows += [f"{_label(L):<24}{L.t:>4}{L.dim:>5}" for L in leaves]
+        return "\n".join(rows) + "\n"
+    return dumps({"schema": cli.SCHEMA, "m": m, "n": n, "count": len(leaves),
+                  "leaves": [L.to_dict() for L in leaves]}) + "\n"
+
+
+def _hasse_oracle(m, n, fmt):
+    nodes, covers = all_leaves(m, n), hasse(m, n)
+    if fmt == "dot":
+        lines = ["digraph leaves {", "  rankdir=BT;"]
+        lines += [f'  "{_label(L)}" [dim={L.dim}, rank={L.t}];' for L in nodes]
+        lines += [f'  "{_label(a)}" -> "{_label(b)}";' for a, b in covers]
+        return "\n".join(lines + ["}"]) + "\n"
+    index = {L: i for i, L in enumerate(nodes)}
+    return dumps({"schema": cli.SCHEMA, "m": m, "n": n,
+                  "nodes": [L.to_dict() for L in nodes],
+                  "edges": [[index[a], index[b]] for a, b in covers]}) + "\n"
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
+                         + [(3, 4), (4, 3)])
+def test_enumerate_streams_the_one_shot_text(capsys, m, n):
+    for t in (None, *range(min(m, n) + 1)):
+        rank = () if t is None else ("--rank", str(t))
+        for fmt in ("json", "table"):
+            code, out, err = run_cli(capsys, "leaves", "enumerate", "--m", str(m),
+                                     "--n", str(n), *rank, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert out == _enumerate_oracle(m, n, t, fmt), (t, fmt)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
+def test_hasse_streams_the_one_shot_text(capsys, m, n):
+    for fmt in ("json", "dot"):
+        code, out, err = run_cli(capsys, "leaves", "hasse", "--m", str(m), "--n", str(n),
+                                 "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == _hasse_oracle(m, n, fmt), fmt
+
+
+class _Writes(io.StringIO):
+    """A text stream that records the size of every ``write``."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv, size", [
+    (("leaves", "enumerate", "--m", "4", "--n", "4"), 1_236_729),
+    (("leaves", "enumerate", "--m", "4", "--n", "4", "--format", "table"), None),
+    (("leaves", "hasse", "--m", "3", "--n", "4", "--format", "json"), None),
+    (("leaves", "hasse", "--m", "3", "--n", "4", "--format", "dot"), None),
+])
+def test_listings_are_written_a_piece_at_a_time(monkeypatch, argv, size):
+    stream = _Writes()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert cli.main(list(argv)) == 0
+    assert sum(stream.sizes) == len(stream.getvalue())
+    assert size is None or len(stream.getvalue()) == size
+    assert len(stream.sizes) > 1000 and max(stream.sizes) < 4096
+
+
+@pytest.mark.parametrize("argv", [
+    ("leaves", "enumerate", "--m", "0", "--n", "2"),
+    ("leaves", "enumerate", "--m", "2", "--n", "2", "--rank", "3"),
+    ("leaves", "hasse", "--m", "0", "--n", "2"),
+    ("leaves", "hasse", "--m", "0", "--n", "2", "--format", "json"),
+])
+def test_bad_input_writes_nothing_to_stdout(monkeypatch, capsys, argv):
+    stream = _Writes()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert cli.main(list(argv)) == 1
+    assert stream.sizes == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_closed_pipe_is_one_error_line():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "leaf_atlas.cli", "leaves", "enumerate",
+                             "--m", "4", "--n", "4"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()  # the 1.2 MB listing cannot fit in the pipe's buffer
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err.decode() == "error: [Errno 32] Broken pipe\n"

@@ -345,7 +345,7 @@ def test_every_failure_names_a_registered_check_and_replays(monkeypatch):
         for campaign in harness.CAMPAIGNS:
             r = harness.run(campaign, 2, 2, samples=20, seed=3, threads=1)
             assert r.passed == 0 and r.failed + r.skipped == r.attempted > 0
-            payloads.extend(json.loads(r.to_json())["counterexamples"])
+            payloads.extend(json.loads(json.dumps(r.to_dict()))["counterexamples"])
     assert {p["check"] for p in payloads} == set(harness.CHECKS)
     for payload in payloads:
         assert harness.replay(payload) is True, payload

@@ -1,16 +1,17 @@
 """The one JSON writer: ``jsonout.dumps`` is ``json.dumps`` indented by 2, byte for byte."""
 import enum
+import io
 import json
 import math
 import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import leaf_atlas
-from leaf_atlas.jsonout import dumps
+from leaf_atlas.jsonout import dump, dumps
 
 
 class Colour(enum.IntEnum):
@@ -34,6 +35,26 @@ values = st.recursive(scalars, lambda inner: (st.lists(inner)
 @given(values)
 def test_writer_equals_indented_json_dumps(obj):
     assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+def _lazy(obj):
+    """``obj`` with its list values, or itself if a list, turned into iterators."""
+    if isinstance(obj, dict):
+        return {k: iter(v) if isinstance(v, list) else v for k, v in obj.items()}
+    return iter(obj) if isinstance(obj, list) else obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(values | st.dictionaries(strings, st.lists(values) | values), st.booleans())
+@example({}, False)
+@example([], True)
+@example((), False)
+@example({"a": [], "b": (), "c": [[]], "d": ({},)}, True)
+@example({"a": [], "b": ()}, False)
+def test_stream_writer_equals_dumps_and_a_newline(obj, lazy):
+    stream = io.StringIO()
+    dump(_lazy(obj) if lazy else obj, stream)
+    assert stream.getvalue() == dumps(obj) + "\n"
 
 
 def test_only_exact_ints_are_written_in_place():

@@ -288,7 +288,7 @@ def test_hasse_equals_pairwise_construction():
 
 
 def test_hasse_dot_output():
-    dot = hasse_dot(1, 1)
+    dot = "".join(hasse_dot(1, 1))
     assert dot.startswith("digraph leaves {")
     assert '"1,2" -> "2,1";' in dot
 
