@@ -5,14 +5,17 @@ intersection of the upper cell of ``w1`` with the lower cell of ``w2``.
 Nonemptiness has two local criteria (Bruhat comparison of the unique
 factorizations, and domain/range set comparison) plus an independent
 global one (existence of a stratum index with the prescribed off-diagonal
-blocks).  This module implements the factorization and global criteria,
-factoring each label once; the harness checks the factors and the set
-criterion.  A nonempty cell splits into finitely many strata, with the base
-factorization quadruple naming the unique open dense one.
+blocks).  This module implements the factorization and global criteria.  A
+cell factors each of its labels once, on first use (``DoubleCellIndex.factors``),
+and every function here reads that one factorization; the harness checks the
+factors and the set criterion.  A nonempty cell splits into finitely many
+strata, with the base factorization quadruple naming the unique open dense
+one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import cells
@@ -39,16 +42,23 @@ class DoubleCellIndex:
     def shape(self) -> tuple[int, int]:
         return self.w1.rows, self.w1.cols
 
+    @cached_property
+    def factors(self) -> tuple[Perm, Perm, Perm, Perm]:
+        """
+        ``(y, v0, z0, u)``: ``w1`` factored in the form ``yv`` and ``w2`` in
+        the form ``zu`` (``sigma.decompose_partial``).  Computed on first use
+        and kept on the cell, outside its fields, so equality, hash and repr
+        are those of the two labels.
+        """
+        return (*decompose_partial(self.w1, "yv"), *decompose_partial(self.w2, "zu"))
+
 
 def _base(d: DoubleCellIndex) -> Optional[tuple[Perm, Perm, Perm, Perm]]:
     """The base quadruple ``(y, v0, z0, u)``, or ``None`` if the factorization test fails."""
     if d.w1.rank() != d.w2.rank():
         return None
-    y, v0 = decompose_partial(d.w1, "yv")
-    z0, u = decompose_partial(d.w2, "zu")
-    if bruhat_leq(z0, y) and bruhat_leq(v0, u):
-        return y, v0, z0, u
-    return None
+    y, v0, z0, u = base = d.factors
+    return base if bruhat_leq(z0, y) and bruhat_leq(v0, u) else None
 
 
 def is_nonempty(d: DoubleCellIndex) -> bool:
@@ -77,7 +87,12 @@ def decompose(d: DoubleCellIndex) -> list[SigmaTuple]:
     with ``z`` sharing the first ``t`` images of ``z0`` and ``z <= y``, and
     ``v`` sharing those of ``v0`` and ``v <= u``.  The tails of ``z0`` and
     ``v0`` ascend, so the base quadruple ``(y, v0, z0, u)`` comes first; order
-    is lexicographic in ``(z, v)``.
+    is lexicographic in ``(z, v)``.  The quadruples are built unchecked
+    (``SigmaTuple._trusted``): the factor forms and the fixed heads make
+    them minimal representatives, and the two Bruhat filters are the
+    remaining conditions.  The check ``orbit_partition`` rebuilds every one
+    of them, over all nonempty cells of a shape, through the validating
+    constructor.
     """
     base = _base(d)
     if base is None:
@@ -86,19 +101,23 @@ def decompose(d: DoubleCellIndex) -> list[SigmaTuple]:
     m, n = d.shape
     t = d.w1.rank()
     vs = [v for v in with_head(n, v0[:t]) if bruhat_leq(v, u)]
-    return [SigmaTuple(y, v, z, u, t)
+    trusted = SigmaTuple._trusted
+    return [trusted(y, v, z, u, t)
             for z in with_head(m, z0[:t]) if bruhat_leq(z, y) for v in vs]
 
 
 def dense_orbit(d: DoubleCellIndex) -> SigmaTuple:
     """
     The quadruple of the unique stratum open and dense in the cell: the base
-    quadruple, from one factorization of each label.
+    quadruple, from the cell's one factorization of each label.  It is built
+    unchecked (``SigmaTuple._trusted``); the check ``dense_orbit`` compares
+    it with the first quadruple of ``decompose``, which ``orbit_partition``
+    validates.
     """
     base = _base(d)
     if base is None:
         raise ValueError("empty double cell has no dense stratum")
-    return SigmaTuple(*base, d.w1.rank())
+    return SigmaTuple._trusted(*base, d.w1.rank())
 
 
 def classify_double(x: RationalMatrix) -> DoubleCellIndex:

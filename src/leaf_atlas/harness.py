@@ -45,8 +45,7 @@ from .permutations import (PartialPerm, all_perms, block_longest, bruhat_leq,
                            count_partial_perms, identity, int_field,
                            int_list_field, parse_partial, partial_perms,
                            subset_leq)
-from .sigma import (SigmaTuple, decompose_partial, enumerate_sigma, phi, phi_inv,
-                    phi_to_leaf)
+from .sigma import SigmaTuple, enumerate_sigma, phi, phi_inv, phi_to_leaf
 
 _STREAM_CHUNK = 250          # fixed stream granularity, independent of workers
 _EXHAUSTIVE_LIMIT = 300      # exhaustive index sweeps only below this many strata
@@ -189,17 +188,26 @@ def check_sigma_in_double_cell(x: RationalMatrix) -> bool:
 
 
 def check_criteria_agreement(d: DoubleCellIndex) -> bool:
-    """The three nonemptiness criteria agree, and both labels recompose from their factors."""
+    """
+    The three nonemptiness criteria agree, and both labels recompose from
+    the cell's factors (``d.factors``, the factorization that ``is_nonempty``,
+    ``decompose`` and ``dense_orbit`` read).
+    """
     by_sets = (d.w1.rank() == d.w2.rank()
                and subset_leq(d.w1.dom(), d.w2.dom())
                and subset_leq(d.w2.rng(), d.w1.rng()))
+    y, v0, z0, u = d.factors
     return (is_nonempty(d) == by_sets == nonempty_by_completion(d)
-            and all(_recompose(*decompose_partial(w, form), *d.shape, w.rank()) == w
-                    for w, form in ((d.w1, "yv"), (d.w2, "zu"))))
+            and _recompose(y, v0, *d.shape, d.w1.rank()) == d.w1
+            and _recompose(z0, u, *d.shape, d.w2.rank()) == d.w2)
 
 
 def check_dense_orbit(d: DoubleCellIndex) -> bool:
-    """The base quadruple leads the decomposition and dominates it in closure order."""
+    """
+    The base quadruple leads the decomposition and dominates it in closure
+    order.  ``dense_orbit`` builds unchecked; it equals the first quadruple
+    of ``decompose``, which ``orbit_partition`` validates.
+    """
     dec = decompose(d)
     dense = dense_orbit(d)
     top = phi_to_leaf(dense)
@@ -286,8 +294,29 @@ def check_pp_count(m: int, n: int, t: int) -> bool:
     return (sum(1 for _ in partial_perms(m, n, t)) == count_partial_perms(m, n, t))
 
 
+def _validated(sig: SigmaTuple) -> SigmaTuple:
+    """``sig`` rebuilt through the validating constructor, which raises ``ValueError`` if invalid."""
+    return SigmaTuple(sig.y, sig.v, sig.z, sig.u, sig.t)
+
+
 def check_phi_roundtrip(sig: SigmaTuple) -> bool:
-    return phi_inv(phi_to_leaf(sig)) == sig
+    """
+    ``phi_inv(phi_to_leaf(sig))`` equals ``sig`` rebuilt through the
+    validating constructor.  Both ``enumerate_sigma`` and ``phi_inv`` build
+    unchecked, and this is the one validated side that covers them.  The
+    campaign ``phi_bijection`` runs it on every enumerated quadruple of rank
+    ``t``, so if it passes there and ``sigma_count`` and ``phi_injective``
+    do too, then:
+
+    - every enumerated quadruple is valid, or the constructor raises;
+    - ``phi_to_leaf`` is injective on them, since ``phi_inv`` undoes it, and
+      keeps their rank, since ``phi_inv`` reads the rank off the index;
+    - they are distinct (``phi_injective``) and as many as the rank-``t``
+      strata (``sigma_count``), so ``phi_to_leaf`` maps them onto every one;
+    - hence on every stratum ``L`` of the shape, ``phi_inv(L)`` equals a
+      validated quadruple: its output is valid without a check of its own.
+    """
+    return phi_inv(phi_to_leaf(sig)) == _validated(sig)
 
 
 def check_leaf_roundtrip(L: LeafIndex) -> bool:
@@ -303,7 +332,12 @@ def check_phi_lock(m: int, n: int) -> bool:
 
 
 def check_orbit_partition(m: int, n: int) -> bool:
-    """The decompositions of the nonempty double cells list every stratum exactly once."""
+    """
+    The decompositions of the nonempty double cells list every stratum
+    exactly once.  ``decompose`` builds its quadruples unchecked; each is
+    rebuilt here through the validating constructor, which raises
+    ``ValueError`` on an invalid one, so this covers its output.
+    """
     hit: list = []
     for t in range(min(m, n) + 1):
         pps = list(partial_perms(m, n, t))
@@ -311,7 +345,7 @@ def check_orbit_partition(m: int, n: int) -> bool:
             for w2 in pps:
                 d = DoubleCellIndex(w1, w2)
                 if is_nonempty(d):
-                    hit.extend(phi_to_leaf(s).w for s in decompose(d))
+                    hit.extend(phi_to_leaf(_validated(s)).w for s in decompose(d))
     return sorted(hit) == sorted(L.w for L in all_leaves(m, n))
 
 

@@ -253,6 +253,8 @@ class PartialPerm:
     image: tuple[Optional[int], ...]
 
     def __post_init__(self) -> None:
+        if type(self.rows) is not int or type(self.cols) is not int:
+            raise ValueError(f"dimensions must be integers, got {self.rows!r} and {self.cols!r}")
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative dimensions")
         if len(self.image) != self.cols:
@@ -261,6 +263,8 @@ class PartialPerm:
         for r in self.image:
             if r is None:
                 continue
+            if type(r) is not int:
+                raise ValueError(f"row {r!r} is not an integer")
             if not 1 <= r <= self.rows:
                 raise ValueError(f"row {r} out of range 1..{self.rows}")
             if r in hit:
@@ -271,8 +275,12 @@ class PartialPerm:
     def from_pairs(cls, rows: int, cols: int,
                    pairs: Iterable[tuple[int, int]]) -> "PartialPerm":
         """Build from ``(column, row)`` pairs."""
+        if type(cols) is not int:
+            raise ValueError(f"dimensions must be integers, got {rows!r} and {cols!r}")
         image: list[Optional[int]] = [None] * cols
         for c, r in pairs:
+            if type(c) is not int:
+                raise ValueError(f"column {c!r} is not an integer")
             if not 1 <= c <= cols:
                 raise ValueError(f"column {c} out of range 1..{cols}")
             if image[c - 1] is not None:

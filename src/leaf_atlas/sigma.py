@@ -61,13 +61,22 @@ class SigmaTuple:
     @classmethod
     def _trusted(cls, y: Perm, v: Perm, z: Perm, u: Perm, t: int) -> "SigmaTuple":
         """
-        The quadruple ``(y, v, z, u, t)``, unchecked: for ``enumerate_sigma``
-        alone, whose generators give the minimal representatives and whose
-        filter gives ``z <= y`` and ``v <= u``.  The registered check
-        ``phi_roundtrip`` covers each one: it compares it with
-        ``phi_inv(phi_to_leaf(...))``, which is built by the validating
-        constructor, so an invalid quadruple fails that check or raises
-        ``ValueError``.
+        The quadruple ``(y, v, z, u, t)``, unchecked: for a producer whose
+        construction already gives tuple permutations, the minimal
+        representatives and ``z <= y``, ``v <= u``, each with a registered
+        check that covers it:
+
+        - ``enumerate_sigma`` and ``phi_inv``: ``phi_roundtrip`` rebuilds
+          every enumerated quadruple through the validating constructor and
+          compares it with ``phi_inv(phi_to_leaf(...))``; with
+          ``sigma_count`` that reaches every stratum (see the check);
+        - ``double_bruhat.decompose``: ``orbit_partition`` rebuilds every
+          quadruple of every nonempty cell through the validating
+          constructor;
+        - ``double_bruhat.dense_orbit``: ``dense_orbit`` compares it with
+          the first quadruple of ``decompose``.
+
+        An invalid quadruple fails its check or raises ``ValueError``.
         """
         sig = object.__new__(cls)
         for name, value in zip("yvzut", (y, v, z, u, t)):
@@ -100,8 +109,9 @@ def enumerate_sigma(m: int, n: int, t: int) -> list[SigmaTuple]:
     ``y``, ``z``, ``v`` and ``u`` come from the minimal-representative
     generators, each in lexicographic order, and are kept only in pairs with
     ``z <= y`` and ``v <= u``.  The campaign ``phi_bijection`` runs the
-    registered check ``phi_roundtrip`` on every one of them, which fails or
-    raises on an invalid quadruple.
+    registered check ``phi_roundtrip`` on every one of them, which rebuilds
+    it through the validating constructor and so raises on an invalid
+    quadruple.
     """
     if not 0 <= t <= min(m, n):
         raise ValueError(f"t={t} out of range for m={m}, n={n}")
@@ -120,7 +130,8 @@ def phi(sig: SigmaTuple) -> Perm:
     ``u J_t v^{-1}`` into the bottom rows, columns ``n+1..n+m`` through
     ``w_o^m y J_t z^{-1} w_o^m`` or ``u I_t z^{-1} w_o^m``.  The result obeys
     ``-n <= phi(i) - i <= m`` with exactly ``t`` of the first ``n`` columns
-    landing in the top rows.
+    landing in the top rows.  It is returned unchecked: ``phi_to_leaf``
+    validates it through ``LeafIndex.from_w``.
     """
     m, n, t = sig.m, sig.n, sig.t
     y, v, z, u = sig.y, sig.v, sig.z, sig.u
@@ -132,7 +143,7 @@ def phi(sig: SigmaTuple) -> Perm:
     for c in range(1, m + 1):
         j = zinv[m - c]  # z^{-1} of the reflected column index
         images.append(m + u[j - 1] if j <= t else m + 1 - y[j - 1])
-    return check_perm(images)
+    return tuple(images)
 
 
 def phi_to_leaf(sig: SigmaTuple) -> LeafIndex:
@@ -148,8 +159,12 @@ def phi_inv(L: LeafIndex) -> SigmaTuple:
     images ``w(c) > n``: ``y`` from the top-left block along its domain in
     ascending order, ``u`` from the bottom-right block along its domain in
     descending order, then ``v`` and ``z`` extended through the
-    off-diagonal blocks, inverted by ``col_of``.  The result goes through
-    the validating constructor.
+    off-diagonal blocks, inverted by ``col_of``.  The result is built
+    unchecked (``SigmaTuple._trusted``): ``y`` and ``u`` ascend after their
+    heads, the heads of ``v`` and ``z`` ascend because they are read in
+    column order, and ``z <= y``, ``v <= u`` hold because ``w`` lies in the
+    window.  The check ``phi_roundtrip`` compares it, on every stratum of a
+    shape, with a quadruple built by the validating constructor.
     """
     m, n, w = L.m, L.n, L.w
     N = m + n
@@ -164,7 +179,7 @@ def phi_inv(L: LeafIndex) -> SigmaTuple:
          + tuple([col_of[m + r] for r in u[t:]]))
     z = (tuple([c for c, x in enumerate(reversed(w[n:]), 1) if x <= n])
          + tuple([N + 1 - col_of[m + 1 - r] for r in y[t:]]))
-    return SigmaTuple(y, v, z, u, t)
+    return SigmaTuple._trusted(y, v, z, u, t)
 
 
 def decompose_partial(w: PartialPerm, form: str) -> tuple[Perm, Perm]:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from leaf_atlas import double_bruhat, harness
 from leaf_atlas.double_bruhat import (DoubleCellIndex, classify_double,
                                       decompose, dense_orbit, is_nonempty,
                                       nonempty_by_completion)
@@ -120,3 +121,38 @@ def test_decompose_matches_the_tail_product_form():
                             assert decompose(d) == decompose_by_tails(d), d
                             cells += 1
     assert cells > 1000
+
+
+def test_each_cell_factors_its_labels_once(monkeypatch):
+    calls = []
+    real = double_bruhat.decompose_partial
+
+    def counting(w, form):
+        calls.append(form)
+        return real(w, form)
+
+    monkeypatch.setattr(double_bruhat, "decompose_partial", counting)
+    d = DoubleCellIndex(parse_partial("3x3:1->3"), parse_partial("3x3:3->1"))
+    before = (repr(d), hash(d))
+    assert is_nonempty(d)
+    assert decompose(d)[0] == dense_orbit(d)
+    assert harness.check_criteria_agreement(d)
+    assert sorted(calls) == ["yv", "zu"]
+    # the kept factorization is no field: equality, hash and repr are the labels'
+    assert (repr(d), hash(d)) == before and d == CELL_45 and "factors" not in repr(d)
+
+
+def test_quadruple_outputs_are_valid_on_every_stratum():
+    # phi_inv, decompose and dense_orbit build unchecked; here every output
+    # goes through the validating constructor, up to 3x3
+    def valid(s):
+        return SigmaTuple(s.y, s.v, s.z, s.u, s.t) == s
+
+    for m in range(1, 4):
+        for n in range(1, 4):
+            assert all(valid(phi_inv(L)) for L in enumerate_leaves(m, n))
+            for t in range(min(m, n) + 1):
+                pps = list(partial_perms(m, n, t))
+                for d in (DoubleCellIndex(w1, w2) for w1 in pps for w2 in pps):
+                    if is_nonempty(d):
+                        assert all(map(valid, decompose(d))) and valid(dense_orbit(d))

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from leaf_atlas import harness
+from leaf_atlas import double_bruhat, harness
+from leaf_atlas.double_bruhat import DoubleCellIndex, is_nonempty
 from leaf_atlas.exact_matrix import RationalMatrix
+from leaf_atlas.permutations import partial_perms
 from leaf_atlas.sigma import SigmaTuple
 from matrix_strategies import identity_matrix
 
@@ -136,6 +138,87 @@ def test_phi_bijection_catches_an_invalid_enumerated_quadruple(monkeypatch, shap
     assert r.failed > 0
     assert {"check": "phi_roundtrip", "m": shape[0], "n": shape[1],
             "sigma": bad.to_dict()} in r.counterexamples
+
+
+@pytest.mark.parametrize("shape,fields", [(shape, f) for shape, cases in
+                                          INVALID_QUADRUPLES.items() for f in cases])
+def test_phi_bijection_catches_an_invalid_phi_inv(monkeypatch, shape, fields):
+    # phi_inv builds its quadruples unchecked; phi_roundtrip compares them with
+    # validated ones, so a bad one on a single stratum must fail or raise
+    bad = SigmaTuple._trusted(*fields)
+    target = harness._leaves_by_rank(*shape)[bad.t][0]
+    real = harness.phi_inv
+    monkeypatch.setattr(harness, "phi_inv", lambda L: bad if L == target else real(L))
+    try:
+        r = harness.run("phi_bijection", *shape, threads=1)
+    except ValueError:
+        return
+    assert r.failed > 0
+    assert {p["check"] for p in r.counterexamples} <= {"phi_roundtrip", "leaf_roundtrip"}
+
+
+# The six kinds again, one quadruple each at 2x3, for the double-cell campaign.
+INVALID_2X3 = [((2, 1), (1, 2, 3), (1, 2), (1, 2, 3), 0),
+               ((1, 2), (2, 1, 3), (1, 2), (3, 2, 1), 2),
+               ((2, 1), (1, 2, 3), (2, 1), (1, 2, 3), 2),
+               ((1, 2), (1, 2, 3), (1, 2), (1, 3, 2), 1),
+               ((1, 2), (1, 2, 3), (2, 1), (1, 2, 3), 1),
+               ((1, 2), (2, 1, 3), (1, 2), (1, 2, 3), 1)]
+
+
+@pytest.mark.parametrize("fields", INVALID_2X3)
+def test_double_cells_catches_an_invalid_decomposed_quadruple(monkeypatch, fields):
+    # decompose builds its quadruples unchecked; orbit_partition validates each,
+    # so one bad quadruple slipped into one cell's decomposition must fail or raise
+    with pytest.raises(ValueError):
+        SigmaTuple(*fields)
+    bad = SigmaTuple._trusted(*fields)
+    pps = list(partial_perms(2, 3, bad.t))
+    cell = next(d for d in (DoubleCellIndex(w1, w2) for w1 in pps for w2 in pps)
+                if is_nonempty(d))
+    real = harness.decompose
+    monkeypatch.setattr(harness, "decompose",
+                        lambda d: real(d)[:-1] + [bad] if d == cell else real(d))
+    try:
+        r = harness.run("double_cells", 2, 3, samples=20, seed=1, threads=1)
+    except ValueError:
+        return
+    assert r.failed > 0
+
+
+def test_double_cells_catches_an_invalid_quadruple_of_the_right_stratum(monkeypatch):
+    # (v, u) permuted together after position t keeps phi, so the stratum, but u
+    # no longer ascends there: only the validation in orbit_partition sees it
+    real = harness.decompose
+    pps = list(partial_perms(2, 3, 1))
+    cell = next(d for d in (DoubleCellIndex(w1, w2) for w1 in pps for w2 in pps)
+                if is_nonempty(d) and len(real(d)) > 1)
+    good = real(cell)[-1]
+
+    def swap(p):  # positions 2 and 3 exchanged
+        return p[:1] + p[2:0:-1]
+
+    bad = SigmaTuple._trusted(good.y, swap(good.v), good.z, swap(good.u), 1)
+    assert harness.phi_to_leaf(bad) == harness.phi_to_leaf(good)
+    with pytest.raises(ValueError):
+        SigmaTuple(bad.y, bad.v, bad.z, bad.u, bad.t)
+    monkeypatch.setattr(harness, "decompose",
+                        lambda d: real(d)[:-1] + [bad] if d == cell else real(d))
+    with pytest.raises(ValueError):
+        harness.run("double_cells", 2, 3, samples=0, seed=1, threads=1)
+
+
+def test_phi_bijection_validates_each_quadruple_once(monkeypatch):
+    calls = []
+    real = SigmaTuple.__post_init__
+
+    def counting(sig):
+        calls.append(sig)
+        real(sig)
+
+    monkeypatch.setattr(SigmaTuple, "__post_init__", counting)
+    assert harness.run("phi_bijection", 2, 3, threads=1).ok
+    assert len(calls) == len(harness.all_leaves(2, 3))  # phi_roundtrip's side only
 
 
 def test_unknown_campaign_rejected():
@@ -376,17 +459,36 @@ def test_sampled_failures_replay_the_sampled_check(monkeypatch, campaign):
 
 
 def test_factors_that_do_not_recompose_fail_criteria_agreement(monkeypatch):
-    real = harness.decompose_partial
+    # A cell factors its labels once (``DoubleCellIndex.factors``) for the library
+    # and the harness alike, so a wrong factor also reaches the other double-cell
+    # checks; the recomposition must catch it whatever they do.  Each form is
+    # spoiled on its own, so both recompositions (of w1 and of w2) are covered.
+    real = double_bruhat.decompose_partial
 
-    def wrong(w, form):
-        # swap the first two images of ``first``: the first dot moves to another row
-        first, second = real(w, form)
-        return (first[1::-1] + first[2:], second) if w.rank() else (first, second)
+    def swap(p):  # first two images exchanged: the first dot moves to another row
+        return p[1::-1] + p[2:]
 
-    with monkeypatch.context() as patched:
-        patched.setattr(harness, "decompose_partial", wrong)
-        r = harness.run("double_cells", 2, 2, samples=20, seed=3, threads=1)
-        assert r.failed > 0
-        assert {p["check"] for p in r.counterexamples} == {"criteria_agreement"}
-        assert all(harness.replay(p) is False for p in r.counterexamples)
-    assert all(harness.replay(p) is True for p in r.counterexamples)
+    def spoiling(spoiled):
+        # spoil ``y`` of w1 = y v0, or ``u`` of w2 = z0 u; at 2x2 both stay
+        # ascending after position t, so the quadruple remains valid
+        def wrong(w, form):
+            first, second = real(w, form)
+            if not w.rank() or form != spoiled:
+                return first, second
+            return (swap(first), second) if form == "yv" else (first, swap(second))
+        return wrong
+
+    for spoiled in ("yv", "zu"):
+        with monkeypatch.context() as patched:
+            patched.setattr(double_bruhat, "decompose_partial", spoiling(spoiled))
+            r = harness.run("double_cells", 2, 2, samples=20, seed=3, threads=1)
+            assert r.failed > 0
+            assert "criteria_agreement" in {p["check"] for p in r.counterexamples}
+            assert all(harness.replay(p) is False for p in r.counterexamples)
+            # the recomposition itself catches it: on some cell the spoiled factors
+            # still give the right nonemptiness, and only the recomposition fails
+            cells = [DoubleCellIndex(w1, w2) for k in (1, 2)
+                     for w1 in partial_perms(2, 2, k) for w2 in partial_perms(2, 2, k)]
+            assert any(is_nonempty(d) == double_bruhat.nonempty_by_completion(d)
+                       and not harness.check_criteria_agreement(d) for d in cells), spoiled
+        assert all(harness.replay(p) is True for p in r.counterexamples)

@@ -274,6 +274,33 @@ def test_partial_perm_basics():
         PartialPerm.from_pairs(2, 2, [(1, 1), (2, 1)])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PartialPerm(3, 3, (True, None, None)),
+    lambda: PartialPerm(3, 3, (1.0, None, None)),
+    lambda: PartialPerm(True, 1, (None,)),
+    lambda: PartialPerm(1, True, (None,)),
+    lambda: PartialPerm(2.0, 1, (None,)),
+    lambda: PartialPerm.from_pairs(3, 3, [(1, 2.0)]),
+    lambda: PartialPerm.from_pairs(3, 3, [(1, True)]),
+    lambda: PartialPerm.from_pairs(3, 3, [(2.0, 1)]),
+    lambda: PartialPerm.from_pairs(3, 3, [(True, 1)]),
+    lambda: PartialPerm.from_pairs(3, 2.0, []),
+    lambda: PartialPerm.from_pairs(True, 1, []),
+])
+def test_partial_perm_rejects_values_that_are_not_ints(build):
+    # each would print a literal that parse_partial cannot read back, such as
+    # "3x3:1->True", "3x3:1->2.0" or "Truex1:"
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_every_literal_parses_back():
+    for m in range(4):
+        for n in range(4):
+            for p in partial_perms(m, n):
+                assert parse_partial(p.literal()) == p
+
+
 pps = st.tuples(st.integers(1, 5), st.integers(1, 5), st.randoms(use_true_random=False)).map(
     lambda args: _random_pp(*args))
 
