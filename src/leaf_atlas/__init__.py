@@ -15,8 +15,7 @@ from .harness import CAMPAIGNS, VerificationReport, replay, run
 from .leaves import (LeafIndex, classify_leaf, closure_leq, enumerate_leaves,
                      hasse, hasse_dot, in_leaf, leaf_profile)
 from .permutations import (PartialPerm, Perm, block_longest, bruhat_leq,
-                           identity, inverse, length, longest, parse_partial,
-                           subset_leq)
+                           identity, length, longest, parse_partial, subset_leq)
 from .sigma import (SigmaTuple, decompose_partial, enumerate_sigma, phi,
                     phi_inv, phi_to_leaf)
 

@@ -51,8 +51,9 @@ def pp_rank_profile(w: CellLabel, kind: str) -> tuple[tuple[int, ...], ...]:
         return _half_turn(pp_rank_profile(turned, SOUTHWEST))
     if kind != SOUTHWEST:
         raise ValueError(f"unknown profile kind {kind!r}")
-    return tuple(tuple(accumulate((r is not None and r >= p for r in w.image), initial=0))
-                 for p in range(1, m + 2))
+    image = w.image
+    return tuple([tuple(accumulate([r is not None and r >= p for r in image], initial=0))
+                  for p in range(1, m + 2)])
 
 
 def in_cell(x: RationalMatrix, w: CellLabel, side: str = B_PLUS,

@@ -14,8 +14,9 @@ factor descriptors come straight from the quadruple index.
 
 Strata carry no direct parametrization, so sampling works by rejection from
 the ambient pattern (plus targeted zeroing) with a small-entry representative
-search as fallback; strata the search cannot reach are reported as skipped,
-never silently dropped.
+search as fallback.  The search scans a pattern's palette matrices only until
+every stratum of the pattern has a representative; strata it cannot reach are
+reported as skipped, never silently dropped.
 """
 from __future__ import annotations
 
@@ -161,10 +162,15 @@ def _stratum_map(m: int, t: int, pivots: tuple[int, ...]) -> dict[tuple[Perm, Pe
     """
     One small-entry representative per reachable stratum of a column pattern,
     found by scanning pattern matrices with unit pivots and free entries from
-    a small palette.  Cached per pattern.
+    a small palette, in ``itertools.product`` order.  Each stratum keeps its
+    first hit.  The scan stops as soon as every pair of
+    ``stratify_pattern`` has a representative, so a key outside that set
+    never ends it early; a stratum the palette misses leaves the scan to run
+    to the end.  Cached per pattern.
     """
     free_cells = [(i, j) for j, pr in enumerate(pivots, start=1)
                   for i in range(pr + 1, m + 1)]
+    missing = set(stratify_pattern(column_pattern(m, pivots)))
     found: dict[tuple[Perm, Perm], RationalMatrix] = {}
     for values in itertools.product(_REP_PALETTE, repeat=len(free_cells)):
         rows = [[0] * t for _ in range(m)]
@@ -174,7 +180,12 @@ def _stratum_map(m: int, t: int, pivots: tuple[int, ...]) -> dict[tuple[Perm, Pe
             rows[i - 1][j - 1] = val
         a = RationalMatrix(rows)
         sig = phi_inv(classify_leaf(a))
-        found.setdefault((sig.y, sig.z), a)
+        key = (sig.y, sig.z)
+        if key not in found:
+            found[key] = a
+            missing.discard(key)
+            if not missing:
+                break
     return found
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
@@ -147,7 +146,8 @@ def check_classify_equiv(x: RationalMatrix, leaf_list) -> bool:
     """Rank-condition membership agrees with classification on every index."""
     L0 = classify_leaf(x)
     tables = leaf_profile(x)
-    return all(in_leaf(x, L, "cell", tables) == (L == L0) for L in leaf_list)
+    w0 = L0.w  # in_leaf has checked the shape of each L
+    return all(in_leaf(x, L, "cell", tables) == (L.w == w0) for L in leaf_list)
 
 
 def check_closure_order(x: RationalMatrix, leaf_list) -> bool:
@@ -696,6 +696,7 @@ def run(campaign: str, m: int, n: int, samples: int = 1000, seed: int = 0,
     else:
         jobs = [(campaign, m, n, samples, seed)]
     if threads > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing only when used
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_run_job, jobs))
     else:

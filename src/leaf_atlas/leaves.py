@@ -202,26 +202,25 @@ class _LeafTargets:
 
 
 @lru_cache(maxsize=None)
-def _leaf_targets(L: LeafIndex) -> _LeafTargets:
+def _leaf_targets(w: Perm, m: int, n: int) -> _LeafTargets:
     """
-    Each rank target of ``L`` is the number of dots of ``w`` in one
-    rectangle (Fulton's rank function), four lookups in the southwest
-    dot-count table of ``w``.
+    The rank targets of the stratum of ``w`` in ``m x n``, cached by the
+    plain tuple ``(w, m, n)``.  Each target is the number of dots of ``w`` in
+    one rectangle (Fulton's rank function), read off the southwest dot-count
+    table ``S`` of ``w``: ``S[k][c]`` counts the columns ``j <= c`` with
+    ``w(j) > k``.  A rectangle's count is four entries of ``S``; those in
+    row 0 (``S[0][c] == c``) or column ``N`` (``S[k][N] == N - k``) are
+    known, so each target reads at most two.
     """
-    m, n, N = L.m, L.n, L.m + L.n
-    S = cells.pp_rank_profile(L.w, SOUTHWEST)
-
-    def dots(r1: int, r2: int, c1: int, c2: int) -> int:
-        """Dots of ``w`` in rows ``r1..r2`` and columns ``c1..c2``."""
-        return S[r1 - 1][c2] - S[r2][c2] - S[r1 - 1][c1 - 1] + S[r2][c1 - 1]
-
+    N = m + n
+    S = cells.pp_rank_profile(w, SOUTHWEST)
     sw = tuple(row[:n + 1] for row in S[n:])
-    ne = tuple(tuple(dots(1, n + 1 - q, N + 1 - p, N) for q in range(1, n + 2))
+    ne = tuple(tuple([k + p - N + S[k][N - p] for k in range(n, -1, -1)])
                for p in range(m + 1))
-    col = tuple((p, q, q + 1 - p - dots(1, n + 1 - p, p, q))
-                for p in range(2, n + 1) for q in range(p, n + 1))
-    row = tuple((p, q, q + 1 - p - dots(n + p, n + q, N + 1 - q, N))
-                for p in range(1, m) for q in range(p, m))
+    col = tuple([(p, q, S[n + 1 - p][q] - S[n + 1 - p][p - 1])
+                 for p in range(2, n + 1) for q in range(p, n + 1)])
+    row = tuple([(p, q, S[n + p - 1][N - q] - S[n + q][N - q])
+                 for p in range(1, m) for q in range(p, m)])
     return _LeafTargets(sw, ne, col, row)
 
 
@@ -241,7 +240,7 @@ def in_leaf(x: RationalMatrix, L: LeafIndex, mode: str = "cell",
         raise ValueError(f"tables of a {tables.m}x{tables.n} matrix for a "
                          f"{x.rows}x{x.cols} matrix")
     T = tables if tables is not None else leaf_profile(x)
-    tg = _leaf_targets(L)
+    tg = _leaf_targets(L.w, L.m, L.n)
     if mode == "cell":
         if T.sw != tg.sw or T.ne != tg.ne:
             return False

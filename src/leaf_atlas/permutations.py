@@ -78,19 +78,6 @@ def longest(n: int) -> Perm:
     return tuple(range(n, 0, -1))
 
 
-def inverse(w: Sequence[int]) -> Perm:
-    """
-    The inverse permutation.
-
-    >>> inverse((3, 1, 2))
-    (2, 3, 1)
-    """
-    inv = [0] * len(w)
-    for i, x in enumerate(w):
-        inv[x - 1] = i + 1
-    return tuple(inv)
-
-
 def length(w: Sequence[int]) -> int:
     """
     Coxeter length of ``w``: the number of inversions.
@@ -257,10 +244,11 @@ class PartialPerm:
             raise ValueError(f"dimensions must be integers, got {self.rows!r} and {self.cols!r}")
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.image) != self.cols:
-            raise ValueError(f"image length {len(self.image)} != cols {self.cols}")
+        image = tuple(self.image)
+        if len(image) != self.cols:
+            raise ValueError(f"image length {len(image)} != cols {self.cols}")
         hit = set()
-        for r in self.image:
+        for r in image:
             if r is None:
                 continue
             if type(r) is not int:
@@ -270,6 +258,7 @@ class PartialPerm:
             if r in hit:
                 raise ValueError(f"row {r} hit twice")
             hit.add(r)
+        object.__setattr__(self, "image", image)  # a list would be unhashable
 
     @classmethod
     def from_pairs(cls, rows: int, cols: int,

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .leaves import LeafIndex
 from .permutations import (Perm, PartialPerm, bruhat_leq, check_perm,
                            extend_ascending, int_field, int_list_field,
-                           inverse, is_min_rep_first, is_min_rep_last,
-                           min_reps_first, min_reps_last)
+                           is_min_rep_first, is_min_rep_last, min_reps_first,
+                           min_reps_last)
 
 
 @dataclass(frozen=True)
@@ -132,17 +132,21 @@ def phi(sig: SigmaTuple) -> Perm:
     ``-n <= phi(i) - i <= m`` with exactly ``t`` of the first ``n`` columns
     landing in the top rows.  It is returned unchecked: ``phi_to_leaf``
     validates it through ``LeafIndex.from_w``.
+
+    Position ``j`` of ``v`` and of ``z`` names a column (``v(j)``, and
+    ``n+m+1-z(j)`` after the reflection), so each image is written straight
+    to its column in one pass, without inverting ``v`` or ``z``.
     """
     m, n, t = sig.m, sig.n, sig.t
     y, v, z, u = sig.y, sig.v, sig.z, sig.u
-    vinv, zinv = inverse(v), inverse(z)
-    images = []
-    for c in range(1, n + 1):
-        j = vinv[c - 1]
-        images.append(m + 1 - y[j - 1] if j <= t else m + u[j - 1])
-    for c in range(1, m + 1):
-        j = zinv[m - c]  # z^{-1} of the reflected column index
-        images.append(m + u[j - 1] if j <= t else m + 1 - y[j - 1])
+    images = [0] * (n + m)
+    for j in range(t):
+        images[v[j] - 1] = m + 1 - y[j]
+        images[n + m - z[j]] = m + u[j]
+    for j in range(t, n):
+        images[v[j] - 1] = m + u[j]
+    for j in range(t, m):
+        images[n + m - z[j]] = m + 1 - y[j]
     return tuple(images)
 
 

@@ -6,10 +6,11 @@ from bisect import insort
 from typing import NamedTuple
 
 from leaf_atlas.double_bruhat import dense_orbit
-from leaf_atlas.exact_matrix import SOUTHWEST
+from leaf_atlas.exact_matrix import SOUTHWEST, RationalMatrix
+from leaf_atlas.leaves import classify_leaf
 from leaf_atlas.permutations import (PartialPerm, bruhat_leq, check_perm,
                                      min_reps_first, min_reps_last)
-from leaf_atlas.sigma import SigmaTuple
+from leaf_atlas.sigma import SigmaTuple, phi_inv
 
 
 class Blocks(NamedTuple):
@@ -52,6 +53,14 @@ def compose(a, b):
     if len(a) != len(b):
         raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
     return tuple(a[j - 1] for j in b)
+
+
+def inverse(w):
+    """The inverse permutation: ``inverse(w)[x-1] = i`` where ``w(i) = x``."""
+    inv = [0] * len(w)
+    for i, x in enumerate(w):
+        inv[x - 1] = i + 1
+    return tuple(inv)
 
 
 def left_compose(p, w):
@@ -163,6 +172,25 @@ def phi_inv_by_blocks(L):
     return SigmaTuple(y, v, z, u, t)
 
 
+def phi_by_inverses(sig):
+    """
+    ``sigma.phi`` column by column: column ``c <= n`` reads position
+    ``v^{-1}(c)`` of ``y`` or ``u``, column ``n+c`` position ``z^{-1}(m+1-c)``
+    of ``u`` or ``y``.
+    """
+    m, n, t = sig.m, sig.n, sig.t
+    y, v, z, u = sig.y, sig.v, sig.z, sig.u
+    vinv, zinv = inverse(v), inverse(z)
+    images = []
+    for c in range(1, n + 1):
+        j = vinv[c - 1]
+        images.append(m + 1 - y[j - 1] if j <= t else m + u[j - 1])
+    for c in range(1, m + 1):
+        j = zinv[m - c]
+        images.append(m + u[j - 1] if j <= t else m + 1 - y[j - 1])
+    return tuple(images)
+
+
 def _tail_perms(n, t):
     """Permutations fixing ``1..t`` pointwise, lexicographically."""
     head = tuple(range(1, t + 1))
@@ -201,3 +229,32 @@ def stratify_pattern_sorted(pat):
            for small in pinned if bruhat_leq(small, big)]
     out.sort()
     return out
+
+
+def palette_matrices(m, t, pivots, palette=(0, 1, 2)):
+    """
+    The ``m x t`` matrices of a column pattern with unit pivots and free
+    entries (below each pivot) from ``palette``, in ``itertools.product``
+    order of the free entries taken column by column.
+    """
+    free = [(i, j) for j, pr in enumerate(pivots, 1) for i in range(pr + 1, m + 1)]
+    for values in itertools.product(palette, repeat=len(free)):
+        rows = [[0] * t for _ in range(m)]
+        for j, pr in enumerate(pivots, 1):
+            rows[pr - 1][j - 1] = 1
+        for (i, j), val in zip(free, values):
+            rows[i - 1][j - 1] = val
+        yield RationalMatrix(rows)
+
+
+def stratum_map_full_scan(m, t, pivots, classify=classify_leaf):
+    """
+    The first palette matrix of each column stratum ``(y, z)`` reached, over
+    every palette matrix of the pattern: the representative map of a scan
+    that never stops early.
+    """
+    found = {}
+    for a in palette_matrices(m, t, pivots):
+        sig = phi_inv(classify(a))
+        found.setdefault((sig.y, sig.z), a)
+    return found

@@ -357,3 +357,13 @@ def test_closed_pipe_is_one_error_line():
         proc.kill()
         proc.wait()
     assert err.decode() == "error: [Errno 32] Broken pipe\n"
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # harness.run imports the pool only when it runs one (threads > 1)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, leaf_atlas.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from leaf_atlas import cells, harness
+from leaf_atlas import cells, echelon, harness
 from leaf_atlas.echelon import (COLUMN, ROW, all_patterns,
                                 column_pattern, column_stratum_representative,
                                 column_stratum_sigma, in_pattern, leaf_factors,
@@ -15,7 +15,8 @@ from leaf_atlas.leaves import LeafIndex, classify_leaf
 from leaf_atlas.permutations import PartialPerm, identity
 from leaf_atlas.sigma import SigmaTuple, enumerate_sigma, phi_inv, phi_to_leaf
 from matrix_strategies import entry, identity_matrix
-from perm_oracles import stratify_pattern_sorted
+from perm_oracles import (palette_matrices, stratify_pattern_sorted,
+                          stratum_map_full_scan)
 
 
 def test_pattern_validation_and_literals():
@@ -109,6 +110,74 @@ def test_stratum_representatives_m_le_3_all_reachable():
                     assert rep is not None
                     assert classify_leaf(rep) == phi_to_leaf(
                         column_stratum_sigma(m, t, y, z))
+
+
+def test_stratum_map_is_the_full_scan_up_to_five_rows(monkeypatch):
+    # the oracle and the scan share one classification per palette matrix
+    memo = {}
+
+    def classify(a):
+        if a._irows not in memo:
+            memo[a._irows] = classify_leaf(a)
+        return memo[a._irows]
+
+    monkeypatch.setattr(echelon, "classify_leaf", classify)
+    echelon._stratum_map.cache_clear()
+    patterns = 0
+    for m in range(1, 6):
+        for t in range(1, m + 1):
+            for pat in all_patterns(COLUMN, m, t):
+                memo.clear()
+                full = stratum_map_full_scan(m, t, pat.pivots, classify)
+                assert list(echelon._stratum_map(m, t, pat.pivots).items()) == list(full.items())
+                assert set(full) == set(stratify_pattern(pat))
+                patterns += 1
+    echelon._stratum_map.cache_clear()
+    assert patterns == sum(2 ** m - 1 for m in range(1, 6))
+
+
+def test_stratum_map_stops_at_the_last_stratum(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return classify_leaf(a)
+
+    monkeypatch.setattr(echelon, "classify_leaf", counting)
+    echelon._stratum_map.cache_clear()
+    found = echelon._stratum_map(4, 3, (1, 2, 3))
+    echelon._stratum_map.cache_clear()
+    assert len(calls) == (3 ** 6 + 1) // 2 == 365  # of 729 palette matrices
+    assert calls[-1] == RationalMatrix([[1, 0, 0], [1, 1, 0], [1, 1, 1], [1, 1, 1]])
+    assert set(found) == set(stratify_pattern(column_pattern(4, (1, 2, 3))))
+
+
+def test_a_stray_stratum_does_not_end_the_scan(monkeypatch):
+    # One palette matrix that repeats an earlier stratum is sent to a stratum
+    # of another pattern before the last new stratum turns up; a scan that
+    # stopped on a count of keys would miss that last stratum.
+    m, t, pivots = 4, 3, (1, 2, 3)
+    mats = list(palette_matrices(m, t, pivots))
+    keys = [(sig.y, sig.z) for sig in (phi_inv(classify_leaf(a)) for a in mats)]
+    first = {}
+    for k, key in enumerate(keys):
+        first.setdefault(key, k)
+    repeat = next(k for k, key in enumerate(keys) if first[key] != k)
+    assert repeat < max(first.values())
+    y, z = stratify_pattern(column_pattern(m, (1, 2, 4)))[0]
+    stray = column_stratum_sigma(m, t, y, z)
+    real, calls = echelon.phi_inv, []
+
+    def one_stray(L):
+        calls.append(L)
+        return stray if len(calls) == repeat + 1 else real(L)
+
+    monkeypatch.setattr(echelon, "phi_inv", one_stray)
+    echelon._stratum_map.cache_clear()
+    found = echelon._stratum_map(m, t, pivots)
+    echelon._stratum_map.cache_clear()
+    assert (y, z) in found
+    assert all(found.get(key) == mats[k] for key, k in first.items())
 
 
 def test_targeted_stratum_sampling():

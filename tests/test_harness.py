@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from leaf_atlas import double_bruhat, harness
+from leaf_atlas import double_bruhat, echelon, harness
 from leaf_atlas.double_bruhat import DoubleCellIndex, is_nonempty
 from leaf_atlas.exact_matrix import RationalMatrix
+from leaf_atlas.leaves import LeafIndex
 from leaf_atlas.permutations import partial_perms
 from leaf_atlas.sigma import SigmaTuple
 from matrix_strategies import identity_matrix
@@ -219,6 +220,46 @@ def test_phi_bijection_validates_each_quadruple_once(monkeypatch):
     monkeypatch.setattr(SigmaTuple, "__post_init__", counting)
     assert harness.run("phi_bijection", 2, 3, threads=1).ok
     assert len(calls) == len(harness.all_leaves(2, 3))  # phi_roundtrip's side only
+
+
+def test_echelon_strata_classification_count(monkeypatch):
+    # each palette scan stops once its pattern's strata all have a representative
+    calls, real = [], echelon.classify_leaf
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(echelon, "classify_leaf", counting)
+    echelon._stratum_map.cache_clear()
+    report = harness.run("echelon_strata", 4, 4, samples=100, seed=0, threads=1)
+    echelon._stratum_map.cache_clear()
+    assert report.ok
+    assert len(calls) <= 3_925  # 5,001 with scans that ran to the end of the palette
+
+
+def test_membership_sweep_hashes_no_leaf_index(monkeypatch):
+    # in_leaf finds its cached targets by the plain tuple (w, m, n)
+    inside, hashed = [False], []
+    real_hash, real_in_leaf = LeafIndex.__hash__, harness.in_leaf
+
+    def counting_hash(leaf):
+        if inside[0]:
+            hashed.append(leaf)
+        return real_hash(leaf)
+
+    def watched(*args):
+        inside[0] = True
+        try:
+            return real_in_leaf(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(LeafIndex, "__hash__", counting_hash)
+    monkeypatch.setattr(harness, "in_leaf", watched)
+    report = harness.run("thm42_equiv", 3, 3, samples=20, seed=0, threads=1)
+    assert report.ok and report.passed > 0
+    assert hashed == []
 
 
 def test_unknown_campaign_rejected():

@@ -224,7 +224,7 @@ def test_targets_and_labels_match_block_relabelling():
     for m, n in shapes(8):
         for L in leaves.all_leaves(m, n):
             targets, labels = block_relabel_targets(L)
-            tg = leaves._leaf_targets(L)
+            tg = leaves._leaf_targets(L.w, L.m, L.n)
             assert (tg.sw, tg.ne, tg.col, tg.row) == targets, L
             assert leaves.cell_labels(L) == labels, L
             count += 1

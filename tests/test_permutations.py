@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from leaf_atlas.double_bruhat import DoubleCellIndex
 from leaf_atlas.permutations import (
     PartialPerm, all_perms, as_partial, block_longest, bruhat_leq,
-    count_partial_perms, extend_ascending, identity, inverse, is_min_rep_first,
+    count_partial_perms, extend_ascending, identity, is_min_rep_first,
     is_min_rep_last, length, longest, min_reps_first, min_reps_last,
     parse_partial, partial_perms, subset_leq, with_head,
 )
 from perm_oracles import (block_split, bruhat_leq_by_sorted_prefixes, compose,
-                          extend_ascending_by_set_difference,
+                          extend_ascending_by_set_difference, inverse,
                           is_min_rep_first_by_pairs, is_min_rep_last_by_pairs,
                           left_compose, partial_identity, right_compose, transpose)
 
@@ -292,6 +293,15 @@ def test_partial_perm_rejects_values_that_are_not_ints(build):
     # "3x3:1->True", "3x3:1->2.0" or "Truex1:"
     with pytest.raises(ValueError):
         build()
+
+
+def test_partial_perm_stores_a_list_image_as_a_tuple():
+    p = PartialPerm(2, 2, [1, None])
+    twin = PartialPerm(2, 2, (1, None))
+    assert p == twin and hash(p) == hash(twin)
+    assert p.image == (1, None) and p.literal() == twin.literal() == "2x2:1->1"
+    d = DoubleCellIndex(p, PartialPerm(2, 2, [None, 2]))
+    assert hash(d) == hash(DoubleCellIndex(twin, PartialPerm(2, 2, (None, 2))))
 
 
 def test_every_literal_parses_back():

@@ -5,12 +5,12 @@ import pytest
 from leaf_atlas.exact_matrix import RationalMatrix
 from leaf_atlas.leaves import LeafIndex, enumerate_leaves, in_leaf
 from leaf_atlas.permutations import (PartialPerm, bruhat_leq, check_perm, identity,
-                                     inverse, min_reps_first, min_reps_last,
-                                     partial_perms)
+                                     min_reps_first, min_reps_last, partial_perms)
 from leaf_atlas.sigma import (SigmaTuple, decompose_partial, enumerate_sigma,
                               phi, phi_inv, phi_to_leaf)
-from perm_oracles import (block_split, enumerate_sigma_validated, left_compose,
-                          partial_identity, phi_inv_by_blocks, right_compose)
+from perm_oracles import (block_split, enumerate_sigma_validated, inverse,
+                          left_compose, partial_identity, phi_by_inverses,
+                          phi_inv_by_blocks, right_compose)
 
 SHAPES_UP_TO_8 = [(m, N - m) for N in range(2, 9) for m in range(1, N)]  # 1x7 and 7x1 too
 
@@ -134,6 +134,17 @@ def test_tail_dominance_order_facts():
                         assert entrywise
                     if entrywise:
                         assert bruhat_leq(v, u)
+
+
+def test_phi_writes_the_images_of_the_inverse_based_form():
+    shapes = [(m, n) for m in range(1, 5) for n in range(1, 5)] + [(2, 5), (5, 2)]
+    count = 0
+    for m, n in shapes:
+        for t in range(min(m, n) + 1):
+            for sig in enumerate_sigma(m, n, t):
+                assert phi(sig) == phi_by_inverses(sig), sig
+                count += 1
+    assert count == sum(len(enumerate_leaves(m, n)) for m, n in shapes)
 
 
 # --- factorizations of partial permutations ---------------------------------
