@@ -14,13 +14,13 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 from . import harness
 from .double_bruhat import DoubleCellIndex, decompose, dense_orbit, is_nonempty
 from .echelon import COLUMN, parse_pattern, stratify_pattern
 from .exact_matrix import load_matrix
-from .jsonout import dump
+from .jsonout import Text, dump, dumps
 from .leaves import (LeafIndex, all_leaves, classify_leaf, enumerate_leaves, hasse,
                      hasse_dot, in_leaf)
 from .permutations import check_perm, parse_partial
@@ -35,6 +35,17 @@ def _emit(payload: dict, stream: Optional[TextIO] = None) -> None:
     dump(payload, sys.stdout if stream is None else stream)
 
 
+def _records(leaves: Sequence[LeafIndex], m: int, n: int) -> Iterator[Text]:
+    """
+    Each ``LeafIndex.to_dict`` record of ``leaves``, an ``m x n`` listing, as
+    the JSON text ``dump`` writes for it in a listing: one format per listing,
+    filled in record by record.
+    """
+    fmt = dumps({"w": [Text("%d")] * (m + n), "m": m, "n": n,
+                 "t": Text("%d"), "dim": Text("%d")}, "\n    ")
+    return (Text(fmt % (*L.w, L.t, L.dim)) for L in leaves)
+
+
 def _parse_perm(text: str):
     return check_perm(int(x) for x in text.split(","))
 
@@ -42,12 +53,12 @@ def _parse_perm(text: str):
 def _cmd_leaves_enumerate(args) -> int:
     out = enumerate_leaves(args.m, args.n, args.rank)
     if args.format == "table":
+        label = ",".join(["%d"] * (args.m + args.n))
         sys.stdout.write(f"{'w':<24}{'t':>4}{'dim':>5}\n")
-        sys.stdout.writelines(f"{','.join(map(str, L.w)):<24}{L.t:>4}{L.dim:>5}\n"
-                              for L in out)
+        sys.stdout.writelines("%-24s%4d%5d\n" % (label % L.w, L.t, L.dim) for L in out)
         return 0
     _emit({"schema": SCHEMA, "m": args.m, "n": args.n,
-           "count": len(out), "leaves": map(LeafIndex.to_dict, out)})
+           "count": len(out), "leaves": _records(out, args.m, args.n)})
     return 0
 
 
@@ -74,7 +85,7 @@ def _cmd_leaves_hasse(args) -> int:
     covers = hasse(args.m, args.n)
     index = {L: i for i, L in enumerate(nodes)}
     _emit({"schema": SCHEMA, "m": args.m, "n": args.n,
-           "nodes": map(LeafIndex.to_dict, nodes),
+           "nodes": _records(nodes, args.m, args.n),
            "edges": ([index[a], index[b]] for a, b in covers)})
     return 0
 

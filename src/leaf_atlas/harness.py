@@ -132,6 +132,16 @@ def _leaves_by_rank(m: int, n: int) -> tuple[tuple[LeafIndex, ...], ...]:
     return tuple(map(tuple, by_rank))
 
 
+@lru_cache(maxsize=1)  # double_cells and its orbit_partition check share one shape's cells
+def _double_cells(m: int, n: int) -> tuple[DoubleCellIndex, ...]:
+    """Every double cell of ``m x n`` whose two labels have equal rank, rank by rank."""
+    out: list[DoubleCellIndex] = []
+    for t in range(min(m, n) + 1):
+        pps = list(partial_perms(m, n, t))
+        out.extend(DoubleCellIndex(w1, w2) for w1 in pps for w2 in pps)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Individual checks (run by campaigns and replay through ``CHECKS``)
 
@@ -338,14 +348,8 @@ def check_orbit_partition(m: int, n: int) -> bool:
     rebuilt here through the validating constructor, which raises
     ``ValueError`` on an invalid one, so this covers its output.
     """
-    hit: list = []
-    for t in range(min(m, n) + 1):
-        pps = list(partial_perms(m, n, t))
-        for w1 in pps:
-            for w2 in pps:
-                d = DoubleCellIndex(w1, w2)
-                if is_nonempty(d):
-                    hit.extend(phi_to_leaf(_validated(s)).w for s in decompose(d))
+    hit = [phi_to_leaf(_validated(s)).w
+           for d in _double_cells(m, n) if is_nonempty(d) for s in decompose(d)]
     return sorted(hit) == sorted(L.w for L in all_leaves(m, n))
 
 
@@ -639,14 +643,10 @@ def _run_echelon(report: VerificationReport, m: int, n: int, samples: int,
 def _run_double_cells(report: VerificationReport, m: int, n: int, samples: int,
                       seed: int) -> None:
     rng = random.Random(derive_seed(seed, 0))
-    for t in range(min(m, n) + 1):
-        pps = list(partial_perms(m, n, t))
-        for w1 in pps:
-            for w2 in pps:
-                d = DoubleCellIndex(w1, w2)
-                report.check("criteria_agreement", d)
-                if is_nonempty(d):
-                    report.check("dense_orbit", d)
+    for d in _double_cells(m, n):
+        report.check("criteria_agreement", d)
+        if is_nonempty(d):
+            report.check("dense_orbit", d)
     report.check("orbit_partition", m, n)
     for x in sample_stream(m, n, samples, rng):
         report.check("sigma_in_double_cell", x)

@@ -6,6 +6,11 @@ indented, every value goes through the pure-Python ``json.encoder``.
 encoding strings with the C ``encode_basestring_ascii`` and integers with
 ``int.__repr__``.  ``dump`` writes the same text, and a final newline, to a
 stream, listing by listing.  No other code of the package pretty-prints JSON.
+
+A ``Text`` is JSON text made already, which both write as is.  A listing
+lays out its records this way: ``dumps`` writes one record of the listing's
+shape with ``Text("%d")`` in place of each number, once per listing, and
+each record is that format filled in.
 """
 from __future__ import annotations
 
@@ -15,6 +20,12 @@ from json.encoder import encode_basestring_ascii as _string
 from typing import TextIO
 
 
+class Text(str):
+    """A string that ``dumps`` and ``dump`` write as is, not as a JSON string."""
+
+    __slots__ = ()
+
+
 def dumps(obj, pad: str = "\n") -> str:
     """
     ``json.dumps`` of ``obj`` with an indent of 2, byte for byte.  ``pad`` is
@@ -22,10 +33,10 @@ def dumps(obj, pad: str = "\n") -> str:
 
     Non-empty lists, tuples and dicts recurse, but write an element or value
     whose type is exactly ``int`` in place; ``int`` and ``str`` are encoded
-    directly.  Every other value (``bool``, ``None``, ``float``,
-    empty containers, and values that cannot be encoded) goes through the
-    compact ``json.dumps``, which writes a scalar as the indented form does
-    and raises the same errors.
+    directly, and a ``Text`` is written as is.  Every other value (``bool``,
+    ``None``, ``float``, empty containers, and values that cannot be encoded)
+    goes through the compact ``json.dumps``, which writes a scalar as the
+    indented form does and raises the same errors.
 
     >>> print(dumps({"w": [2, 1], "ok": True, "skips": []}))
     {
@@ -36,12 +47,22 @@ def dumps(obj, pad: str = "\n") -> str:
       "ok": true,
       "skips": []
     }
+    >>> print(dumps({"t": Text("%d"), "w": [Text("%d")] * 2}) % (1, 2, 1))
+    {
+      "t": 1,
+      "w": [
+        2,
+        1
+      ]
+    }
     """
     kind = type(obj)
     if kind is int:
         return int.__repr__(obj)
     if kind is str:
         return _string(obj)
+    if kind is Text:
+        return obj
     if isinstance(obj, (list, tuple)) and obj:
         inner = pad + "  "
         items = [int.__repr__(x) if type(x) is int else dumps(x, inner) for x in obj]
@@ -59,7 +80,7 @@ def dump(obj, stream: TextIO) -> None:
     """
     Write ``dumps(obj) + "\n"`` to ``stream``, one element at a time for a
     list, tuple or iterator that is ``obj`` itself or a value of the dict
-    ``obj``.  Such an iterator (``map(LeafIndex.to_dict, leaves)``, say) is
+    ``obj``.  Such an iterator (of a listing's ``Text`` records, say) is
     written as the list of its elements, so a listing is never held whole,
     neither as records nor as text.
 

@@ -37,7 +37,7 @@ def window_ok(w: Sequence[int], m: int, n: int) -> bool:
 
 def rank_of_index(w: Sequence[int], n: int) -> int:
     """Number of columns ``j <= n`` sent past ``n``; the matrix rank on the stratum."""
-    return sum(1 for x in w[:n] if x > n)
+    return sum(x > n for x in w[:n])
 
 
 @dataclass(frozen=True)
@@ -331,11 +331,9 @@ def hasse_dot(m: int, n: int) -> Iterator[str]:
     first line is made, so a bad shape raises here.
     """
     leaves, covers = all_leaves(m, n), hasse(m, n)
-
-    def label(L: LeafIndex) -> str:
-        return ",".join(map(str, L.w))
-
+    fmt = ",".join(["%d"] * (m + n))
+    label = {L.w: fmt % L.w for L in leaves}
     return chain(["digraph leaves {\n", "  rankdir=BT;\n"],
-                 (f'  "{label(L)}" [dim={L.dim}, rank={L.t}];\n' for L in leaves),
-                 (f'  "{label(a)}" -> "{label(b)}";\n' for a, b in covers),
+                 (f'  "{label[L.w]}" [dim={L.dim}, rank={L.t}];\n' for L in leaves),
+                 (f'  "{label[a.w]}" -> "{label[b.w]}";\n' for a, b in covers),
                  ["}\n"])

@@ -279,8 +279,9 @@ def _hasse_oracle(m, n, fmt):
                   "edges": [[index[a], index[b]] for a, b in covers]}) + "\n"
 
 
+# 1x11: labels of 26 characters, past the table's 24-character pad
 @pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
-                         + [(3, 4), (4, 3)])
+                         + [(3, 4), (4, 3), (1, 11)])
 def test_enumerate_streams_the_one_shot_text(capsys, m, n):
     for t in (None, *range(min(m, n) + 1)):
         rank = () if t is None else ("--rank", str(t))

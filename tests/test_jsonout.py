@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import leaf_atlas
-from leaf_atlas.jsonout import dump, dumps
+from leaf_atlas.jsonout import Text, dump, dumps
 
 
 class Colour(enum.IntEnum):
@@ -61,6 +61,19 @@ def test_only_exact_ints_are_written_in_place():
     # bool and IntEnum are int subclasses: json writes true/false and the int value
     obj = [1, True, Colour.RED, {"a": 2, "b": False, "c": Colour.BLUE, "d": [0, Colour.RED]}]
     assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_text_is_written_as_is_at_any_depth():
+    raw = Text("[1,2]")
+    assert dumps(raw) == "[1,2]" and dumps("[1,2]") == '"[1,2]"'
+    assert dumps({"a": raw, "b": [raw, {"c": raw}]}) == (
+        '{\n  "a": [1,2],\n  "b": [\n    [1,2],\n    {\n      "c": [1,2]\n    }\n  ]\n}')
+    for obj, text in [(iter([raw]), "[\n  [1,2]\n]\n"),
+                      ({"n": 2, "items": iter([raw, raw])},
+                       '{\n  "n": 2,\n  "items": [\n    [1,2],\n    [1,2]\n  ]\n}\n')]:
+        stream = io.StringIO()
+        dump(obj, stream)
+        assert stream.getvalue() == text
 
 
 @pytest.mark.parametrize("obj", [{"x": object()}, [1, {2}], {"a": [float]},
