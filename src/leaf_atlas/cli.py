@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence
 
 from . import harness
 from .double_bruhat import DoubleCellIndex, decompose, dense_orbit, is_nonempty
@@ -27,12 +27,6 @@ from .permutations import check_perm, parse_partial
 from .sigma import SigmaTuple, phi, phi_inv, phi_to_leaf
 
 SCHEMA = "leaf-atlas/v1"
-
-
-def _emit(payload: dict, stream: Optional[TextIO] = None) -> None:
-    """Write ``payload`` as indented JSON to ``stream``, by default the current
-    ``sys.stdout``; list values may be iterators, built as they are written."""
-    dump(payload, sys.stdout if stream is None else stream)
 
 
 def _records(leaves: Sequence[LeafIndex], m: int, n: int) -> Iterator[Text]:
@@ -57,8 +51,8 @@ def _cmd_leaves_enumerate(args) -> int:
         sys.stdout.write(f"{'w':<24}{'t':>4}{'dim':>5}\n")
         sys.stdout.writelines("%-24s%4d%5d\n" % (label % L.w, L.t, L.dim) for L in out)
         return 0
-    _emit({"schema": SCHEMA, "m": args.m, "n": args.n,
-           "count": len(out), "leaves": _records(out, args.m, args.n)})
+    dump({"schema": SCHEMA, "m": args.m, "n": args.n,
+          "count": len(out), "leaves": _records(out, args.m, args.n)}, sys.stdout)
     return 0
 
 
@@ -73,7 +67,7 @@ def _cmd_leaves_classify(args) -> int:
         target = LeafIndex.from_w(_parse_perm(args.closure_of), args.m, args.n)
         payload["closure_of"] = {"w": list(target.w),
                                  "value": in_leaf(x, target, "closure")}
-    _emit(payload)
+    dump(payload, sys.stdout)
     return 0
 
 
@@ -84,9 +78,9 @@ def _cmd_leaves_hasse(args) -> int:
     nodes = all_leaves(args.m, args.n)
     covers = hasse(args.m, args.n)
     index = {L: i for i, L in enumerate(nodes)}
-    _emit({"schema": SCHEMA, "m": args.m, "n": args.n,
-           "nodes": _records(nodes, args.m, args.n),
-           "edges": ([index[a], index[b]] for a, b in covers)})
+    dump({"schema": SCHEMA, "m": args.m, "n": args.n,
+          "nodes": _records(nodes, args.m, args.n),
+          "edges": ([index[a], index[b]] for a, b in covers)}, sys.stdout)
     return 0
 
 
@@ -100,15 +94,15 @@ def _cmd_sigma_phi(args) -> int:
     sig = SigmaTuple.from_dict(raw)
     if (sig.m, sig.n) != (args.m, args.n):
         raise ValueError(f"sigma is for {sig.m}x{sig.n}, expected {args.m}x{args.n}")
-    _emit({"schema": SCHEMA, "phi": list(phi(sig)),
-           "leaf": phi_to_leaf(sig).to_dict()})
+    dump({"schema": SCHEMA, "phi": list(phi(sig)),
+          "leaf": phi_to_leaf(sig).to_dict()}, sys.stdout)
     return 0
 
 
 def _cmd_sigma_phi_inv(args) -> int:
     leaf = LeafIndex.from_w(_parse_perm(args.w), args.m, args.n)
-    _emit({"schema": SCHEMA, "sigma": phi_inv(leaf).to_dict(),
-           "leaf": leaf.to_dict()})
+    dump({"schema": SCHEMA, "sigma": phi_inv(leaf).to_dict(),
+          "leaf": leaf.to_dict()}, sys.stdout)
     return 0
 
 
@@ -116,23 +110,24 @@ def _cmd_echelon_stratify(args) -> int:
     pat = parse_pattern(args.pattern)
     roles = ("y", "z") if pat.kind == COLUMN else ("u", "v")
     pairs = stratify_pattern(pat)
-    _emit({"schema": SCHEMA, "pattern": pat.literal(), "kind": pat.kind,
-           "count": len(pairs),
-           "strata": ({roles[0]: list(a), roles[1]: list(b)} for a, b in pairs)})
+    dump({"schema": SCHEMA, "pattern": pat.literal(), "kind": pat.kind,
+          "count": len(pairs),
+          "strata": ({roles[0]: list(a), roles[1]: list(b)} for a, b in pairs)},
+         sys.stdout)
     return 0
 
 
 def _cmd_dbc(args) -> int:
     d = DoubleCellIndex(parse_partial(args.w1), parse_partial(args.w2))
     if args.dbc_cmd == "nonempty":
-        _emit({"schema": SCHEMA, "nonempty": is_nonempty(d)})
+        dump({"schema": SCHEMA, "nonempty": is_nonempty(d)}, sys.stdout)
         return 0
     if args.dbc_cmd == "decompose":
         orbits = decompose(d)
-        _emit({"schema": SCHEMA, "count": len(orbits),
-               "orbits": map(SigmaTuple.to_dict, orbits)})
+        dump({"schema": SCHEMA, "count": len(orbits),
+              "orbits": map(SigmaTuple.to_dict, orbits)}, sys.stdout)
         return 0
-    _emit({"schema": SCHEMA, "dense": dense_orbit(d).to_dict()})
+    dump({"schema": SCHEMA, "dense": dense_orbit(d).to_dict()}, sys.stdout)
     return 0
 
 
@@ -142,9 +137,9 @@ def _cmd_verify(args) -> int:
                          threads=args.threads)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            _emit(report.to_dict(), fh)
+            dump(report.to_dict(), fh)
     else:
-        _emit(report.to_dict())
+        dump(report.to_dict(), sys.stdout)
     return 0 if report.ok else 2
 
 
@@ -226,9 +221,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, message written
+        if exc.code == 2:
+            return 1
+        raise  # --help
+    try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

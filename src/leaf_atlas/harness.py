@@ -38,8 +38,8 @@ from .echelon import (COLUMN, ROW, EchelonPattern, all_patterns,
                       stratify_pattern)
 from .exact_matrix import (RationalMatrix, from_text, sample_echelon_col,
                            sample_echelon_row, sample_rank, _rand_nonzero)
-from .leaves import (LeafIndex, all_leaves, cell_labels, classify_leaf, in_leaf,
-                     leaf_profile, window_ok)
+from .leaves import (LeafIndex, all_leaves, cell_labels, check_shape, classify_leaf,
+                     in_leaf, leaf_profile, window_ok)
 from .permutations import (PartialPerm, all_perms, block_longest, bruhat_leq,
                            count_partial_perms, identity, int_field,
                            int_list_field, parse_partial, partial_perms,
@@ -100,10 +100,9 @@ class VerificationReport:
             self.failed += 1
             self.counterexamples.append({"check": name, **CHECKS[name].encode(*args)})
 
-    def skip(self, note: Optional[dict] = None) -> None:
+    def skip(self, note: dict) -> None:
         self.skipped += 1
-        if note is not None:
-            self.info.setdefault("skips", []).append(note)
+        self.info.setdefault("skips", []).append(note)
 
     def bump(self, key: str, amount: int = 1) -> None:
         self.info[key] = self.info.get(key, 0) + amount
@@ -392,16 +391,13 @@ def _factors(p: dict, key: str) -> list[int]:
 
 def _decode_shape(p: dict) -> tuple[int, int]:
     m, n = int_field(p, "m"), int_field(p, "n")
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
+    check_shape(m, n)
     return m, n
 
 
 def _decode_rank(p: dict) -> tuple[int, int, int]:
-    m, n = _decode_shape(p)
-    t = int_field(p, "t")
-    if not 0 <= t <= min(m, n):
-        raise ValueError(f"t={t} out of range for m={m}, n={n}")
+    m, n, t = int_field(p, "m"), int_field(p, "n"), int_field(p, "t")
+    check_shape(m, n, t)
     return m, n, t
 
 
@@ -680,8 +676,11 @@ def run(campaign: str, m: int, n: int, samples: int = 1000, seed: int = 0,
     """Execute one campaign and return its report (deterministic given the seed)."""
     if campaign not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {campaign!r}; choose from {CAMPAIGNS}")
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
+    for name, value in (("m", m), ("n", n), ("samples", samples), ("seed", seed),
+                        ("threads", 1 if threads is None else threads)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    check_shape(m, n)
     streamed = _CAMPAIGNS[campaign][1]
     least = 1 if streamed else 0  # a sampling campaign of 0 checks nothing
     if samples < least:

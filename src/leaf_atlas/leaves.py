@@ -5,10 +5,11 @@ structure) is indexed by a permutation ``w`` of ``{1..m+n}`` subject to the
 displacement window ``n <= w(i)+i-1 <= m+2n``; equivalently ``w`` lies above
 the product of the two block longest elements in the Bruhat order.  This
 module enumerates the indices, decides membership of a matrix in a stratum
-or its closure through four families of exact rank conditions (each equates
-the rank of a submatrix with the number of dots of ``w`` in a rectangle),
-classifies a matrix by embedding it in an invertible ``(m+n) x (m+n)``
-block matrix, and exposes the closure order and its Hasse diagram.
+or its closure by comparing four tables of exact submatrix ranks with the
+stratum's tables of dots of ``w`` in the matching rectangles (equal on the
+stratum, entrywise at most on its closure), classifies a matrix by
+embedding it in an invertible ``(m+n) x (m+n)`` block matrix, and exposes
+the closure order and its Hasse diagram.
 
 Membership (`in_leaf`) and classification (`classify_leaf`) are deliberately
 independent code paths; the point of the package is to cross-validate their
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain
+from operator import le
 from typing import Iterator, Optional, Sequence
 
 from . import cells
@@ -33,6 +35,17 @@ _TAIL = 5  # the positions that enumerate_leaves fills one prefix at a time
 def window_ok(w: Sequence[int], m: int, n: int) -> bool:
     """Displacement window ``n <= w(i)+i-1 <= m+2n`` for every position ``i``."""
     return all(n <= x + i <= m + 2 * n for i, x in enumerate(w))
+
+
+def check_shape(m: int, n: int, t: Optional[int] = None) -> None:
+    """Reject ``m``, ``n`` and a given ``t`` unless they are ints (not ``bool``),
+    ``m, n >= 1`` and ``0 <= t <= min(m, n)``."""
+    if type(m) is not int or type(n) is not int or t is not None and type(t) is not int:
+        raise ValueError(f"m, n and t must be integers, got {m!r}, {n!r} and {t!r}")
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
+    if t is not None and not 0 <= t <= min(m, n):
+        raise ValueError(f"t={t} out of range for m={m}, n={n}")
 
 
 def rank_of_index(w: Sequence[int], n: int) -> int:
@@ -118,12 +131,7 @@ def enumerate_leaves(m: int, n: int, t: Optional[int] = None) -> list[LeafIndex]
     >>> [L.w for L in enumerate_leaves(1, 1)]
     [(1, 2), (2, 1)]
     """
-    if type(m) is not int or type(n) is not int or t is not None and type(t) is not int:
-        raise ValueError(f"m, n and t must be integers, got {m!r}, {n!r} and {t!r}")
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    if t is not None and not 0 <= t <= min(m, n):
-        raise ValueError(f"t={t} out of range for m={m}, n={n}")
+    check_shape(m, n, t)
     N = m + n
     windows = [range(max(1, n - i), min(N, m + 2 * n - i) + 1) for i in range(N)]
     total, last = N * (N + 1) // 2, windows[-1]
@@ -173,7 +181,8 @@ def block_pairs(m: int, n: int) -> frozenset[tuple[PartialPerm, PartialPerm]]:
 
 @dataclass(frozen=True)
 class LeafTables:
-    """Reusable per-matrix data for membership tests against many indices."""
+    """The four rank tables of an ``m x n`` matrix, or one stratum's targets
+    in the same layout; ``col`` and ``row`` hold 0 where ``p == 0 or p > q``."""
 
     m: int
     n: int
@@ -193,35 +202,28 @@ def leaf_profile(x: RationalMatrix) -> LeafTables:
     )
 
 
-@dataclass(frozen=True)
-class _LeafTargets:
-    sw: tuple[tuple[int, ...], ...]
-    ne: tuple[tuple[int, ...], ...]
-    col: tuple[tuple[int, int, int], ...]  # (p, q, expected rank of columns p..q)
-    row: tuple[tuple[int, int, int], ...]  # (p, q, expected rank of rows p..q)
-
-
 @lru_cache(maxsize=None)
-def _leaf_targets(w: Perm, m: int, n: int) -> _LeafTargets:
+def _leaf_targets(w: Perm, m: int, n: int) -> LeafTables:
     """
-    The rank targets of the stratum of ``w`` in ``m x n``, cached by the
-    plain tuple ``(w, m, n)``.  Each target is the number of dots of ``w`` in
-    one rectangle (Fulton's rank function), read off the southwest dot-count
+    The rank targets of the stratum of ``w`` in ``m x n``, as the tables
+    ``leaf_profile`` gives for a member, cached by the plain tuple
+    ``(w, m, n)``.  Each target is the number of dots of ``w`` in one
+    rectangle (Fulton's rank function), read off the southwest dot-count
     table ``S`` of ``w``: ``S[k][c]`` counts the columns ``j <= c`` with
-    ``w(j) > k``.  A rectangle's count is four entries of ``S``; those in
-    row 0 (``S[0][c] == c``) or column ``N`` (``S[k][N] == N - k``) are
-    known, so each target reads at most two.
+    ``w(j) > k``.  A rectangle's count is four entries of ``S``; those on
+    its border (``S[0][c] == c``, ``S[N][c] == 0``, ``S[k][0] == 0``,
+    ``S[k][N] == N - k``) are known, so each target reads at most two.
     """
     N = m + n
     S = cells.pp_rank_profile(w, SOUTHWEST)
     sw = tuple(row[:n + 1] for row in S[n:])
     ne = tuple(tuple([k + p - N + S[k][N - p] for k in range(n, -1, -1)])
                for p in range(m + 1))
-    col = tuple([(p, q, S[n + 1 - p][q] - S[n + 1 - p][p - 1])
-                 for p in range(2, n + 1) for q in range(p, n + 1)])
-    row = tuple([(p, q, S[n + p - 1][N - q] - S[n + q][N - q])
-                 for p in range(1, m) for q in range(p, m)])
-    return _LeafTargets(sw, ne, col, row)
+    col = tuple(tuple([S[n + 1 - p][q] - S[n + 1 - p][p - 1] if 1 <= p <= q else 0
+                       for q in range(n + 1)]) for p in range(n + 1))
+    row = tuple(tuple([S[n + p - 1][N - q] - S[n + q][N - q] if 1 <= p <= q else 0
+                       for q in range(m + 1)]) for p in range(m + 1))
+    return LeafTables(m, n, sw, ne, col, row)
 
 
 def in_leaf(x: RationalMatrix, L: LeafIndex, mode: str = "cell",
@@ -229,8 +231,9 @@ def in_leaf(x: RationalMatrix, L: LeafIndex, mode: str = "cell",
     """
     Membership of ``x`` in the stratum of ``L`` (``mode="cell"``) or in its
     Zariski closure (``mode="closure"``), decided by the rank conditions
-    alone.  Pass precomputed ``tables`` (``leaf_profile(x)``) when testing
-    one matrix against many indices.
+    alone: the four tables of ``x`` equal the stratum's targets, or lie
+    entrywise below them.  Pass precomputed ``tables`` (``leaf_profile(x)``)
+    when testing one matrix against many indices.
     """
     if mode not in {"cell", "closure"}:
         raise ValueError(f"mode must be 'cell' or 'closure', got {mode!r}")
@@ -242,16 +245,9 @@ def in_leaf(x: RationalMatrix, L: LeafIndex, mode: str = "cell",
     T = tables if tables is not None else leaf_profile(x)
     tg = _leaf_targets(L.w, L.m, L.n)
     if mode == "cell":
-        if T.sw != tg.sw or T.ne != tg.ne:
-            return False
-        return (all(T.col[p][q] == r for p, q, r in tg.col)
-                and all(T.row[p][q] == r for p, q, r in tg.row))
-    if not all(a <= b for xr, wr in zip(T.sw, tg.sw) for a, b in zip(xr, wr)):
-        return False
-    if not all(a <= b for xr, wr in zip(T.ne, tg.ne) for a, b in zip(xr, wr)):
-        return False
-    return (all(T.col[p][q] <= r for p, q, r in tg.col)
-            and all(T.row[p][q] <= r for p, q, r in tg.row))
+        return T.sw == tg.sw and T.ne == tg.ne and T.col == tg.col and T.row == tg.row
+    return all(map(le, chain.from_iterable((*T.sw, *T.ne, *T.col, *T.row)),
+                   chain.from_iterable((*tg.sw, *tg.ne, *tg.col, *tg.row))))
 
 
 def classify_leaf(x: RationalMatrix) -> LeafIndex:

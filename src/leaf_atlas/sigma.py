@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .leaves import LeafIndex
+from .leaves import LeafIndex, check_shape
 from .permutations import (Perm, PartialPerm, bruhat_leq, check_perm,
                            extend_ascending, int_field, int_list_field,
                            is_min_rep_first, is_min_rep_last, min_reps_first,
@@ -41,6 +41,8 @@ class SigmaTuple:
         m, n, t = len(y), len(v), self.t
         if type(t) is not int:
             raise ValueError(f"t must be an integer, got {t!r}")
+        if m < 1 or n < 1:
+            raise ValueError("m and n must be positive")
         if len(z) != m or len(u) != n:
             raise ValueError("component sizes disagree")
         if not 0 <= t <= min(m, n):
@@ -113,8 +115,7 @@ def enumerate_sigma(m: int, n: int, t: int) -> list[SigmaTuple]:
     it through the validating constructor and so raises on an invalid
     quadruple.
     """
-    if not 0 <= t <= min(m, n):
-        raise ValueError(f"t={t} out of range for m={m}, n={n}")
+    check_shape(m, n, t)
     zs, us = tuple(min_reps_first(m, t)), tuple(min_reps_last(n, n - t))
     below = [(y, [z for z in zs if bruhat_leq(z, y)]) for y in min_reps_last(m, m - t)]
     above = [(v, [u for u in us if bruhat_leq(v, u)]) for v in min_reps_first(n, t)]

@@ -194,6 +194,26 @@ def test_verify_stdout_byte_stable_modulo_wall_time(capsys):
     assert normalized() == normalized()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("leaves", "enumerate", "--m", "x", "--n", "2"), "invalid int value: 'x'"),
+    (("leaves", "enumerate", "--n", "2"), "the following arguments are required: --m"),
+    (("verify", "--campaign", "nope", "--m", "2", "--n", "2"), "invalid choice: 'nope'"),
+    (("nope",), "invalid choice: 'nope'"),
+    ((), "the following arguments are required: command"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: leaf-atlas") and message in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["leaves", "enumerate", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: leaf-atlas leaves enumerate")
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     def fake_run(campaign, m, n, samples=1000, seed=0, threads=None):
         return harness.VerificationReport(campaign, {}, failed=1)
@@ -346,17 +366,17 @@ def test_bad_input_writes_nothing_to_stdout(monkeypatch, capsys, argv):
 def test_closed_pipe_is_one_error_line():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.Popen([sys.executable, "-m", "leaf_atlas.cli", "leaves", "enumerate",
-                             "--m", "4", "--n", "4"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    try:
-        assert len(proc.stdout.read(100)) == 100
-        proc.stdout.close()  # the 1.2 MB listing cannot fit in the pipe's buffer
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 1
-    finally:
-        proc.kill()
-        proc.wait()
+    with subprocess.Popen([sys.executable, "-m", "leaf_atlas.cli", "leaves", "enumerate",
+                           "--m", "4", "--n", "4"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()  # the 1.2 MB listing cannot fit in the pipe's buffer
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.wait()
     assert err.decode() == "error: [Errno 32] Broken pipe\n"
 
 

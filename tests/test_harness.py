@@ -267,6 +267,24 @@ def test_unknown_campaign_rejected():
         harness.run("nope", 2, 2)
 
 
+@pytest.mark.parametrize("name, kwargs", [
+    ("m", {"m": True}), ("n", {"n": True}), ("m", {"m": 2.0}), ("n", {"n": "2"}),
+    ("samples", {"samples": True}), ("samples", {"samples": 20.0}),
+    ("seed", {"seed": 1.5}), ("seed", {"seed": False}), ("seed", {"seed": None}),
+    ("threads", {"threads": True}), ("threads", {"threads": 1.0}),
+])
+def test_run_rejects_non_int_parameters(name, kwargs):
+    args = {"m": 2, "n": 2, "samples": 20, "seed": 0, "threads": 1, **kwargs}
+    m, n = args.pop("m"), args.pop("n")
+    for campaign in ("counts", "lemma75_blocks"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            harness.run(campaign, m, n, **args)
+
+
+def test_run_takes_default_threads():
+    assert harness.run("counts", 1, 1, threads=None).ok
+
+
 @pytest.mark.parametrize("payload", [
     {"check": "leaf_roundtrip", "m": 1, "n": 1, "leaf": {"w": [1, 2], "m": "1", "n": 1}},
     {"check": "leaf_roundtrip", "m": 1, "n": 1, "leaf": {"w": [True, 2], "m": 1, "n": 1}},

@@ -7,6 +7,7 @@ import pytest
 from leaf_atlas import cells, leaves
 from leaf_atlas.exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix, rank,
                                      sample_rank)
+from leaf_atlas.harness import sample_stream
 from leaf_atlas.leaves import (LeafIndex, classify_leaf, closure_leq,
                                enumerate_leaves, hasse, hasse_dot, in_leaf,
                                leaf_profile, rank_of_index, window_ok)
@@ -204,18 +205,21 @@ def _dots_in(w, r1, r2, c1, c2):
 
 
 def block_relabel_targets(L):
-    """Oracle: the targets from the four blocks of ``w``, relabelled by longest elements."""
+    """
+    Oracle: the targets from the four blocks of ``w``, relabelled by longest
+    elements, as full tables in the layout of ``leaf_profile``.
+    """
     m, n = L.m, L.n
     b = block_split(L.w, n, m)
     sw = cells.pp_rank_profile(b.w21, SOUTHWEST)
     lower = left_compose(longest(m), right_compose(transpose(b.w12), longest(n)))
     ne = cells.pp_rank_profile(lower, NORTHEAST)
     top_left = left_compose(longest(n), b.w11)
-    col = tuple((p, q, q + 1 - p - _dots_in(top_left, p, n, p, q))
-                for p in range(2, n + 1) for q in range(p, n + 1))
+    col = tuple(tuple(q + 1 - p - _dots_in(top_left, p, n, p, q) if 1 <= p <= q else 0
+                      for q in range(n + 1)) for p in range(n + 1))
     bottom_right = right_compose(b.w22, longest(m))
-    row = tuple((p, q, q + 1 - p - _dots_in(bottom_right, p, q, 1, q))
-                for p in range(1, m) for q in range(p, m))
+    row = tuple(tuple(q + 1 - p - _dots_in(bottom_right, p, q, 1, q) if 1 <= p <= q else 0
+                      for q in range(m + 1)) for p in range(m + 1))
     return (sw, ne, col, row), (b.w21, lower)
 
 
@@ -225,10 +229,68 @@ def test_targets_and_labels_match_block_relabelling():
         for L in leaves.all_leaves(m, n):
             targets, labels = block_relabel_targets(L)
             tg = leaves._leaf_targets(L.w, L.m, L.n)
+            assert (tg.m, tg.n) == (m, n), L
             assert (tg.sw, tg.ne, tg.col, tg.row) == targets, L
             assert leaves.cell_labels(L) == labels, L
             count += 1
     assert count == 23_300
+
+
+def triple_targets(L):
+    """
+    The targets as the corner tables plus ``(p, q, rank)`` triples for the
+    column bands with ``p >= 2`` and the row bands with ``q < m`` only: the
+    band conditions that the corner tables do not already imply.
+    """
+    m, n = L.m, L.n
+    N = m + n
+    S = cells.pp_rank_profile(L.w, SOUTHWEST)
+    sw = tuple(row[:n + 1] for row in S[n:])
+    ne = tuple(tuple(k + p - N + S[k][N - p] for k in range(n, -1, -1))
+               for p in range(m + 1))
+    col = [(p, q, S[n + 1 - p][q] - S[n + 1 - p][p - 1])
+           for p in range(2, n + 1) for q in range(p, n + 1)]
+    row = [(p, q, S[n + p - 1][N - q] - S[n + q][N - q])
+           for p in range(1, m) for q in range(p, m)]
+    return sw, ne, col, row
+
+
+def triple_in_leaf(T, targets, mode):
+    sw, ne, col, row = targets
+    if mode == "cell":
+        return (T.sw == sw and T.ne == ne and all(T.col[p][q] == r for p, q, r in col)
+                and all(T.row[p][q] == r for p, q, r in row))
+    return (all(a <= b for xr, wr in zip(T.sw, sw) for a, b in zip(xr, wr))
+            and all(a <= b for xr, wr in zip(T.ne, ne) for a, b in zip(xr, wr))
+            and all(T.col[p][q] <= r for p, q, r in col)
+            and all(T.row[p][q] <= r for p, q, r in row))
+
+
+@pytest.mark.parametrize("m, n, strata", [(1, 3, None), (2, 2, None), (2, 3, None),
+                                          (3, 2, None), (3, 3, None), (4, 4, 500)])
+def test_table_verdicts_equal_triple_verdicts(m, n, strata):
+    """
+    ``in_leaf`` on the four tables gives the verdict of the triple layout in
+    both modes, on every stratum (a seeded sample of them at 4x4) times 200
+    stream samples.
+    """
+    rng = random.Random(20 * m + n)
+    pool = leaves.all_leaves(m, n)
+    chosen = pool if strata is None else rng.sample(pool, strata)
+    targets = [(L, triple_targets(L)) for L in chosen]
+    members = closed = 0
+    for x in sample_stream(m, n, 200, rng):
+        T = leaf_profile(x)
+        for L, tg in targets:
+            cell = in_leaf(x, L, "cell", T)
+            closure = in_leaf(x, L, "closure", T)
+            assert cell == triple_in_leaf(T, tg, "cell"), (x, L)
+            assert closure == triple_in_leaf(T, tg, "closure"), (x, L)
+            members += cell
+            closed += closure
+    if strata is None:
+        assert members == 200  # each sample lies in exactly one stratum
+    assert closed > members > 0
 
 
 def test_dimension_bounds():

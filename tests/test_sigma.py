@@ -49,6 +49,24 @@ def test_bool_shape_and_rank_are_rejected():
             enumerate_leaves(*args)
 
 
+@pytest.mark.parametrize("args", [(2, 2, True), (2, 2, False), (True, 2, 0), (2, True, 1),
+                                  (2.0, 2, 1), (2, 2, 1.0)])
+def test_enumerate_sigma_rejects_non_int_shape_and_rank(args):
+    with pytest.raises(ValueError, match="m, n and t must be integers"):
+        enumerate_sigma(*args)
+
+
+def test_empty_shapes_are_rejected():
+    for m, n in [(0, 2), (2, 0), (0, 0)]:
+        with pytest.raises(ValueError, match="m and n must be positive"):
+            enumerate_sigma(m, n, 0)
+    for sig in [((), (1,), (), (1,)), ((1,), (), (1,), ()), ((), (), (), ())]:
+        with pytest.raises(ValueError, match="m and n must be positive"):
+            SigmaTuple(*sig, 0)
+    with pytest.raises(ValueError, match="m and n must be positive"):
+        SigmaTuple.from_dict({"y": [], "v": [1], "z": [], "u": [1], "t": 0})
+
+
 def test_list_arguments_are_stored_as_tuples():
     leaf = LeafIndex([2, 1], 1, 1)
     assert leaf == LeafIndex((2, 1), 1, 1) and hash(leaf) == hash(LeafIndex((2, 1), 1, 1))
