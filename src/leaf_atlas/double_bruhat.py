@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Optional
 
 from . import cells
-from .exact_matrix import RationalMatrix
+from .exact_matrix import RationalMatrix, check_shape
 from .leaves import block_pairs
 from .permutations import Perm, PartialPerm, bruhat_leq, with_head
 from .sigma import SigmaTuple, decompose_partial
@@ -35,8 +35,7 @@ class DoubleCellIndex:
     def __post_init__(self) -> None:
         if (self.w1.rows, self.w1.cols) != (self.w2.rows, self.w2.cols):
             raise ValueError("dimension mismatch between the two labels")
-        if self.w1.rows < 1 or self.w1.cols < 1:
-            raise ValueError("m and n must be positive")
+        check_shape(self.w1.rows, self.w1.cols)
 
     @property
     def shape(self) -> tuple[int, int]:

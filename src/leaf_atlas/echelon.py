@@ -8,9 +8,11 @@ the transposed column pattern: its lines are rows instead of columns, its
 pivots lie along ``long_dim = n``, and its strata are the pairs ``(u, v)``
 with ``v`` pinned.  The orientation is chosen once, on ``EchelonPattern``;
 the rest of the code works with ``long_dim``, ``t`` and the pattern's lines.
-Every stratum of the full ``m x n`` space factors, up to closure, as a
-product of one column-echelon stratum and one row-echelon stratum; the
-factor descriptors come straight from the quadruple index.
+A pattern's shape and pivots are checked by ``exact_matrix.check_shape`` and
+``check_pivots``, as the echelon samplers check theirs.  Every stratum of the
+full ``m x n`` space factors, up to closure, as a product of one
+column-echelon stratum and one row-echelon stratum; the factor descriptors
+come straight from the quadruple index.
 
 Strata carry no direct parametrization, so sampling works by rejection from
 the ambient pattern (plus targeted zeroing) with a small-entry representative
@@ -26,7 +28,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .exact_matrix import (RationalMatrix, Seed, _as_rng, _rand_nonzero,
-                           sample_echelon_col)
+                           check_pivots, check_shape, sample_echelon_col)
 from .leaves import LeafIndex, classify_leaf
 from .permutations import (Perm, bruhat_leq, check_perm, identity,
                            min_reps_last, with_head)
@@ -52,15 +54,8 @@ class EchelonPattern:
     def __post_init__(self) -> None:
         if self.kind not in {COLUMN, ROW}:
             raise ValueError(f"kind must be 'column' or 'row', got {self.kind!r}")
-        t, long_dim = self.t, self.long_dim
-        if not 1 <= t <= long_dim:
-            raise ValueError(f"impossible pattern shape {self.rows}x{self.cols}")
-        if len(self.pivots) != t:
-            raise ValueError(f"need {t} pivots, got {len(self.pivots)}")
-        if any(not 1 <= p <= long_dim for p in self.pivots):
-            raise ValueError(f"pivots {self.pivots} out of range 1..{long_dim}")
-        if any(a >= b for a, b in zip(self.pivots, self.pivots[1:])):
-            raise ValueError(f"pivots {self.pivots} not strictly increasing")
+        check_shape(self.rows, self.cols, self.t)  # 1 <= t <= long_dim
+        check_pivots(self.pivots, self.long_dim, self.t)
 
     @property
     def t(self) -> int:
@@ -136,7 +131,9 @@ def stratify_pattern(pat: EchelonPattern) -> list[tuple[Perm, Perm]]:
 
 def column_stratum_sigma(m: int, t: int, y: Perm, z: Perm) -> SigmaTuple:
     """The quadruple ``(y, 1, z, 1)`` naming a column stratum inside ``m x t``."""
-    return SigmaTuple(check_perm(y), identity(t), check_perm(z), identity(t), t)
+    if len(y) != m or len(z) != m:
+        raise ValueError(f"y and z must have length m={m}, got {list(y)} and {list(z)}")
+    return SigmaTuple(y, identity(t), z, identity(t), t)
 
 
 def leaf_factors(L: LeafIndex) -> tuple[tuple[Perm, Perm], tuple[Perm, Perm]]:

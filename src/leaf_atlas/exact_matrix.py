@@ -19,7 +19,9 @@ order and rows reversed, turned back.
 Samplers are pure functions of an explicit seed.  The generator is CPython's
 ``random.Random`` (Mersenne Twister), whose integer methods are stable across
 platforms, so seeded runs reproduce everywhere.  Random entries are drawn
-uniformly from the integers ``-9..9``.
+uniformly from the integers ``-9..9``.  The samplers check their input by
+the package's two input rules, which every module shares: ``check_shape``
+(a shape and a rank) and ``check_pivots`` (an echelon pivot list).
 """
 from __future__ import annotations
 
@@ -161,13 +163,10 @@ def from_text(text: str) -> RationalMatrix:
 
 
 def from_json(payload: Union[str, list]) -> RationalMatrix:
-    """Parse a JSON array of rows of integers or strings; reject anything else."""
+    """Parse a JSON array of rows; ``RationalMatrix`` checks the entries."""
     obj = json.loads(payload) if isinstance(payload, str) else payload
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise ValueError("expected a JSON array of rows")
-    bad = [e for row in obj for e in row if isinstance(e, bool) or not isinstance(e, (int, str))]
-    if bad:
-        raise ValueError(f"matrix entry {bad[0]!r} is neither an integer nor a string")
     return RationalMatrix(obj)
 
 
@@ -398,13 +397,34 @@ def interval_row_ranks(x: RationalMatrix) -> list[list[int]]:
 # Seeded sampling
 
 
+def check_shape(m: int, n: int, t: int = 0) -> None:
+    """Reject ``m``, ``n`` and ``t`` unless they are ints (not ``bool``), ``m, n >= 1``
+    and ``0 <= t <= min(m, n)``; the default ``t = 0`` fits every shape."""
+    if type(m) is not int or type(n) is not int or type(t) is not int:
+        raise ValueError(f"m, n and t must be integers, got {m!r}, {n!r} and {t!r}")
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
+    if not 0 <= t <= min(m, n):
+        raise ValueError(f"t={t} out of range for m={m}, n={n}")
+
+
+def check_pivots(pivots: Sequence[int], long_dim: int, t: int) -> None:
+    """Reject ``pivots`` unless it lists ``t`` ints (not ``bool``), each in
+    ``1..long_dim`` and larger than the one before."""
+    if len(pivots) != t:
+        raise ValueError(f"need {t} pivots, got {len(pivots)}")
+    if any(type(p) is not int or not 1 <= p <= long_dim for p in pivots):
+        raise ValueError(f"pivots {pivots} must be integers in 1..{long_dim}")
+    if any(a >= b for a, b in zip(pivots, pivots[1:])):
+        raise ValueError(f"pivots {pivots} not strictly increasing")
+
+
 def sample_rank(m: int, n: int, t: int, seed: Seed) -> RationalMatrix:
     """
     A matrix of rank exactly ``t``: the product of full-rank ``m x t`` and
     ``t x n`` integer factors (factors are resampled until full rank).
     """
-    if not 0 <= t <= min(m, n):
-        raise ValueError(f"rank {t} impossible for {m}x{n}")
+    check_shape(m, n, t)
     rng = _as_rng(seed)
     if t == 0:
         return RationalMatrix.zero(m, n)
@@ -426,12 +446,8 @@ def sample_echelon_col(m: int, t: int, pivots: Sequence[int], seed: Seed,
     free entries toward 0).
     """
     pivots = tuple(pivots)
-    if any(not 1 <= p <= m for p in pivots):
-        raise ValueError(f"pivots {pivots} out of range 1..{m}")
-    if any(a >= b for a, b in zip(pivots, pivots[1:])):
-        raise ValueError(f"pivots {pivots} not strictly increasing")
-    if len(pivots) != t or not 1 <= t <= m:
-        raise ValueError(f"impossible column pattern: m={m}, t={t}, pivots={pivots}")
+    check_shape(m, t, t)
+    check_pivots(pivots, m, t)
     rng = _as_rng(seed)
     rows = [[0] * t for _ in range(m)]
     for j, pr in enumerate(pivots):

@@ -36,10 +36,10 @@ from .echelon import (COLUMN, ROW, EchelonPattern, all_patterns,
                       column_stratum_sigma, in_pattern, parse_pattern,
                       sample_column_stratum, sample_row_stratum,
                       stratify_pattern)
-from .exact_matrix import (RationalMatrix, from_text, sample_echelon_col,
+from .exact_matrix import (RationalMatrix, check_shape, from_text, sample_echelon_col,
                            sample_echelon_row, sample_rank, _rand_nonzero)
-from .leaves import (LeafIndex, all_leaves, cell_labels, check_shape, classify_leaf,
-                     in_leaf, leaf_profile, window_ok)
+from .leaves import (LeafIndex, all_leaves, cell_labels, classify_leaf, in_leaf,
+                     leaf_profile, window_ok)
 from .permutations import (PartialPerm, all_perms, block_longest, bruhat_leq,
                            count_partial_perms, identity, int_field,
                            int_list_field, parse_partial, partial_perms,
@@ -251,8 +251,10 @@ def check_echelon_member(a: RationalMatrix, pat: EchelonPattern) -> bool:
 
 
 def check_echelon_stratum(a: RationalMatrix, m: int, t: int, y, z) -> bool:
-    """A targeted stratum sample classifies to exactly its stratum."""
-    return classify_leaf(a) == phi_to_leaf(column_stratum_sigma(m, t, tuple(y), tuple(z)))
+    """A targeted stratum sample lies in exactly its stratum by the rank conditions
+    and by classification; the sampler's rejection draws already passed the latter."""
+    target = phi_to_leaf(column_stratum_sigma(m, t, tuple(y), tuple(z)))
+    return in_leaf(a, target, "cell") and classify_leaf(a) == target
 
 
 def check_product(c: RationalMatrix, r: RationalMatrix, sig: SigmaTuple) -> bool:
@@ -411,8 +413,6 @@ def _decode_echelon_stratum(p: dict) -> tuple:
     m, _, t = _decode_rank(p)
     a, y, z = from_text(p["matrix"]), int_list_field(p, "y"), int_list_field(p, "z")
     _require_shape("matrix", a, m, t)
-    if len(y) != m or len(z) != m:
-        raise ValueError(f"y and z must have length m={m}, got {list(y)} and {list(z)}")
     return a, m, t, y, z
 
 
@@ -602,7 +602,6 @@ def _run_echelon(report: VerificationReport, m: int, n: int, samples: int,
     for t in range(1, min(m, n) + 1):
         for side, long_dim in ((COLUMN, m), (ROW, n)):
             for pat in all_patterns(side, long_dim, t):
-                strata = stratify_pattern(pat)
                 for k in range(per_pattern):
                     zp = 0.0 if k % 2 == 0 else 0.4
                     report.check("echelon_member", _pattern_sample(pat, rng, zp), pat)
@@ -610,7 +609,7 @@ def _run_echelon(report: VerificationReport, m: int, n: int, samples: int,
                 cf = [_rand_nonzero(rng) for _ in range(pat.cols)]
                 report.check("torus_stability", _pattern_sample(pat, rng, 0.0), pat, rf, cf)
                 if pat.kind == COLUMN:
-                    for (y, z) in strata:
+                    for (y, z) in stratify_pattern(pat):
                         a = sample_column_stratum(pat.rows, t, y, z, rng)
                         if a is None:
                             report.skip({"stratum": [list(y), list(z)],

@@ -25,7 +25,8 @@ from typing import Iterator, Optional, Sequence
 
 from . import cells
 from .exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix, bruhat_pivots,
-                           interval_column_ranks, interval_row_ranks, rank_profile)
+                           check_shape, interval_column_ranks, interval_row_ranks,
+                           rank_profile)
 from .permutations import (Perm, PartialPerm, bruhat_leq, check_perm, int_field,
                            int_list_field, length)
 
@@ -35,17 +36,6 @@ _TAIL = 5  # the positions that enumerate_leaves fills one prefix at a time
 def window_ok(w: Sequence[int], m: int, n: int) -> bool:
     """Displacement window ``n <= w(i)+i-1 <= m+2n`` for every position ``i``."""
     return all(n <= x + i <= m + 2 * n for i, x in enumerate(w))
-
-
-def check_shape(m: int, n: int, t: Optional[int] = None) -> None:
-    """Reject ``m``, ``n`` and a given ``t`` unless they are ints (not ``bool``),
-    ``m, n >= 1`` and ``0 <= t <= min(m, n)``."""
-    if type(m) is not int or type(n) is not int or t is not None and type(t) is not int:
-        raise ValueError(f"m, n and t must be integers, got {m!r}, {n!r} and {t!r}")
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    if t is not None and not 0 <= t <= min(m, n):
-        raise ValueError(f"t={t} out of range for m={m}, n={n}")
 
 
 def rank_of_index(w: Sequence[int], n: int) -> int:
@@ -67,8 +57,7 @@ class LeafIndex:
     def __post_init__(self) -> None:
         if type(self.m) is not int or type(self.n) is not int:
             raise ValueError(f"m and n must be integers, got {self.m!r} and {self.n!r}")
-        if self.m < 1 or self.n < 1:
-            raise ValueError("m and n must be positive")
+        check_shape(self.m, self.n)
         w = check_perm(self.w)
         if len(w) != self.m + self.n:
             raise ValueError(f"permutation size {len(w)} != {self.m}+{self.n}")
@@ -131,7 +120,7 @@ def enumerate_leaves(m: int, n: int, t: Optional[int] = None) -> list[LeafIndex]
     >>> [L.w for L in enumerate_leaves(1, 1)]
     [(1, 2), (2, 1)]
     """
-    check_shape(m, n, t)
+    check_shape(m, n, 0 if t is None else t)
     N = m + n
     windows = [range(max(1, n - i), min(N, m + 2 * n - i) + 1) for i in range(N)]
     total, last = N * (N + 1) // 2, windows[-1]

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .leaves import LeafIndex, check_shape
+from .exact_matrix import check_shape
+from .leaves import LeafIndex
 from .permutations import (Perm, PartialPerm, bruhat_leq, check_perm,
                            extend_ascending, int_field, int_list_field,
                            is_min_rep_first, is_min_rep_last, min_reps_first,
@@ -39,14 +40,11 @@ class SigmaTuple:
         for name, value in zip("yvzu", (y, v, z, u)):
             object.__setattr__(self, name, value)
         m, n, t = len(y), len(v), self.t
-        if type(t) is not int:
+        if isinstance(t, bool):
             raise ValueError(f"t must be an integer, got {t!r}")
-        if m < 1 or n < 1:
-            raise ValueError("m and n must be positive")
+        check_shape(m, n, t)
         if len(z) != m or len(u) != n:
             raise ValueError("component sizes disagree")
-        if not 0 <= t <= min(m, n):
-            raise ValueError(f"t={t} out of range for m={m}, n={n}")
         if not is_min_rep_last(y, m - t):
             raise ValueError(f"y={y} is not ascending after position {t}")
         if not is_min_rep_first(v, t):

@@ -29,6 +29,23 @@ def test_pattern_validation_and_literals():
             parse_pattern(bad)
 
 
+@pytest.mark.parametrize("m, pivots, message", [
+    (True, (1,), "m, n and t must be integers"),
+    (3, (1.0, 2), "must be integers in 1..3"),
+    (3, (True, 2), "must be integers in 1..3"),
+])
+def test_column_pattern_rejects_non_int_rows_and_pivots(m, pivots, message):
+    with pytest.raises(ValueError, match=message):
+        column_pattern(m, pivots)
+
+
+def test_column_stratum_needs_y_and_z_of_length_m():
+    with pytest.raises(ValueError, match="y and z must have length m=5"):
+        sample_column_stratum(5, 1, (1, 2, 3), (1, 2, 3), 0)
+    with pytest.raises(ValueError, match="y and z must have length m=3"):
+        column_stratum_sigma(3, 1, (2, 1, 3), (2, 1))
+
+
 def test_in_pattern_examples():
     pat = row_pattern(6, (2, 4, 5))
     rows = RationalMatrix([[0, 1, 0, 0, 0, 0],

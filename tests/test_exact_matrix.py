@@ -1,13 +1,16 @@
+import ast
 import itertools
 import random
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leaf_atlas
 from leaf_atlas.cells import pp_rank_profile
 from leaf_atlas.exact_matrix import (
     NORTHEAST, SOUTHWEST, RationalMatrix, bruhat_pivots, from_json, from_text,
@@ -190,6 +193,24 @@ def test_sample_rank_has_exact_rank():
             assert rank(sample_rank(m, n, t, seed)) == t
     with pytest.raises(ValueError):
         sample_rank(2, 2, 3, 0)
+
+
+def test_samplers_reject_bool_ranks_and_pivots():
+    with pytest.raises(ValueError, match="m, n and t must be integers"):
+        sample_rank(2, 2, True, 0)
+    with pytest.raises(ValueError, match=r"pivots \(True,\) must be integers"):
+        sample_echelon_col(3, 1, (True,), 0)
+
+
+@pytest.mark.parametrize("message", ["m and n must be positive", "out of range for m=",
+                                     "not strictly increasing"])
+def test_each_input_rule_is_raised_in_one_place(message):
+    root = Path(leaf_atlas.__file__).parent
+    raises = [f"{path.name}:{node.lineno}" for path in sorted(root.rglob("*.py"))
+              for text in [path.read_text(encoding="utf-8")]
+              for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Raise)
+              and message in ast.get_source_segment(text, node)]
+    assert len(raises) == 1, raises
 
 
 def test_sampler_determinism():

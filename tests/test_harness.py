@@ -158,6 +158,15 @@ def test_phi_bijection_catches_an_invalid_phi_inv(monkeypatch, shape, fields):
     assert {p["check"] for p in r.counterexamples} <= {"phi_roundtrip", "leaf_roundtrip"}
 
 
+def test_echelon_stratum_checks_membership_by_rank_conditions(monkeypatch):
+    # the sampler accepts a rejection draw by classification, so only in_leaf
+    # can fail on such a draw
+    monkeypatch.setattr(harness, "in_leaf", lambda *args: False)
+    r = harness.run("echelon_strata", 2, 2, threads=1)
+    assert r.failed > 0
+    assert {p["check"] for p in r.counterexamples} == {"echelon_stratum"}
+
+
 # The six kinds again, one quadruple each at 2x3, for the double-cell campaign.
 INVALID_2X3 = [((2, 1), (1, 2, 3), (1, 2), (1, 2, 3), 0),
                ((1, 2), (2, 1, 3), (1, 2), (3, 2, 1), 2),

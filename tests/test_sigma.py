@@ -50,7 +50,7 @@ def test_bool_shape_and_rank_are_rejected():
 
 
 @pytest.mark.parametrize("args", [(2, 2, True), (2, 2, False), (True, 2, 0), (2, True, 1),
-                                  (2.0, 2, 1), (2, 2, 1.0)])
+                                  (2.0, 2, 1), (2, 2, 1.0), (2, 2, None)])
 def test_enumerate_sigma_rejects_non_int_shape_and_rank(args):
     with pytest.raises(ValueError, match="m, n and t must be integers"):
         enumerate_sigma(*args)
