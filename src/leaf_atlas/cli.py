@@ -5,7 +5,7 @@ quadruple bijection, echelon stratification, double cells, and the
 verification campaigns.  Output is JSON by default (schema-tagged, byte
 stable for fixed inputs and seeds); ``--format table``/``dot`` where noted.
 Listings are written one record or line at a time, after all validation
-and computation are done.
+is done; the ``leaves enumerate`` table is written as the strata are found.
 Exit codes: 0 success, 1 domain or usage error, 2 verification failure.
 """
 from __future__ import annotations
@@ -14,30 +14,29 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import harness
 from .double_bruhat import DoubleCellIndex, decompose, dense_orbit, is_nonempty
 from .echelon import COLUMN, parse_pattern, stratify_pattern
 from .exact_matrix import load_matrix
 from .jsonout import Text, dump, dumps
-from .leaves import (LeafIndex, all_leaves, classify_leaf, enumerate_leaves, hasse,
-                     hasse_dot, in_leaf)
-from .permutations import check_perm, parse_partial
+from .leaves import LeafIndex, _walk, all_leaves, classify_leaf, hasse, hasse_dot, in_leaf
+from .permutations import Perm, check_perm, parse_partial
 from .sigma import SigmaTuple, phi, phi_inv, phi_to_leaf
 
 SCHEMA = "leaf-atlas/v1"
 
 
-def _records(leaves: Sequence[LeafIndex], m: int, n: int) -> Iterator[Text]:
+def _records(leaves: Iterable[tuple[Perm, int, int]], m: int, n: int) -> Iterator[Text]:
     """
-    Each ``LeafIndex.to_dict`` record of ``leaves``, an ``m x n`` listing, as
-    the JSON text ``dump`` writes for it in a listing: one format per listing,
-    filled in record by record.
+    The ``LeafIndex.to_dict`` record of each ``(w, t, dim)`` of ``leaves``,
+    an ``m x n`` listing, as the JSON text ``dump`` writes for it in a
+    listing: one format per listing, filled in record by record.
     """
     fmt = dumps({"w": [Text("%d")] * (m + n), "m": m, "n": n,
                  "t": Text("%d"), "dim": Text("%d")}, "\n    ")
-    return (Text(fmt % (*L.w, L.t, L.dim)) for L in leaves)
+    return (Text(fmt % (*w, t, dim)) for w, t, dim in leaves)
 
 
 def _parse_perm(text: str):
@@ -45,12 +44,13 @@ def _parse_perm(text: str):
 
 
 def _cmd_leaves_enumerate(args) -> int:
-    out = enumerate_leaves(args.m, args.n, args.rank)
+    walk = _walk(args.m, args.n, args.rank)
     if args.format == "table":
         label = ",".join(["%d"] * (args.m + args.n))
         sys.stdout.write(f"{'w':<24}{'t':>4}{'dim':>5}\n")
-        sys.stdout.writelines("%-24s%4d%5d\n" % (label % L.w, L.t, L.dim) for L in out)
+        sys.stdout.writelines("%-24s%4d%5d\n" % (label % w, t, dim) for w, t, dim in walk)
         return 0
+    out = list(walk)  # held whole: count precedes the records
     dump({"schema": SCHEMA, "m": args.m, "n": args.n,
           "count": len(out), "leaves": _records(out, args.m, args.n)}, sys.stdout)
     return 0
@@ -79,7 +79,7 @@ def _cmd_leaves_hasse(args) -> int:
     covers = hasse(args.m, args.n)
     index = {L: i for i, L in enumerate(nodes)}
     dump({"schema": SCHEMA, "m": args.m, "n": args.n,
-          "nodes": _records(nodes, args.m, args.n),
+          "nodes": _records(((L.w, L.t, L.dim) for L in nodes), args.m, args.n),
           "edges": ([index[a], index[b]] for a, b in covers)}, sys.stdout)
     return 0
 

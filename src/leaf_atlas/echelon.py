@@ -30,8 +30,7 @@ from typing import Optional, Sequence
 from .exact_matrix import (RationalMatrix, Seed, _as_rng, _rand_nonzero,
                            check_pivots, check_shape, sample_echelon_col)
 from .leaves import LeafIndex, classify_leaf
-from .permutations import (Perm, bruhat_leq, check_perm, identity,
-                           min_reps_last, with_head)
+from .permutations import Perm, bruhat_leq, identity, min_reps_last, with_head
 from .sigma import SigmaTuple, phi_inv, phi_to_leaf
 
 COLUMN = "column"
@@ -187,8 +186,12 @@ def _stratum_map(m: int, t: int, pivots: tuple[int, ...]) -> dict[tuple[Perm, Pe
 
 
 def column_stratum_representative(m: int, t: int, y: Perm, z: Perm) -> Optional[RationalMatrix]:
-    """A fixed small-entry member of the column stratum, or ``None`` if unreached."""
-    return _stratum_map(m, t, tuple(z[:t])).get((check_perm(y), check_perm(z)))
+    """
+    A fixed small-entry member of the column stratum, or ``None`` if
+    unreached; a pair that names no stratum raises ``ValueError``.
+    """
+    sig = column_stratum_sigma(m, t, y, z)
+    return _stratum_map(m, t, tuple(sig.z[:t])).get((sig.y, sig.z))
 
 
 def sample_column_stratum(m: int, t: int, y: Perm, z: Perm,

@@ -30,7 +30,7 @@ from .exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix, bruhat_pivots,
 from .permutations import (Perm, PartialPerm, bruhat_leq, check_perm, int_field,
                            int_list_field, length)
 
-_TAIL = 5  # the positions that enumerate_leaves fills one prefix at a time
+_TAIL = 5  # the positions that _walk fills one prefix at a time
 
 
 def window_ok(w: Sequence[int], m: int, n: int) -> bool:
@@ -106,39 +106,63 @@ class LeafIndex:
         return leaf
 
 
-def enumerate_leaves(m: int, n: int, t: Optional[int] = None) -> list[LeafIndex]:
+def _walk(m: int, n: int, t: Optional[int] = None) -> Iterator[tuple[Perm, int, int]]:
     """
-    All stratum indices for ``m x n`` matrices in lexicographic order of the
-    one-line notation, optionally restricted to matrix rank ``t``.
+    ``(w, t, dim)`` for each stratum index ``w`` of ``m x n`` in
+    lexicographic order of the one-line notation, optionally restricted to
+    matrix rank ``t``.  The shape is checked before the generator is made.
 
     Prefixes grow in lexicographic order, position ``i`` (from 0) by each
     unused value of its window ``[n-i, m+2n-i]``, the last two positions at
     once; with ``t`` given, only while rank ``t`` stays reachable.  Every
     prefix of ``m+n-_TAIL`` positions comes first, then the completions of
-    one prefix at a time, to bound peak memory.
+    one prefix at a time, to bound peak memory.  A prefix ``p`` is carried
+    as ``(p, rank, dim, used)``: ``used`` has bit ``x`` set for each value
+    ``x`` of ``p``, and a value ``x`` appended at position ``i`` adds
+    ``x > n`` to the rank if ``i < n``, and the number of larger values
+    before it (an inversion each) to ``dim``.  The last two positions emit
+    ``(w, t, dim)`` itself.
 
-    >>> [L.w for L in enumerate_leaves(1, 1)]
-    [(1, 2), (2, 1)]
+    >>> list(_walk(1, 1))
+    [((1, 2), 0, 0), ((2, 1), 1, 1)]
     """
     check_shape(m, n, 0 if t is None else t)
     N = m + n
     windows = [range(max(1, n - i), min(N, m + 2 * n - i) + 1) for i in range(N)]
     total, last = N * (N + 1) // 2, windows[-1]
 
-    def extend(prefixes: list[Perm], i: int) -> list[Perm]:
-        win = windows[i]  # at i = N-2, the last position is filled too
+    def extend(prefixes: list, i: int) -> list:
+        win, ranked = windows[i], i < n
         if i < N - 2:
-            prefixes = [p + (x,) for p in prefixes for x in win if x not in p]
-        else:
-            prefixes = [p + (x, s - x) for p in prefixes for s in (total - sum(p),)
-                        for x in win if x not in p and s - x in last]
-        if t is not None and i < n:
-            prefixes = [p for p in prefixes if t - (n - 1 - i) <= sum(x > n for x in p[:n]) <= t]
+            prefixes = [(p + (x,), r + (ranked and x > n), d + (used >> x).bit_count(),
+                         used | 1 << x)
+                        for p, r, d, used in prefixes for x in win if not used >> x & 1]
+        else:  # the last position takes the one value left; it is never < n
+            prefixes = [(p + (x, y), r + (ranked and x > n),
+                         d + (used >> x).bit_count() + (used >> y).bit_count() + (x > y))
+                        for p, r, d, used in prefixes for s in [total - sum(p)]
+                        for x in win if not used >> x & 1 for y in [s - x] if y in last]
+        if t is not None and ranked:
+            prefixes = [q for q in prefixes if t - (n - 1 - i) <= q[1] <= t]
         return prefixes
 
     split = max(0, N - _TAIL)
-    return [LeafIndex._trusted(w, m, n) for head in reduce(extend, range(split), [()])
-            for w in reduce(extend, range(split, N - 1), [head])]
+    # dim is length(w) less the length of the two blocks' longest elements
+    heads = reduce(extend, range(split), [((), 0, -((n * (n - 1) + m * (m - 1)) // 2), 0)])
+    return chain.from_iterable(reduce(extend, range(split, N - 1), [head]) for head in heads)
+
+
+def enumerate_leaves(m: int, n: int, t: Optional[int] = None) -> list[LeafIndex]:
+    """
+    All stratum indices for ``m x n`` matrices in lexicographic order of the
+    one-line notation, optionally restricted to matrix rank ``t``: the
+    indices of ``_walk``, whose carried rank and dimension the listings
+    read without building a ``LeafIndex``.
+
+    >>> [L.w for L in enumerate_leaves(1, 1)]
+    [(1, 2), (2, 1)]
+    """
+    return [LeafIndex._trusted(w, m, n) for w, _, _ in _walk(m, n, t)]
 
 
 @lru_cache(maxsize=None)

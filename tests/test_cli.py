@@ -351,6 +351,8 @@ def test_listings_are_written_a_piece_at_a_time(monkeypatch, argv, size):
 @pytest.mark.parametrize("argv", [
     ("leaves", "enumerate", "--m", "0", "--n", "2"),
     ("leaves", "enumerate", "--m", "2", "--n", "2", "--rank", "3"),
+    ("leaves", "enumerate", "--m", "0", "--n", "2", "--format", "table"),
+    ("leaves", "enumerate", "--m", "2", "--n", "2", "--rank", "3", "--format", "table"),
     ("leaves", "hasse", "--m", "0", "--n", "2"),
     ("leaves", "hasse", "--m", "0", "--n", "2", "--format", "json"),
 ])

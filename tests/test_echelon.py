@@ -46,6 +46,14 @@ def test_column_stratum_needs_y_and_z_of_length_m():
         column_stratum_sigma(3, 1, (2, 1, 3), (2, 1))
 
 
+def test_representative_rejects_a_pair_that_names_no_stratum():
+    # None means "unreached"; a bad pair must not read as one
+    with pytest.raises(ValueError, match="y and z must have length m=5"):
+        column_stratum_representative(5, 1, (1, 2, 3), (1, 2, 3))
+    with pytest.raises(ValueError, match="is not Bruhat-below"):
+        column_stratum_representative(3, 1, (1, 2, 3), (3, 1, 2))
+
+
 def test_in_pattern_examples():
     pat = row_pattern(6, (2, 4, 5))
     rows = RationalMatrix([[0, 1, 0, 0, 0, 0],

@@ -62,6 +62,15 @@ def test_rank_filter_keeps_the_unfiltered_order(m, n):
         assert enumerate_leaves(m, n, t) == [L for L in everything if L.t == t]
 
 
+# 1xn fills position n-1 < n in the step that fills the last two positions
+@pytest.mark.parametrize("m, n", shapes(8) + [(4, 5), (5, 4)])
+def test_walk_carries_the_derived_rank_and_dimension(m, n):
+    walk = list(leaves._walk(m, n))
+    assert walk == [(L.w, L.t, L.dim) for L in enumerate_leaves(m, n)]
+    for t in range(min(m, n) + 1):
+        assert list(leaves._walk(m, n, t)) == [q for q in walk if q[1] == t]
+
+
 def test_rank_counts_equal_quadruple_factors():
     # Independent count: rank-t strata correspond to pairs (y, z) in S_m and
     # (v, u) in S_n of minimal coset representatives with z <= y and v <= u.
