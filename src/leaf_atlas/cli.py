@@ -5,7 +5,8 @@ quadruple bijection, echelon stratification, double cells, and the
 verification campaigns.  Output is JSON by default (schema-tagged, byte
 stable for fixed inputs and seeds); ``--format table``/``dot`` where noted.
 Listings are written one record or line at a time, after all validation
-is done; the ``leaves enumerate`` table is written as the strata are found.
+is done; ``leaves enumerate`` writes both formats as the strata are found
+(JSON from a second walk, after one that counts them).
 Exit codes: 0 success, 1 domain or usage error, 2 verification failure.
 """
 from __future__ import annotations
@@ -50,9 +51,9 @@ def _cmd_leaves_enumerate(args) -> int:
         sys.stdout.write(f"{'w':<24}{'t':>4}{'dim':>5}\n")
         sys.stdout.writelines("%-24s%4d%5d\n" % (label % w, t, dim) for w, t, dim in walk)
         return 0
-    out = list(walk)  # held whole: count precedes the records
-    dump({"schema": SCHEMA, "m": args.m, "n": args.n,
-          "count": len(out), "leaves": _records(out, args.m, args.n)}, sys.stdout)
+    count = sum(1 for _ in walk)  # count precedes the records: a second walk writes them
+    dump({"schema": SCHEMA, "m": args.m, "n": args.n, "count": count,
+          "leaves": _records(_walk(args.m, args.n, args.rank), args.m, args.n)}, sys.stdout)
     return 0
 
 
@@ -79,7 +80,7 @@ def _cmd_leaves_hasse(args) -> int:
     covers = hasse(args.m, args.n)
     index = {L: i for i, L in enumerate(nodes)}
     dump({"schema": SCHEMA, "m": args.m, "n": args.n,
-          "nodes": _records(((L.w, L.t, L.dim) for L in nodes), args.m, args.n),
+          "nodes": _records(_walk(args.m, args.n), args.m, args.n),  # in the order of nodes
           "edges": ([index[a], index[b]] for a, b in covers)}, sys.stdout)
     return 0
 

@@ -115,13 +115,19 @@ def _walk(m: int, n: int, t: Optional[int] = None) -> Iterator[tuple[Perm, int, 
     Prefixes grow in lexicographic order, position ``i`` (from 0) by each
     unused value of its window ``[n-i, m+2n-i]``, the last two positions at
     once; with ``t`` given, only while rank ``t`` stays reachable.  Every
-    prefix of ``m+n-_TAIL`` positions comes first, then the completions of
-    one prefix at a time, to bound peak memory.  A prefix ``p`` is carried
-    as ``(p, rank, dim, used)``: ``used`` has bit ``x`` set for each value
-    ``x`` of ``p``, and a value ``x`` appended at position ``i`` adds
-    ``x > n`` to the rank if ``i < n``, and the number of larger values
-    before it (an inversion each) to ``dim``.  The last two positions emit
-    ``(w, t, dim)`` itself.
+    prefix of ``m+n-_TAIL`` positions (a head) comes first, then the
+    completions of one head at a time, to bound peak memory.  A prefix
+    ``p`` is carried as ``(p, rank, dim, used)``: ``used`` has bit ``x`` set
+    for each value ``x`` of ``p``, and a value ``x`` appended at position
+    ``i`` adds ``x > n`` to the rank if ``i < n``, and the number of larger
+    values before it (an inversion each) to ``dim``.  The last two
+    positions emit ``(suffix, rank, dim)``.
+
+    A head's completions depend only on its ``used``: the tail of each
+    ``used`` is built once per call from ``((), 0, 0, used)``, unfiltered
+    since heads of different ranks share it, and each head ``(p, r, d,
+    used)`` emits ``(p + s, r + tr, d + td)`` for each ``(s, tr, td)`` of it
+    whose rank ``r + tr`` is ``t``.
 
     >>> list(_walk(1, 1))
     [((1, 2), 0, 0), ((2, 1), 1, 1)]
@@ -129,7 +135,8 @@ def _walk(m: int, n: int, t: Optional[int] = None) -> Iterator[tuple[Perm, int, 
     check_shape(m, n, 0 if t is None else t)
     N = m + n
     windows = [range(max(1, n - i), min(N, m + 2 * n - i) + 1) for i in range(N)]
-    total, last = N * (N + 1) // 2, windows[-1]
+    full, last = (1 << N + 1) - 2, windows[-1]  # full has bits 1..N
+    split = max(0, N - _TAIL)
 
     def extend(prefixes: list, i: int) -> list:
         win, ranked = windows[i], i < n
@@ -140,16 +147,24 @@ def _walk(m: int, n: int, t: Optional[int] = None) -> Iterator[tuple[Perm, int, 
         else:  # the last position takes the one value left; it is never < n
             prefixes = [(p + (x, y), r + (ranked and x > n),
                          d + (used >> x).bit_count() + (used >> y).bit_count() + (x > y))
-                        for p, r, d, used in prefixes for s in [total - sum(p)]
-                        for x in win if not used >> x & 1 for y in [s - x] if y in last]
-        if t is not None and ranked:
+                        for p, r, d, used in prefixes for x in win if not used >> x & 1
+                        for y in [(full ^ used ^ 1 << x).bit_length() - 1] if y in last]
+        if t is not None and ranked and i < split:  # a tail is shared across ranks
             prefixes = [q for q in prefixes if t - (n - 1 - i) <= q[1] <= t]
         return prefixes
 
-    split = max(0, N - _TAIL)
     # dim is length(w) less the length of the two blocks' longest elements
     heads = reduce(extend, range(split), [((), 0, -((n * (n - 1) + m * (m - 1)) // 2), 0)])
-    return chain.from_iterable(reduce(extend, range(split, N - 1), [head]) for head in heads)
+    tails: dict[int, list] = {}  # used -> the completions of any head with those values
+
+    def complete(head: tuple) -> list:
+        p, r, d, used = head
+        tail = tails.get(used)
+        if tail is None:
+            tail = tails[used] = reduce(extend, range(split, N - 1), [((), 0, 0, used)])
+        return [(p + s, r + tr, d + td) for s, tr, td in tail if t is None or r + tr == t]
+
+    return chain.from_iterable(map(complete, heads))
 
 
 def enumerate_leaves(m: int, n: int, t: Optional[int] = None) -> list[LeafIndex]:
@@ -329,7 +344,10 @@ def hasse(m: int, n: int) -> list[tuple[LeafIndex, LeafIndex]]:
     """
     leaves = all_leaves(m, n)
     by_w = {L.w: L for L in leaves}
-    return [(a, by_w[w]) for a in sorted(leaves, key=lambda L: L.dim)
+    by_dim: list[list[LeafIndex]] = [[] for _ in range(m * n + 1)]
+    for L, (_, _, dim) in zip(leaves, _walk(m, n)):  # the walk comes in the order of leaves
+        by_dim[dim].append(L)
+    return [(a, by_w[w]) for a in chain.from_iterable(by_dim)
             for w in sorted(_upper_covers(a.w))]
 
 
@@ -337,12 +355,13 @@ def hasse_dot(m: int, n: int) -> Iterator[str]:
     """
     Hasse diagram in DOT format, low strata at the bottom, as its lines (each
     ending in a newline).  The strata and covers are computed before the
-    first line is made, so a bad shape raises here.
+    first line is made, so a bad shape raises here; each node line reads its
+    rank and dimension from a walk as it is written.
     """
     leaves, covers = all_leaves(m, n), hasse(m, n)
     fmt = ",".join(["%d"] * (m + n))
     label = {L.w: fmt % L.w for L in leaves}
     return chain(["digraph leaves {\n", "  rankdir=BT;\n"],
-                 (f'  "{label[L.w]}" [dim={L.dim}, rank={L.t}];\n' for L in leaves),
+                 (f'  "{label[w]}" [dim={dim}, rank={t}];\n' for w, t, dim in _walk(m, n)),
                  (f'  "{label[a.w]}" -> "{label[b.w]}";\n' for a, b in covers),
                  ["}\n"])

@@ -312,6 +312,19 @@ def test_enumerate_streams_the_one_shot_text(capsys, m, n):
             assert out == _enumerate_oracle(m, n, t, fmt), (t, fmt)
 
 
+# 1x5 and 3x4 rank positions inside the completions shared across ranks
+@pytest.mark.parametrize("m,n", [(1, 5), (5, 1), (3, 4)])
+def test_enumerate_json_count_is_the_number_of_records(capsys, m, n):
+    for t in (None, *range(min(m, n) + 1)):
+        rank = () if t is None else ("--rank", str(t))
+        code, out, err = run_cli(capsys, "leaves", "enumerate", "--m", str(m), "--n", str(n),
+                                 *rank)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["count"] == len(doc["leaves"]) > 0, t
+        assert t is None or {L["t"] for L in doc["leaves"]} == {t}
+
+
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
 def test_hasse_streams_the_one_shot_text(capsys, m, n):
     for fmt in ("json", "dot"):
