@@ -65,9 +65,16 @@ class RationalMatrix:
     made.  ``entries``, the 0-based tuple-of-tuples of normalized
     ``Fraction``s, is computed on access.  Entries must be ``int`` (not
     ``bool``), ``Fraction`` or ``str``.
+
+    ``_tables`` is a derived cache, not state: ``None`` until
+    ``leaves.leaf_profile``, its only writer, stores the matrix's four rank
+    tables there.  Equality, hashing, ``repr`` and ``to_text`` never read it,
+    and a copy or an unpickled matrix is rebuilt from the values, so it
+    starts empty.  The write is idempotent (the tables are a function of the
+    values), so threads that race to fill it store equal tables.
     """
 
-    __slots__ = ("rows", "cols", "_d", "_irows")
+    __slots__ = ("rows", "cols", "_d", "_irows", "_tables")
 
     def __init__(self, entries: Iterable[Iterable[object]]) -> None:
         data = tuple(map(tuple, entries))
@@ -86,9 +93,17 @@ class RationalMatrix:
         object.__setattr__(self, "cols", len(data[0]))
         object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_irows", irows)
+        object.__setattr__(self, "_tables", None)
 
-    def __setattr__(self, name, value):  # pragma: no cover
+    def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("RationalMatrix is immutable")
+
+    def __reduce__(self):
+        """Copy and pickle by the values, so the copy is canonical and its cache empty."""
+        return RationalMatrix, (self._values(),)
 
     @classmethod
     def zero(cls, m: int, n: int) -> "RationalMatrix":

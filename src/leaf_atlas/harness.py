@@ -39,7 +39,7 @@ from .echelon import (COLUMN, ROW, EchelonPattern, all_patterns,
 from .exact_matrix import (RationalMatrix, check_shape, from_text, sample_echelon_col,
                            sample_echelon_row, sample_rank, _rand_nonzero)
 from .leaves import (LeafIndex, all_leaves, cell_labels, classify_leaf, in_leaf,
-                     leaf_profile, window_ok)
+                     window_ok)
 from .permutations import (PartialPerm, all_perms, block_longest, bruhat_leq,
                            count_partial_perms, identity, int_field,
                            int_list_field, parse_partial, partial_perms,
@@ -147,23 +147,19 @@ def _double_cells(m: int, n: int) -> tuple[DoubleCellIndex, ...]:
 
 def check_unique_membership(x: RationalMatrix, leaf_list) -> bool:
     """Exactly one stratum accepts ``x`` under the rank conditions."""
-    tables = leaf_profile(x)
-    return sum(1 for L in leaf_list if in_leaf(x, L, "cell", tables)) == 1
+    return sum(1 for L in leaf_list if in_leaf(x, L, "cell")) == 1
 
 
 def check_classify_equiv(x: RationalMatrix, leaf_list) -> bool:
     """Rank-condition membership agrees with classification on every index."""
-    L0 = classify_leaf(x)
-    tables = leaf_profile(x)
-    w0 = L0.w  # in_leaf has checked the shape of each L
-    return all(in_leaf(x, L, "cell", tables) == (L.w == w0) for L in leaf_list)
+    w0 = classify_leaf(x).w  # in_leaf has checked the shape of each L
+    return all(in_leaf(x, L, "cell") == (L.w == w0) for L in leaf_list)
 
 
 def check_closure_order(x: RationalMatrix, leaf_list) -> bool:
     """Closure membership agrees with the Bruhat comparison against the class of ``x``."""
     L0 = classify_leaf(x)
-    tables = leaf_profile(x)
-    return all(in_leaf(x, L, "closure", tables) == bruhat_leq(L0.w, L.w)
+    return all(in_leaf(x, L, "closure") == bruhat_leq(L0.w, L.w)
                for L in leaf_list)
 
 

@@ -221,13 +221,20 @@ class LeafTables:
 
 
 def leaf_profile(x: RationalMatrix) -> LeafTables:
-    return LeafTables(
-        x.rows, x.cols,
-        rank_profile(x, SOUTHWEST),
-        rank_profile(x, NORTHEAST),
-        tuple(tuple(r) for r in interval_column_ranks(x)),
-        tuple(tuple(r) for r in interval_row_ranks(x)),
-    )
+    """
+    The four rank tables of ``x``, counted once per matrix: the first call
+    runs the four kernels and keeps the tables in the matrix's cache slot
+    ``_tables``, and every later call returns them.
+    """
+    T = x._tables
+    if T is None:
+        T = LeafTables(x.rows, x.cols,
+                       rank_profile(x, SOUTHWEST),
+                       rank_profile(x, NORTHEAST),
+                       tuple(tuple(r) for r in interval_column_ranks(x)),
+                       tuple(tuple(r) for r in interval_row_ranks(x)))
+        object.__setattr__(x, "_tables", T)
+    return T
 
 
 @lru_cache(maxsize=None)
@@ -254,23 +261,20 @@ def _leaf_targets(w: Perm, m: int, n: int) -> LeafTables:
     return LeafTables(m, n, sw, ne, col, row)
 
 
-def in_leaf(x: RationalMatrix, L: LeafIndex, mode: str = "cell",
-            tables: Optional[LeafTables] = None) -> bool:
+def in_leaf(x: RationalMatrix, L: LeafIndex, mode: str = "cell") -> bool:
     """
     Membership of ``x`` in the stratum of ``L`` (``mode="cell"``) or in its
     Zariski closure (``mode="closure"``), decided by the rank conditions
     alone: the four tables of ``x`` equal the stratum's targets, or lie
-    entrywise below them.  Pass precomputed ``tables`` (``leaf_profile(x)``)
-    when testing one matrix against many indices.
+    entrywise below them.  The tables are those ``leaf_profile`` keeps on
+    ``x``, counted on the first call for a matrix and read from it after, so
+    testing one matrix against many indices counts them once.
     """
     if mode not in {"cell", "closure"}:
         raise ValueError(f"mode must be 'cell' or 'closure', got {mode!r}")
     if (x.rows, x.cols) != (L.m, L.n):
         raise ValueError(f"dimension mismatch: {x.rows}x{x.cols} vs {L.m}x{L.n}")
-    if tables is not None and (tables.m, tables.n) != (x.rows, x.cols):
-        raise ValueError(f"tables of a {tables.m}x{tables.n} matrix for a "
-                         f"{x.rows}x{x.cols} matrix")
-    T = tables if tables is not None else leaf_profile(x)
+    T = x._tables or leaf_profile(x)  # one leaf_profile call per matrix, not per in_leaf
     tg = _leaf_targets(L.w, L.m, L.n)
     if mode == "cell":
         return T.sw == tg.sw and T.ne == tg.ne and T.col == tg.col and T.row == tg.row

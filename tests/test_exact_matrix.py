@@ -1,5 +1,7 @@
 import ast
+import copy
 import itertools
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -17,6 +19,7 @@ from leaf_atlas.exact_matrix import (
     load_matrix, interval_column_ranks, interval_row_ranks, rank, rank_profile,
     sample_echelon_col, sample_echelon_row, sample_rank,
 )
+from leaf_atlas.leaves import leaf_profile
 from leaf_atlas.permutations import PartialPerm
 from matrix_strategies import entry, identity_matrix, oracle_matrices
 from perm_oracles import rank_at
@@ -280,6 +283,35 @@ def test_json_roundtrip():
     assert from_json(text) == x
     assert load_matrix(text) == x
     assert from_json([[1, 2], [3, 4]]) == RationalMatrix([[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("rows", [[[1, -2], [0, 3]], [["1/2", -3], [0, "7/3"]],
+                                  [["2/4", 6, "-1/6"]]])
+def test_copies_and_pickles_are_equal_matrices_with_no_tables_kept(rows):
+    # each of the three used to raise AttributeError: slot state was
+    # restored through the blocked __setattr__
+    x = RationalMatrix(rows)
+    tables = leaf_profile(x)
+    copies = [copy.copy(x), copy.deepcopy(x)]
+    copies += [pickle.loads(pickle.dumps(x, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for y in copies:
+        assert y is not x and y == x and hash(y) == hash(x)
+        assert (y._d, y._irows) == (x._d, x._irows)
+        assert y._tables is None
+        assert leaf_profile(y) == tables and leaf_profile(y) is not tables
+
+
+def test_attributes_can_be_neither_set_nor_deleted():
+    x = RationalMatrix([[1, 2], [3, 4]])
+    leaf_profile(x)
+    for name in ("rows", "cols", "_d", "_irows", "_tables", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, name, 0)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(x, name)
+    assert (x.rows, x.cols, x._tables.m) == (2, 2, 2)
+    assert x == RationalMatrix([[1, 2], [3, 4]])
 
 
 @pytest.mark.parametrize("text", ['["12","34"]', "[[0.1,1]]", "[[true,0]]"])

@@ -2,12 +2,15 @@ import itertools
 import json
 import math
 import random
+import sys
+import threading
 
 import pytest
 
 from leaf_atlas import cells, leaves
-from leaf_atlas.exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix, rank,
-                                     sample_rank)
+from leaf_atlas.exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix, from_text,
+                                     interval_column_ranks, interval_row_ranks, rank,
+                                     rank_profile, sample_rank)
 from leaf_atlas.harness import sample_stream
 from leaf_atlas.leaves import (LeafIndex, classify_leaf, closure_leq,
                                enumerate_leaves, hasse, hasse_dot, in_leaf,
@@ -179,9 +182,8 @@ def test_membership_equals_classification_exhaustive_2x2():
     for i in range(150):
         x = sample_rank(2, 2, i % 3, rng)
         L0 = classify_leaf(x)
-        tables = leaf_profile(x)
         for L in leaves:
-            assert in_leaf(x, L, "cell", tables) == (L == L0)
+            assert in_leaf(x, L, "cell") == (L == L0)
 
 
 def test_closure_equals_bruhat_exhaustive_2x2():
@@ -190,23 +192,100 @@ def test_closure_equals_bruhat_exhaustive_2x2():
     for i in range(100):
         x = sample_rank(2, 2, i % 3, rng)
         L0 = classify_leaf(x)
-        tables = leaf_profile(x)
         for L in leaves:
-            assert in_leaf(x, L, "closure", tables) == bruhat_leq(L0.w, L.w)
+            assert in_leaf(x, L, "closure") == bruhat_leq(L0.w, L.w)
 
 
-@pytest.mark.parametrize("shape, other", [((4, 4), (5, 5)), ((3, 4), (4, 3)),
-                                          ((2, 3), (2, 2))])
-def test_in_leaf_rejects_tables_of_another_shape(shape, other):
-    # without the check, zip truncates the tables of a larger matrix into
-    # wrong verdicts
-    x = sample_rank(*shape, 2, 1)
-    L = classify_leaf(x)
-    tables = leaf_profile(sample_rank(*other, 2, 1))
-    for mode in ("cell", "closure"):
-        with pytest.raises(ValueError, match="tables of a"):
-            in_leaf(x, L, mode, tables)
-        assert in_leaf(x, L, mode, leaf_profile(x))
+def kernel_tables(x):
+    """The four tables of ``x`` straight from the kernels, as ``leaf_profile`` lays them out."""
+    return leaves.LeafTables(x.rows, x.cols, rank_profile(x, SOUTHWEST),
+                             rank_profile(x, NORTHEAST),
+                             tuple(map(tuple, interval_column_ranks(x))),
+                             tuple(map(tuple, interval_row_ranks(x))))
+
+
+def test_each_matrix_keeps_its_own_tables():
+    xs = list(sample_stream(3, 4, 30, random.Random(11)))
+    for x in xs:
+        assert leaf_profile(x) is leaf_profile(x)
+    for x in xs:
+        assert leaf_profile(x) == kernel_tables(x), x
+
+
+def test_two_in_leaf_calls_count_the_tables_once(monkeypatch):
+    calls = []
+
+    def counted(name):
+        kernel = getattr(leaves, name)
+
+        def wrapper(x, *args):
+            calls.append((name, *args))
+            return kernel(x, *args)
+        return wrapper
+
+    for name in ("rank_profile", "interval_column_ranks", "interval_row_ranks"):
+        monkeypatch.setattr(leaves, name, counted(name))
+    x = sample_rank(3, 4, 2, 12)
+    L0 = classify_leaf(x)
+    # an equal matrix made afresh keeps no tables, so it counts its own once
+    for y in (x, from_text(x.to_text())):
+        calls.clear()
+        assert in_leaf(y, L0, "cell") and in_leaf(y, L0, "closure")
+        assert sorted(calls) == [("interval_column_ranks",), ("interval_row_ranks",),
+                                 ("rank_profile", NORTHEAST), ("rank_profile", SOUTHWEST)]
+
+
+def test_kept_tables_leave_equality_and_hashing_alone():
+    for x in sample_stream(3, 3, 30, random.Random(13)):
+        tables = leaf_profile(x)
+        fresh = from_text(x.to_text())
+        assert fresh._tables is None
+        assert x == fresh and hash(x) == hash(fresh)
+        assert leaf_profile(fresh) == tables and leaf_profile(fresh) is not tables
+        assert x == fresh and hash(x) == hash(fresh)  # now both keep tables
+
+
+def test_threads_racing_to_fill_the_tables_all_read_the_kernels_tables():
+    # the fill is check-then-write without a lock: safe only because every
+    # writer stores equal tables
+    xs = list(sample_stream(4, 4, 20, random.Random(14)))
+    expected = [kernel_tables(x) for x in xs]
+    profiles, verdicts = [], []
+
+    def read_all():
+        profiles.append([leaf_profile(x) for x in xs])
+        verdicts.append([in_leaf(x, classify_leaf(x)) for x in xs])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read_all) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert profiles == [expected] * 6 and verdicts == [[True] * 20] * 6
+    assert [x._tables for x in xs] == expected
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 3)])
+def test_verdicts_on_kept_tables_equal_verdicts_on_a_fresh_copy(m, n):
+    """``in_leaf`` on a matrix whose tables are kept, on every stratum in both
+    modes, gives the verdicts of an equal matrix made afresh from its text."""
+    pool = leaves.all_leaves(m, n)
+    xs = list(sample_stream(m, n, 40, random.Random(10 * m + n)))
+    for x in xs:
+        leaf_profile(x)
+    for x in xs:
+        fresh = from_text(x.to_text())
+        for mode in ("cell", "closure"):
+            kept = [in_leaf(x, L, mode) for L in pool]
+            assert kept == [in_leaf(fresh, L, mode) for L in pool], (x, mode)
+        # and the verdicts are those of x itself: its class is its one stratum
+        assert [L for L in pool if in_leaf(x, L)] == [classify_leaf(x)]
 
 
 def test_classify_rank_consistency():
@@ -311,8 +390,8 @@ def test_table_verdicts_equal_triple_verdicts(m, n, strata):
     for x in sample_stream(m, n, 200, rng):
         T = leaf_profile(x)
         for L, tg in targets:
-            cell = in_leaf(x, L, "cell", T)
-            closure = in_leaf(x, L, "closure", T)
+            cell = in_leaf(x, L, "cell")
+            closure = in_leaf(x, L, "closure")
             assert cell == triple_in_leaf(T, tg, "cell"), (x, L)
             assert closure == triple_in_leaf(T, tg, "closure"), (x, L)
             members += cell
