@@ -7,10 +7,10 @@ factorizations, and domain/range set comparison) plus an independent
 global one (existence of a stratum index with the prescribed off-diagonal
 blocks).  This module implements the factorization and global criteria.  A
 cell factors each of its labels once, on first use (``DoubleCellIndex.factors``),
-and every function here reads that one factorization; the harness checks the
-factors and the set criterion.  A nonempty cell splits into finitely many
-strata, with the base factorization quadruple naming the unique open dense
-one.
+and tests that factorization once (``DoubleCellIndex.base``); every function
+here reads the one result, and the harness checks the factors and the set
+criterion.  A nonempty cell splits into finitely many strata, with the base
+factorization quadruple naming the unique open dense one.
 """
 from __future__ import annotations
 
@@ -51,13 +51,17 @@ class DoubleCellIndex:
         """
         return (*decompose_partial(self.w1, "yv"), *decompose_partial(self.w2, "zu"))
 
-
-def _base(d: DoubleCellIndex) -> Optional[tuple[Perm, Perm, Perm, Perm]]:
-    """The base quadruple ``(y, v0, z0, u)``, or ``None`` if the factorization test fails."""
-    if d.w1.rank() != d.w2.rank():
-        return None
-    y, v0, z0, u = base = d.factors
-    return base if bruhat_leq(z0, y) and bruhat_leq(v0, u) else None
+    @cached_property
+    def base(self) -> Optional[tuple[Perm, Perm, Perm, Perm]]:
+        """
+        The base quadruple ``(y, v0, z0, u)`` (``factors``), or ``None`` if
+        the factorization test fails: unequal ranks, or not ``z0 <= y`` and
+        ``v0 <= u``.  Tested on first use and kept beside ``factors``.
+        """
+        if self.w1.rank() != self.w2.rank():
+            return None
+        y, v0, z0, u = base = self.factors
+        return base if bruhat_leq(z0, y) and bruhat_leq(v0, u) else None
 
 
 def is_nonempty(d: DoubleCellIndex) -> bool:
@@ -66,7 +70,7 @@ def is_nonempty(d: DoubleCellIndex) -> bool:
     Bruhat tests ``z <= y`` and ``v <= u`` on the unique factorizations.
     Unequal ranks give ``False``.
     """
-    return _base(d) is not None
+    return d.base is not None
 
 
 def nonempty_by_completion(d: DoubleCellIndex) -> bool:
@@ -93,7 +97,7 @@ def decompose(d: DoubleCellIndex) -> list[SigmaTuple]:
     of them, over all nonempty cells of a shape, through the validating
     constructor.
     """
-    base = _base(d)
+    base = d.base
     if base is None:
         raise ValueError("empty double cell has no decomposition")
     y, v0, z0, u = base
@@ -113,7 +117,7 @@ def dense_orbit(d: DoubleCellIndex) -> SigmaTuple:
     it with the first quadruple of ``decompose``, which ``orbit_partition``
     validates.
     """
-    base = _base(d)
+    base = d.base
     if base is None:
         raise ValueError("empty double cell has no dense stratum")
     return SigmaTuple._trusted(*base, d.w1.rank())

@@ -66,15 +66,18 @@ class RationalMatrix:
     ``Fraction``s, is computed on access.  Entries must be ``int`` (not
     ``bool``), ``Fraction`` or ``str``.
 
-    ``_tables`` is a derived cache, not state: ``None`` until
-    ``leaves.leaf_profile``, its only writer, stores the matrix's four rank
-    tables there.  Equality, hashing, ``repr`` and ``to_text`` never read it,
-    and a copy or an unpickled matrix is rebuilt from the values, so it
-    starts empty.  The write is idempotent (the tables are a function of the
-    values), so threads that race to fill it store equal tables.
+    Two slots are derived caches, not state, each ``None`` until its one
+    writer fills it: ``_tables`` holds the four rank tables that
+    ``leaves.leaf_profile`` counts, and ``_leaf`` the stratum that
+    ``leaves.classify_leaf`` finds.  Membership reads only the first and
+    classification only the second, so the two stay independent.  Equality,
+    hashing, ``repr`` and ``to_text`` read neither, and a copy or an
+    unpickled matrix is rebuilt from the values, so both start empty.  Each
+    write is idempotent (a function of the values), so threads that race to
+    fill a slot store equal values.
     """
 
-    __slots__ = ("rows", "cols", "_d", "_irows", "_tables")
+    __slots__ = ("rows", "cols", "_d", "_irows", "_tables", "_leaf")
 
     def __init__(self, entries: Iterable[Iterable[object]]) -> None:
         data = tuple(map(tuple, entries))
@@ -94,6 +97,7 @@ class RationalMatrix:
         object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_irows", irows)
         object.__setattr__(self, "_tables", None)
+        object.__setattr__(self, "_leaf", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
@@ -102,7 +106,7 @@ class RationalMatrix:
         raise AttributeError("RationalMatrix is immutable")
 
     def __reduce__(self):
-        """Copy and pickle by the values, so the copy is canonical and its cache empty."""
+        """Copy and pickle by the values, so the copy is canonical and its caches empty."""
         return RationalMatrix, (self._values(),)
 
     @classmethod

@@ -247,8 +247,13 @@ def check_echelon_member(a: RationalMatrix, pat: EchelonPattern) -> bool:
 
 
 def check_echelon_stratum(a: RationalMatrix, m: int, t: int, y, z) -> bool:
-    """A targeted stratum sample lies in exactly its stratum by the rank conditions
-    and by classification; the sampler's rejection draws already passed the latter."""
+    """
+    A targeted stratum sample lies in exactly its stratum by the rank
+    conditions and by classification.  A rejection hit's class is the one
+    the sampler found, kept on the matrix and read back here, so ``in_leaf``
+    is the independent half; a replayed or rescaled matrix is classified
+    afresh.
+    """
     target = phi_to_leaf(column_stratum_sigma(m, t, tuple(y), tuple(z)))
     return in_leaf(a, target, "cell") and classify_leaf(a) == target
 
@@ -547,7 +552,7 @@ def _run_strata_stream(full: str, sampled: str, report: VerificationReport,
     leaf_list = all_leaves(m, n)
     exhaustive = len(leaf_list) <= _EXHAUSTIVE_LIMIT
     for x in sample_stream(m, n, count, rng):
-        L0 = classify_leaf(x)
+        L0 = classify_leaf(x)  # kept on x, so the check reads it back
         if exhaustive:
             report.check(full, x, leaf_list)
         else:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import accumulate, chain
 from operator import le
 from typing import Iterator, Optional, Sequence
 
@@ -209,8 +209,10 @@ def block_pairs(m: int, n: int) -> frozenset[tuple[PartialPerm, PartialPerm]]:
 
 @dataclass(frozen=True)
 class LeafTables:
-    """The four rank tables of an ``m x n`` matrix, or one stratum's targets
-    in the same layout; ``col`` and ``row`` hold 0 where ``p == 0 or p > q``."""
+    """The four rank tables of an ``m x n`` matrix; ``col`` and ``row`` hold 0
+    where ``p == 0 or p > q``.  A stratum's targets (``_Targets``) are four
+    tables in the same layout, held in an object of their own that builds
+    three of them only when asked."""
 
     m: int
     n: int
@@ -237,28 +239,50 @@ def leaf_profile(x: RationalMatrix) -> LeafTables:
     return T
 
 
-@lru_cache(maxsize=None)
-def _leaf_targets(w: Perm, m: int, n: int) -> LeafTables:
+class _Targets:
     """
-    The rank targets of the stratum of ``w`` in ``m x n``, as the tables
-    ``leaf_profile`` gives for a member, cached by the plain tuple
-    ``(w, m, n)``.  Each target is the number of dots of ``w`` in one
-    rectangle (Fulton's rank function), read off the southwest dot-count
-    table ``S`` of ``w``: ``S[k][c]`` counts the columns ``j <= c`` with
-    ``w(j) > k``.  A rectangle's count is four entries of ``S``; those on
-    its border (``S[0][c] == c``, ``S[N][c] == 0``, ``S[k][0] == 0``,
-    ``S[k][N] == N - k``) are known, so each target reads at most two.
+    The rank targets of the stratum of ``w`` in ``m x n``: the tables
+    ``leaf_profile`` gives for a member, as ``sw`` and ``rest() == (ne, col,
+    row)``.  Each target is the number of dots of ``w`` in one rectangle
+    (Fulton's rank function).  ``sw`` is built at once from the first ``n``
+    images alone: ``sw[k][c]`` counts the ``j <= c`` with ``w(j) > n + k``.
+    The other three tables are built on first use, since ``in_leaf``
+    compares ``sw`` first and most pairs already fail there.  The fill is
+    check-then-write without a lock; every writer stores equal tables.
     """
-    N = m + n
-    S = cells.pp_rank_profile(w, SOUTHWEST)
-    sw = tuple(row[:n + 1] for row in S[n:])
-    ne = tuple(tuple([k + p - N + S[k][N - p] for k in range(n, -1, -1)])
-               for p in range(m + 1))
-    col = tuple(tuple([S[n + 1 - p][q] - S[n + 1 - p][p - 1] if 1 <= p <= q else 0
-                       for q in range(n + 1)]) for p in range(n + 1))
-    row = tuple(tuple([S[n + p - 1][N - q] - S[n + q][N - q] if 1 <= p <= q else 0
-                       for q in range(m + 1)]) for p in range(m + 1))
-    return LeafTables(m, n, sw, ne, col, row)
+
+    __slots__ = ("w", "m", "n", "sw", "_rest")
+
+    def __init__(self, w: Perm, m: int, n: int) -> None:
+        head = w[:n]
+        self.w, self.m, self.n, self._rest = w, m, n, None
+        self.sw = tuple([tuple(accumulate([x > k for x in head], initial=0))
+                         for k in range(n, m + n + 1)])
+
+    def rest(self) -> tuple:
+        """
+        ``(ne, col, row)``, read off the southwest dot-count table ``S`` of
+        ``w``: ``S[k][c]`` counts the columns ``j <= c`` with ``w(j) > k``.
+        A rectangle's count is four entries of ``S``; those on its border
+        (``S[0][c] == c``, ``S[N][c] == 0``, ``S[k][0] == 0``,
+        ``S[k][N] == N - k``) are known, so each target reads at most two.
+        """
+        R = self._rest
+        if R is None:
+            m, n = self.m, self.n
+            N = m + n
+            S = cells.pp_rank_profile(self.w, SOUTHWEST)
+            ne = tuple(tuple([k + p - N + S[k][N - p] for k in range(n, -1, -1)])
+                       for p in range(m + 1))
+            col = tuple(tuple([S[n + 1 - p][q] - S[n + 1 - p][p - 1] if 1 <= p <= q else 0
+                               for q in range(n + 1)]) for p in range(n + 1))
+            row = tuple(tuple([S[n + p - 1][N - q] - S[n + q][N - q] if 1 <= p <= q else 0
+                               for q in range(m + 1)]) for p in range(m + 1))
+            R = self._rest = (ne, col, row)
+        return R
+
+
+_leaf_targets = lru_cache(maxsize=None)(_Targets)  # cached by the plain tuple (w, m, n)
 
 
 def in_leaf(x: RationalMatrix, L: LeafIndex, mode: str = "cell") -> bool:
@@ -266,9 +290,12 @@ def in_leaf(x: RationalMatrix, L: LeafIndex, mode: str = "cell") -> bool:
     Membership of ``x`` in the stratum of ``L`` (``mode="cell"``) or in its
     Zariski closure (``mode="closure"``), decided by the rank conditions
     alone: the four tables of ``x`` equal the stratum's targets, or lie
-    entrywise below them.  The tables are those ``leaf_profile`` keeps on
-    ``x``, counted on the first call for a matrix and read from it after, so
-    testing one matrix against many indices counts them once.
+    entrywise below them.  The southwest tables are compared first, and a
+    failure there decides without the stratum's other three targets.  The
+    tables of ``x`` are those ``leaf_profile`` keeps on ``x``, counted on
+    the first call for a matrix and read from it after, so testing one
+    matrix against many indices counts them once.  The stratum ``x`` was
+    classified into, kept on ``x`` by ``classify_leaf``, is never read.
     """
     if mode not in {"cell", "closure"}:
         raise ValueError(f"mode must be 'cell' or 'closure', got {mode!r}")
@@ -277,17 +304,25 @@ def in_leaf(x: RationalMatrix, L: LeafIndex, mode: str = "cell") -> bool:
     T = x._tables or leaf_profile(x)  # one leaf_profile call per matrix, not per in_leaf
     tg = _leaf_targets(L.w, L.m, L.n)
     if mode == "cell":
-        return T.sw == tg.sw and T.ne == tg.ne and T.col == tg.col and T.row == tg.row
-    return all(map(le, chain.from_iterable((*T.sw, *T.ne, *T.col, *T.row)),
-                   chain.from_iterable((*tg.sw, *tg.ne, *tg.col, *tg.row))))
+        if T.sw != tg.sw:
+            return False
+        ne, col, row = tg.rest()
+        return T.ne == ne and T.col == col and T.row == row
+    if not all(map(le, chain.from_iterable(T.sw), chain.from_iterable(tg.sw))):
+        return False
+    return all(map(le, chain.from_iterable((*T.ne, *T.col, *T.row)),
+                   chain.from_iterable(chain.from_iterable(tg.rest()))))
 
 
 def classify_leaf(x: RationalMatrix) -> LeafIndex:
     """
-    The unique stratum containing ``x``: embed ``x`` as the lower-left block
-    of the invertible ``(m+n) x (m+n)`` matrix ``E = [[J, 0], [x, J]]``
-    (``J`` an anti-identity) and read the upper Bruhat cell of ``E`` off the
-    pivots of one fraction-free elimination.
+    The unique stratum containing ``x``, found once per matrix: the first
+    call keeps it in the matrix's cache slot ``_leaf`` and every later call
+    returns it.  The rank tables kept on ``x`` by ``leaf_profile`` are never
+    read.  To find it, embed ``x`` as the lower-left block of the invertible
+    ``(m+n) x (m+n)`` matrix ``E = [[J, 0], [x, J]]`` (``J`` an
+    anti-identity) and read the upper Bruhat cell of ``E`` off the pivots of
+    one fraction-free elimination.
 
     The elimination runs on integer rows: row ``i`` of ``x`` scaled by the
     lcm ``d_i`` of its denominators, with 1 kept on the anti-identity.  With
@@ -295,6 +330,9 @@ def classify_leaf(x: RationalMatrix) -> LeafIndex:
     and ``[[J, 0], [x, D^-1 J]] = E diag(I, J^-1 D^-1 J)``.  Diagonal matrices
     lie in the upper Borel subgroup, so both factors keep ``E`` in its cell.
     """
+    L = x._leaf
+    if L is not None:
+        return L
     m, n = x.rows, x.cols
     N = m + n
     rows = []
@@ -309,7 +347,9 @@ def classify_leaf(x: RationalMatrix) -> LeafIndex:
     w = [0] * N
     for c, r in bruhat_pivots(rows, SOUTHWEST):
         w[c - 1] = r
-    return LeafIndex.from_w(w, m, n)
+    L = LeafIndex.from_w(w, m, n)
+    object.__setattr__(x, "_leaf", L)
+    return L
 
 
 def closure_leq(a: LeafIndex, b: LeafIndex) -> bool:

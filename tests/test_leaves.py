@@ -4,6 +4,8 @@ import math
 import random
 import sys
 import threading
+from itertools import chain
+from operator import le
 
 import pytest
 
@@ -288,6 +290,70 @@ def test_verdicts_on_kept_tables_equal_verdicts_on_a_fresh_copy(m, n):
         assert [L for L in pool if in_leaf(x, L)] == [classify_leaf(x)]
 
 
+def test_each_matrix_keeps_its_class():
+    for x in sample_stream(3, 4, 30, random.Random(15)):
+        fresh = from_text(x.to_text())
+        assert x._leaf is None
+        L = classify_leaf(x)
+        assert classify_leaf(x) is L and x._leaf is L
+        assert fresh._leaf is None
+        assert x == fresh and hash(x) == hash(fresh) and repr(x) == repr(fresh)
+        assert classify_leaf(fresh) == L and classify_leaf(fresh) is not L
+
+
+def test_threads_racing_to_fill_the_class_all_read_one_stratum():
+    # as for the tables, the fill is check-then-write without a lock: safe
+    # only because every writer stores an equal stratum
+    xs = list(sample_stream(4, 4, 20, random.Random(16)))
+    expected = [classify_leaf(from_text(x.to_text())) for x in xs]
+    found = []
+
+    def read_all():
+        found.append([classify_leaf(x) for x in xs])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read_all) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert found == [expected] * 6
+    assert [x._leaf for x in xs] == expected
+
+
+def planted(x, name, value):
+    """``x`` with its cache slot ``name`` overwritten by a wrong ``value``."""
+    object.__setattr__(x, name, value)
+    return x
+
+
+def test_planted_tables_leave_classification_right():
+    xs = list(sample_stream(3, 3, 40, random.Random(17)))
+    for x, other in zip(xs, xs[1:] + xs[:1]):
+        expected = classify_leaf(from_text(x.to_text()))
+        wrong = leaf_profile(from_text(other.to_text()))
+        y = planted(from_text(x.to_text()), "_tables", wrong)
+        assert classify_leaf(y) == expected, x
+
+
+def test_planted_class_leaves_membership_right():
+    pool = leaves.all_leaves(3, 3)
+    for x in sample_stream(3, 3, 40, random.Random(18)):
+        fresh = from_text(x.to_text())
+        L0 = classify_leaf(fresh)
+        wrong = next(L for L in pool if L != L0)
+        y = planted(from_text(x.to_text()), "_leaf", wrong)
+        assert in_leaf(y, L0) and not in_leaf(y, wrong), x
+        for mode in ("cell", "closure"):
+            assert ([in_leaf(y, L, mode) for L in pool]
+                    == [in_leaf(fresh, L, mode) for L in pool]), (x, mode)
+
+
 def test_classify_rank_consistency():
     rng = random.Random(9)
     for i in range(60):
@@ -338,10 +404,77 @@ def test_targets_and_labels_match_block_relabelling():
             targets, labels = block_relabel_targets(L)
             tg = leaves._leaf_targets(L.w, L.m, L.n)
             assert (tg.m, tg.n) == (m, n), L
-            assert (tg.sw, tg.ne, tg.col, tg.row) == targets, L
+            assert (tg.sw, *tg.rest()) == targets, L
             assert leaves.cell_labels(L) == labels, L
             count += 1
     assert count == 23_300
+
+
+def test_staged_targets_equal_the_full_tables():
+    """A stratum's ``sw`` target is built at once, the other three on first
+    use; all four equal the block-relabelling oracle on every stratum up to
+    4x4, and the tables of a member on 10x10 samples."""
+    count = 0
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for L in leaves.all_leaves(m, n):
+                tg = leaves._Targets(L.w, m, n)
+                assert tg._rest is None
+                targets, _ = block_relabel_targets(L)
+                assert tg.sw == targets[0], L
+                assert (tg.sw, *tg.rest()) == targets and tg._rest is not None, L
+                count += 1
+    assert count == 9_720
+    for x in sample_stream(10, 10, 12, random.Random(19)):
+        L = classify_leaf(x)
+        tg = leaves._Targets(L.w, 10, 10)
+        T = kernel_tables(x)
+        assert (tg.sw, *tg.rest()) == (T.sw, T.ne, T.col, T.row), x
+        assert (tg.sw, *tg.rest()) == block_relabel_targets(L)[0], x
+
+
+def test_in_leaf_verdicts_equal_full_table_verdicts_on_every_01_matrix_3x3():
+    """Comparing ``sw`` first and the rest only after changes no verdict: every
+    {0, 1} matrix against every stratum of 3x3, in both modes, gives the
+    verdict of all four tables compared at once."""
+    pool = leaves.all_leaves(3, 3)
+    oracle = [tuple(chain.from_iterable(chain.from_iterable(block_relabel_targets(L)[0])))
+              for L in pool]
+    for bits in itertools.product((0, 1), repeat=9):
+        x = RationalMatrix([bits[0:3], bits[3:6], bits[6:9]])
+        T = kernel_tables(x)
+        flat = tuple(chain.from_iterable(chain.from_iterable((T.sw, T.ne, T.col, T.row))))
+        assert [in_leaf(x, L, "cell") for L in pool] == [flat == tg for tg in oracle], x
+        assert ([in_leaf(x, L, "closure") for L in pool]
+                == [all(map(le, flat, tg)) for tg in oracle]), x
+
+
+def test_membership_builds_targets_only_as_far_as_it_compares(monkeypatch):
+    """Each stream sample is classified once, and a stratum's targets past
+    ``sw`` are built only for pairs that pass ``sw`` (seed 0, 500 samples)."""
+    from leaf_atlas import harness
+    calls = {"bruhat_pivots": 0, "pp_rank_profile": 0}
+
+    def counted(namespace, name):
+        kernel = getattr(namespace, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(namespace, name, wrapper)
+
+    counted(leaves, "bruhat_pivots")
+    counted(cells, "pp_rank_profile")
+    leaves._leaf_targets.cache_clear()
+    assert harness.run("thm42_equiv", 3, 3, 500, 0, threads=1).failed == 0
+    assert calls["bruhat_pivots"] == 500
+    assert calls["pp_rank_profile"] <= 155
+    calls.update(bruhat_pivots=0, pp_rank_profile=0)
+    leaves._leaf_targets.cache_clear()
+    assert harness.run("closure_order", 4, 4, 500, 0, threads=1).failed == 0
+    assert calls["bruhat_pivots"] == 500
+    assert calls["pp_rank_profile"] <= 1_527
+    assert leaves._leaf_targets.cache_info().currsize == 4_038
 
 
 def triple_targets(L):
