@@ -12,9 +12,16 @@ intermediate values stay integral.
 Each rank table comes from one pass of insertions.  The southwest corner
 table feeds the rows bottom-up into one echelon basis and counts its leads;
 an interval table feeds the vectors in order into a newest-wins basis whose
-vectors carry the index they came from.  Each northeast computation (corner
-table or Bruhat pivots) is the southwest one on the half-turned matrix, row
-order and rows reversed, turned back.
+vectors carry the index they came from.  These membership kernels work on
+lists and divide each new vector by its content.  Classification
+(``bruhat_pivots``) shares none of them: it is one-step Bareiss elimination
+on rows packed as one ``int`` each, ``B`` bits a field, with ``B`` from
+Hadamard's bound so that every minor, and hence every entry the walk reads,
+fits in a signed field.  Every row above a pivot is updated at each step,
+which keeps each division by the previous pivot exact.  ``rank`` has its
+own Bareiss kernel on lists.  Each northeast computation (corner table or
+Bruhat pivots) is the southwest one on the half-turned matrix, row order
+and rows reversed, turned back.
 
 Samplers are pure functions of an explicit seed.  The generator is CPython's
 ``random.Random`` (Mersenne Twister), whose integer methods are stable across
@@ -30,7 +37,7 @@ import random
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import gcd, lcm
-from operator import mul
+from operator import lshift, mul
 from typing import Iterable, Sequence, Union
 
 SOUTHWEST = "southwest"
@@ -318,13 +325,27 @@ def bruhat_pivots(irows: Sequence[Sequence[int]], kind: str) -> list[tuple[int, 
     generalized Bruhat decomposition).
 
     ``southwest`` (the (upper, upper) cell): walk the rows bottom-up; the
-    leftmost nonzero entry of each row is a dot, and its column is cleared
-    in every row above by ``row_k = p*row_k - f*row_i``, after which the row
-    is divided by its content.  ``northeast`` (the (lower, lower) cell) is
-    the same walk on the half-turned rows, its dots ``(c, r)`` turned back to
+    leftmost nonzero entry ``p`` of each row ``i`` is a dot, and its column
+    is cleared in every row above by one-step Bareiss elimination,
+    ``row_k = (p*row_k - f*row_i) // prev`` with ``prev`` the pivot before
+    ``p`` (1 at first).  ``northeast`` (the (lower, lower) cell) is the same
+    walk on the half-turned rows, its dots ``(c, r)`` turned back to
     ``(n+1-c, m+1-r)``.  Row and column scalings and the triangular row and
     column operations of the cell's side keep a matrix in its cell, and they
     reduce it to the dots alone.
+
+    Each row is held as one ``int``, ``sum(a_j << B*j)``, so one update is
+    two multiplications, a subtraction and a division on whole rows.  After
+    ``s`` pivots every entry is an ``(s+1)``-minor of the input (Sylvester's
+    identity, as in Bareiss 1968), so each division is exact, field by field
+    and hence on the packed row.  That holds only if every row above the
+    pivot is updated at every step, rows with ``f == 0`` included: a row
+    left out would lag a factor ``p / prev`` behind and break the next
+    division.  A minor is at most the product of its rows' norms (Hadamard),
+    so the width ``B`` (two bits more than half the summed bit lengths of
+    the squared row norms) holds every entry as a signed field.  An entry
+    is read by adding half a field at each field below it, so the borrows
+    of negative fields round away, and half a field at its own to sign it.
 
     >>> bruhat_pivots([[1, 0, 2], [3, 0, 6], [2, 0, 4]], SOUTHWEST)
     [(1, 3)]
@@ -337,21 +358,25 @@ def bruhat_pivots(irows: Sequence[Sequence[int]], kind: str) -> list[tuple[int, 
                 for c, r in bruhat_pivots(_half_turn(irows), SOUTHWEST)]
     if kind != SOUTHWEST:
         raise ValueError(f"unknown profile kind {kind!r}")
-    rows = [list(r) for r in irows]
+    B = (sum([sum(map(mul, row, row)).bit_length() for row in irows]) + 1) // 2 + 2
+    shifts = range(0, B * len(irows[0]), B)
+    rows = [sum(map(lshift, row, shifts)) for row in irows]
+    half, mask = 1 << (B - 1), (1 << B) - 1
     pairs = []
+    prev = 1
     for i in range(len(rows) - 1, -1, -1):
-        row = rows[i]
-        c = next((j for j, a in enumerate(row) if a), None)
-        if c is None:
+        R = rows[i]
+        if not R:
             continue
-        pairs.append((c + 1, i + 1))
-        p = row[c]
+        s = (R & -R).bit_length() - 1
+        s -= s % B  # the first bit of the leftmost nonzero field
+        pairs.append((s // B + 1, i + 1))
+        off = (half << s) + ((1 << s) >> 1)
+        p = (((R + off) >> s) & mask) - half
         for k in range(i):
-            f = rows[k][c]
-            if f:
-                new = [p * a - f * b for a, b in zip(rows[k], row)]
-                g = gcd(*new)
-                rows[k] = [a // g for a in new] if g > 1 else new
+            Rk = rows[k]
+            rows[k] = (p * Rk - ((((Rk + off) >> s) & mask) - half) * R) // prev
+        prev = p
     return pairs
 
 

@@ -3,10 +3,11 @@ oracles for what the library computes another way, from one-line notation or
 a rank table, and the earlier, slower forms of the library's own functions."""
 import itertools
 from bisect import insort
+from math import gcd
 from typing import NamedTuple
 
 from leaf_atlas.double_bruhat import dense_orbit
-from leaf_atlas.exact_matrix import SOUTHWEST, RationalMatrix
+from leaf_atlas.exact_matrix import NORTHEAST, SOUTHWEST, RationalMatrix, _half_turn
 from leaf_atlas.leaves import classify_leaf
 from leaf_atlas.permutations import (PartialPerm, bruhat_leq, check_perm,
                                      min_reps_first, min_reps_last)
@@ -94,6 +95,36 @@ def rank_at(table, kind, p, q):
     if not (0 <= i < len(table) and 0 <= j < len(table[0])):
         raise IndexError(f"({p},{q}) outside the {kind} index range")
     return table[i][j]
+
+
+def bruhat_pivots_by_content(irows, kind):
+    """
+    The earlier form of ``exact_matrix.bruhat_pivots``, on lists: the same
+    bottom-up walk, each row above the pivot with a nonzero entry in its
+    column replaced by ``p*row_k - f*row_i`` and divided by its content.
+    """
+    if kind == NORTHEAST:
+        m, n = len(irows), len(irows[0])
+        return [(n + 1 - c, m + 1 - r)
+                for c, r in bruhat_pivots_by_content(_half_turn(irows), SOUTHWEST)]
+    if kind != SOUTHWEST:
+        raise ValueError(f"unknown profile kind {kind!r}")
+    rows = [list(r) for r in irows]
+    pairs = []
+    for i in range(len(rows) - 1, -1, -1):
+        row = rows[i]
+        c = next((j for j, a in enumerate(row) if a), None)
+        if c is None:
+            continue
+        pairs.append((c + 1, i + 1))
+        p = row[c]
+        for k in range(i):
+            f = rows[k][c]
+            if f:
+                new = [p * a - f * b for a, b in zip(rows[k], row)]
+                g = gcd(*new)
+                rows[k] = [a // g for a in new] if g > 1 else new
+    return pairs
 
 
 def bruhat_leq_by_sorted_prefixes(y, z):

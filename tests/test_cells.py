@@ -197,3 +197,22 @@ def test_membership_does_not_reach_bruhat_pivots(monkeypatch):
             cells.classify(fresh, "B-")
         with pytest.raises(RuntimeError, match="bruhat_pivots reached"):
             classify_leaf(fresh)
+
+
+def test_rank_does_not_reach_bruhat_pivots(monkeypatch):
+    rng = random.Random(8)
+    xs = [RationalMatrix([[1, 0, 2], [3, 0, 6], [2, 0, 4]]), identity_matrix(4)]
+    xs += [sample_rank(m, n, t, rng) for m, n in [(3, 3), (2, 4), (4, 3)]
+           for t in range(min(m, n) + 1)]
+    ranks = [exact_matrix.rank(x) for x in xs]
+    samples = [sample_rank(4, 5, t, 20 + t) for t in range(5)]
+
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("bruhat_pivots reached")
+
+    for namespace in (exact_matrix, cells, leaves, leaf_atlas):
+        monkeypatch.setattr(namespace, "bruhat_pivots", unreachable, raising=False)
+    assert [exact_matrix.rank(x) for x in xs] == ranks
+    assert [sample_rank(4, 5, t, 20 + t) for t in range(5)] == samples
+    with pytest.raises(RuntimeError, match="bruhat_pivots reached"):
+        cells.classify(xs[0])

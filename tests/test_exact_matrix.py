@@ -22,7 +22,7 @@ from leaf_atlas.exact_matrix import (
 from leaf_atlas.leaves import classify_leaf, leaf_profile
 from leaf_atlas.permutations import PartialPerm
 from matrix_strategies import entry, identity_matrix, oracle_matrices
-from perm_oracles import rank_at
+from perm_oracles import bruhat_pivots_by_content, rank_at
 
 
 def minor_rank(x):
@@ -108,6 +108,110 @@ def test_bruhat_pivots_ignore_row_content_and_reject_unknown_kind():
                 == bruhat_pivots([[3, 2, 1], [3, 2, 1], [0, 1, 2]], kind))
     with pytest.raises(ValueError):
         bruhat_pivots([[1]], "diagonal")
+
+
+def sylvester_hadamard(order):
+    """The Sylvester-Hadamard +-1 matrix of a power-of-two order, whose
+    determinant meets Hadamard's bound."""
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-a for a in row] for row in h]
+    return h
+
+
+def block_rows(irows):
+    """The rows that ``classify_leaf`` eliminates for integer rows ``irows``:
+    ``[[J, 0], [x, J]]`` with ``J`` an anti-identity."""
+    m, n = len(irows), len(irows[0])
+    top = [[int(j == n - i) for j in range(m + n)] for i in range(1, n + 1)]
+    return top + [list(row) + [int(j == m - i) for j in range(m)]
+                  for i, row in enumerate(irows, 1)]
+
+
+def assert_pivots_match_content_walk(irows):
+    for kind in (SOUTHWEST, NORTHEAST):
+        assert bruhat_pivots(irows, kind) == bruhat_pivots_by_content(irows, kind), (irows, kind)
+
+
+@pytest.mark.parametrize("order", [2, 4, 8, 16])
+def test_bruhat_pivots_on_hadamard_matrices(order):
+    h = sylvester_hadamard(order)
+    assert_pivots_match_content_walk(h)
+    assert_pivots_match_content_walk(block_rows(h))
+    w = [0] * (2 * order)
+    for c, r in bruhat_pivots_by_content(block_rows(h), SOUTHWEST):
+        w[c - 1] = r
+    assert classify_leaf(RationalMatrix(h)).w == tuple(w)
+
+
+def test_bruhat_pivots_on_entries_near_1e30():
+    rng = random.Random(30)
+    big = 10 ** 30
+    for _ in range(150):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.5:
+            rows = [[rng.choice((0, big + rng.randint(-9, 9), -big + rng.randint(-9, 9)))
+                     for _ in range(n)] for _ in range(m)]
+        else:  # a rank-t product with entries near 1e30: cancellation in the walk
+            t = rng.randint(0, min(m, n))
+            left = [[rng.choice((-1, 1)) * 10 ** 15 + rng.randint(-9, 9) for _ in range(t)]
+                    for _ in range(m)]
+            right = [[rng.choice((-1, 1)) * 10 ** 15 + rng.randint(-9, 9) for _ in range(n)]
+                     for _ in range(t)]
+            rows = [[sum(left[i][k] * right[k][j] for k in range(t)) for j in range(n)]
+                    for i in range(m)]
+        assert_pivots_match_content_walk(rows)
+        assert_pivots_match_content_walk(block_rows(rows))
+
+
+def test_bruhat_pivots_on_rational_rows_with_large_denominators():
+    rng = random.Random(6)
+    for _ in range(150):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        t = rng.randint(0, min(m, n))
+
+        def frac():
+            return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+
+        left = [[frac() for _ in range(t)] for _ in range(m)]
+        right = [[frac() for _ in range(n)] for _ in range(t)]
+        x = RationalMatrix([[sum((left[i][k] * right[k][j] for k in range(t)), Fraction(0))
+                             for j in range(n)] for i in range(m)])
+        assert_pivots_match_content_walk(x._irows)
+        assert_pivots_match_content_walk(block_rows(x._irows))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 7), (7, 1), (1, 12), (12, 1), (3, 5), (6, 6)])
+def test_bruhat_pivots_with_zero_rows_and_columns(m, n):
+    rng = random.Random(m * 100 + n)
+    for _ in range(40):
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        for i in rng.sample(range(m), rng.randint(0, m)):
+            rows[i] = [0] * n
+        for j in rng.sample(range(n), rng.randint(0, n)):
+            for row in rows:
+                row[j] = 0
+        assert_pivots_match_content_walk(rows)
+        assert_pivots_match_content_walk(block_rows(rows))
+
+
+_wide_entries = st.one_of(st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30))
+
+
+@given(st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda mn: st.lists(st.lists(_wide_entries, min_size=mn[1], max_size=mn[1]),
+                        min_size=mn[0], max_size=mn[0])))
+@settings(max_examples=200, deadline=None)
+def test_bruhat_pivots_match_content_walk_on_integer_rows(rows):
+    assert_pivots_match_content_walk(rows)
+    assert_pivots_match_content_walk(block_rows(rows))
+
+
+@given(oracle_matrices(6))
+@settings(max_examples=200, deadline=None)
+def test_bruhat_pivots_match_content_walk_on_rational_matrices(x):
+    assert_pivots_match_content_walk(x._irows)
+    assert_pivots_match_content_walk(block_rows(x._irows))
 
 small_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
     lambda mn: st.lists(
