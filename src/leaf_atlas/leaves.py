@@ -23,6 +23,7 @@ from itertools import accumulate, chain
 from operator import le
 from typing import Iterator, Optional, Sequence
 
+from . import cells
 from .exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix, bruhat_pivots,
                            check_shape, interval_column_ranks, interval_row_ranks,
                            rank_profile)
@@ -265,18 +266,12 @@ class _Targets:
         A rectangle's count is four entries of ``S``; those on its border
         (``S[0][c] == c``, ``S[N][c] == 0``, ``S[k][0] == 0``,
         ``S[k][N] == N - k``) are known, so each target reads at most two.
-        ``S`` is counted straight from ``w``: rows ``k < n`` in full, and
-        rows ``k >= n`` as ``sw[k - n]`` (columns ``0..n``) carried on
-        through the images past ``n``.
         """
         R = self._rest
         if R is None:
-            m, n, w = self.m, self.n, self.w
+            m, n = self.m, self.n
             N = m + n
-            tail = w[n:]
-            S = [tuple(accumulate([x > k for x in w], initial=0)) for k in range(n)]
-            S += [s + tuple(accumulate([x > k for x in tail], initial=s[-1]))[1:]
-                  for k, s in enumerate(self.sw, n)]
+            S = cells.pp_rank_profile(self.w, SOUTHWEST)
             ne = tuple(tuple([k + p - N + S[k][N - p] for k in range(n, -1, -1)])
                        for p in range(m + 1))
             col = tuple(tuple([S[n + 1 - p][q] - S[n + 1 - p][p - 1] if 1 <= p <= q else 0

@@ -451,33 +451,29 @@ def test_in_leaf_verdicts_equal_full_table_verdicts_on_every_01_matrix_3x3():
 
 def test_membership_builds_targets_only_as_far_as_it_compares(monkeypatch):
     """Each stream sample is classified once, and a stratum's targets past
-    ``sw`` are built only for pairs that pass ``sw`` (seed 0, 500 samples),
-    counted as the calls to ``_Targets.rest`` that fill its slot."""
+    ``sw`` are built only for pairs that pass ``sw`` (seed 0, 500 samples)."""
     from leaf_atlas import harness
-    calls = {"bruhat_pivots": 0, "rest": 0}
-    kernel = leaves.bruhat_pivots
+    calls = {"bruhat_pivots": 0, "pp_rank_profile": 0}
 
-    def pivots(*args):
-        calls["bruhat_pivots"] += 1
-        return kernel(*args)
+    def counted(namespace, name):
+        kernel = getattr(namespace, name)
 
-    fill = leaves._Targets.rest
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(namespace, name, wrapper)
 
-    def rest(self):
-        calls["rest"] += self._rest is None
-        return fill(self)
-
-    monkeypatch.setattr(leaves, "bruhat_pivots", pivots)
-    monkeypatch.setattr(leaves._Targets, "rest", rest)
+    counted(leaves, "bruhat_pivots")
+    counted(cells, "pp_rank_profile")
     leaves._leaf_targets.cache_clear()
     assert harness.run("thm42_equiv", 3, 3, 500, 0, threads=1).failed == 0
     assert calls["bruhat_pivots"] == 500
-    assert calls["rest"] <= 155
-    calls.update(bruhat_pivots=0, rest=0)
+    assert calls["pp_rank_profile"] <= 155
+    calls.update(bruhat_pivots=0, pp_rank_profile=0)
     leaves._leaf_targets.cache_clear()
     assert harness.run("closure_order", 4, 4, 500, 0, threads=1).failed == 0
     assert calls["bruhat_pivots"] == 500
-    assert calls["rest"] <= 1_527
+    assert calls["pp_rank_profile"] <= 1_527
     assert leaves._leaf_targets.cache_info().currsize == 4_038
 
 
