@@ -14,19 +14,19 @@ full ``m x n`` space factors, up to closure, as a product of one
 column-echelon stratum and one row-echelon stratum; the factor descriptors
 come straight from the quadruple index.
 
-Strata carry no direct parametrization, so sampling works by rejection from
-the ambient pattern (plus targeted zeroing) with a small-entry representative
-search as fallback.  The search scans a pattern's palette matrices only until
-every stratum of the pattern has a representative; strata it cannot reach are
-reported as skipped, never silently dropped.
+Sampling a stratum tries rejection from the ambient pattern (plus targeted
+zeroing) first and then falls back to a torus scaling of a fixed member,
+restored from the stratum's Cauchon diagram (``cauchon``), so every stratum
+is reached.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Sequence
+from fractions import Fraction
+from typing import Sequence
 
+from .cauchon import diagram, restore
 from .exact_matrix import (RationalMatrix, Seed, _as_rng, _rand_nonzero,
                            check_pivots, check_shape, sample_echelon_col)
 from .leaves import LeafIndex, classify_leaf
@@ -149,58 +149,25 @@ def leaf_factors(L: LeafIndex) -> tuple[tuple[Perm, Perm], tuple[Perm, Perm]]:
 # ---------------------------------------------------------------------------
 # Sampling inside strata
 
-_REP_PALETTE = (0, 1, 2)
 _TRIES = 30  # rejection draws before falling back to the representative
 
 
-@lru_cache(maxsize=None)
-def _stratum_map(m: int, t: int, pivots: tuple[int, ...]) -> dict[tuple[Perm, Perm], RationalMatrix]:
+def column_stratum_representative(m: int, t: int, y: Perm, z: Perm) -> RationalMatrix:
     """
-    One small-entry representative per reachable stratum of a column pattern,
-    found by scanning pattern matrices with unit pivots and free entries from
-    a small palette, in ``itertools.product`` order.  Each stratum keeps its
-    first hit.  The scan stops as soon as every pair of
-    ``stratify_pattern`` has a representative, so a key outside that set
-    never ends it early; a stratum the palette misses leaves the scan to run
-    to the end.  Cached per pattern.
+    A fixed member of the column stratum: its Cauchon diagram restored with
+    every parameter 1 (a diagram has one white box per dimension).  A pair
+    that names no stratum raises ``ValueError``.
     """
-    free_cells = [(i, j) for j, pr in enumerate(pivots, start=1)
-                  for i in range(pr + 1, m + 1)]
-    missing = set(stratify_pattern(column_pattern(m, pivots)))
-    found: dict[tuple[Perm, Perm], RationalMatrix] = {}
-    for values in itertools.product(_REP_PALETTE, repeat=len(free_cells)):
-        rows = [[0] * t for _ in range(m)]
-        for j, pr in enumerate(pivots, start=1):
-            rows[pr - 1][j - 1] = 1
-        for (i, j), val in zip(free_cells, values):
-            rows[i - 1][j - 1] = val
-        a = RationalMatrix(rows)
-        sig = phi_inv(classify_leaf(a))
-        key = (sig.y, sig.z)
-        if key not in found:
-            found[key] = a
-            missing.discard(key)
-            if not missing:
-                break
-    return found
-
-
-def column_stratum_representative(m: int, t: int, y: Perm, z: Perm) -> Optional[RationalMatrix]:
-    """
-    A fixed small-entry member of the column stratum, or ``None`` if
-    unreached; a pair that names no stratum raises ``ValueError``.
-    """
-    sig = column_stratum_sigma(m, t, y, z)
-    return _stratum_map(m, t, tuple(sig.z[:t])).get((sig.y, sig.z))
+    L = phi_to_leaf(column_stratum_sigma(m, t, y, z))
+    return RationalMatrix(restore(diagram(L.w, m, t), t, [Fraction(1)] * L.dim))
 
 
 def sample_column_stratum(m: int, t: int, y: Perm, z: Perm,
-                          seed: Seed) -> Optional[RationalMatrix]:
+                          seed: Seed) -> RationalMatrix:
     """
     A random member of the column stratum ``(y, z)`` inside ``m x t``:
     rejection from the ambient pattern with random zeroing first, then a
-    random torus scaling of the cached representative.  ``None`` means the
-    stratum was not reached and the caller should report a skip.
+    random torus scaling of the restored representative.
     """
     rng = _as_rng(seed)
     target = phi_to_leaf(column_stratum_sigma(m, t, y, z))
@@ -210,15 +177,12 @@ def sample_column_stratum(m: int, t: int, y: Perm, z: Perm,
         if classify_leaf(a) == target:
             return a
     rep = column_stratum_representative(m, t, y, z)
-    if rep is None:
-        return None
     row_f = [_rand_nonzero(rng) for _ in range(m)]
     col_f = [_rand_nonzero(rng) for _ in range(t)]
     return rep.scaled(row_f, col_f)
 
 
 def sample_row_stratum(t: int, n: int, u: Perm, v: Perm,
-                       seed: Seed) -> Optional[RationalMatrix]:
+                       seed: Seed) -> RationalMatrix:
     """Row-side analogue of ``sample_column_stratum``, via transposition."""
-    a = sample_column_stratum(n, t, u, v, seed)
-    return None if a is None else a.transpose()
+    return sample_column_stratum(n, t, u, v, seed).transpose()

@@ -7,11 +7,10 @@ from math import gcd
 from typing import NamedTuple
 
 from leaf_atlas.double_bruhat import dense_orbit
-from leaf_atlas.exact_matrix import NORTHEAST, SOUTHWEST, RationalMatrix, _half_turn
-from leaf_atlas.leaves import classify_leaf
+from leaf_atlas.exact_matrix import NORTHEAST, SOUTHWEST, _half_turn
 from leaf_atlas.permutations import (PartialPerm, bruhat_leq, check_perm,
                                      min_reps_first, min_reps_last)
-from leaf_atlas.sigma import SigmaTuple, phi_inv
+from leaf_atlas.sigma import SigmaTuple
 
 
 class Blocks(NamedTuple):
@@ -262,30 +261,32 @@ def stratify_pattern_sorted(pat):
     return out
 
 
-def palette_matrices(m, t, pivots, palette=(0, 1, 2)):
+def cauchon_diagrams_by_pipes(m, n):
     """
-    The ``m x t`` matrices of a column pattern with unit pivots and free
-    entries (below each pivot) from ``palette``, in ``itertools.product``
-    order of the free entries taken column by column.
+    Every ``m x n`` colouring that obeys the Cauchon rule (each black box has
+    only black boxes to its left or only black boxes above it), as pairs
+    ``(w, rows)`` with ``rows`` the row bitmasks (bit ``j`` black in column
+    ``j + 1``) and ``w`` traced pipe by pipe: a black box is a crossing, a
+    white box an elbow.  Sources are the top edge right to left, then the
+    left edge top to bottom; sinks the bottom edge left to right, then the
+    right edge bottom to top; ``w`` sends each sink to its source.
     """
-    free = [(i, j) for j, pr in enumerate(pivots, 1) for i in range(pr + 1, m + 1)]
-    for values in itertools.product(palette, repeat=len(free)):
-        rows = [[0] * t for _ in range(m)]
-        for j, pr in enumerate(pivots, 1):
-            rows[pr - 1][j - 1] = 1
-        for (i, j), val in zip(free, values):
-            rows[i - 1][j - 1] = val
-        yield RationalMatrix(rows)
-
-
-def stratum_map_full_scan(m, t, pivots, classify=classify_leaf):
-    """
-    The first palette matrix of each column stratum ``(y, z)`` reached, over
-    every palette matrix of the pattern: the representative map of a scan
-    that never stops early.
-    """
-    found = {}
-    for a in palette_matrices(m, t, pivots):
-        sig = phi_inv(classify(a))
-        found.setdefault((sig.y, sig.z), a)
-    return found
+    out = []
+    for bits in itertools.product((False, True), repeat=m * n):
+        black = [bits[i * n:(i + 1) * n] for i in range(m)]
+        if not all(all(black[i][:j]) or all(black[k][j] for k in range(i))
+                   for i in range(m) for j in range(n) if black[i][j]):
+            continue
+        w = [0] * (m + n)
+        starts = [(0, n - k, "down") for k in range(1, n + 1)]
+        starts += [(i, 0, "right") for i in range(m)]
+        for source, (i, j, heading) in enumerate(starts, 1):
+            while i < m and j < n:
+                if not black[i][j]:  # an elbow turns the pipe
+                    heading = "right" if heading == "down" else "down"
+                i, j = (i + 1, j) if heading == "down" else (i, j + 1)
+            sink = j + 1 if i == m else n + m - i
+            w[sink - 1] = source
+        rows = tuple(sum(1 << j for j in range(n) if black[i][j]) for i in range(m))
+        out.append((tuple(w), rows))
+    return out

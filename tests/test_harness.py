@@ -232,7 +232,7 @@ def test_phi_bijection_validates_each_quadruple_once(monkeypatch):
 
 
 def test_echelon_strata_classification_count(monkeypatch):
-    # each palette scan stops once its pattern's strata all have a representative
+    # only the rejection draws classify; a restored representative needs none
     calls, real = [], echelon.classify_leaf
 
     def counting(a):
@@ -240,11 +240,9 @@ def test_echelon_strata_classification_count(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(echelon, "classify_leaf", counting)
-    echelon._stratum_map.cache_clear()
     report = harness.run("echelon_strata", 4, 4, samples=100, seed=0, threads=1)
-    echelon._stratum_map.cache_clear()
     assert report.ok
-    assert len(calls) <= 3_925  # 5,001 with scans that ran to the end of the palette
+    assert len(calls) <= 2_841  # 3,925 with the palette scan it replaced
 
 
 def test_membership_sweep_hashes_no_leaf_index(monkeypatch):

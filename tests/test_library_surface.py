@@ -6,18 +6,20 @@ registered check in ``harness.CHECKS``, if the benchmark's tracer wraps it
 (``perfbench/tracing.py`` ``TARGETS``), or if it is listed in ``PUBLIC``.
 A method (a ``def`` in a class body, dunders aside) passes if some module of
 ``src/leaf_atlas`` uses its name as an attribute, if the tracer wraps it, or
-if it is listed in ``PUBLIC``.  A helper that only tests call belongs in
+if it is listed in ``PUBLIC`` as ``Class.method``.  A helper that only tests call belongs in
 ``tests/``.
 """
 import ast
+from functools import reduce
 from pathlib import Path
 
 import leaf_atlas
 from leaf_atlas.harness import CHECKS
 from test_trace_targets import _targets
 
-# The API of the paper's presentations, and the harness entry point for a
-# report's counterexamples, that no other module happens to call.
+# The API of the paper's presentations, the harness entry point for a
+# report's counterexamples, and the report's skip writer, that no other
+# module happens to call.
 PUBLIC = (
     ("in_cell", "Bruhat-cell membership, the rank-condition side of cells.classify"),
     ("closure_leq", "the closure order on strata, the paper's partial order"),
@@ -25,6 +27,8 @@ PUBLIC = (
     ("column_pattern", "constructor of the column-echelon pattern of a factor"),
     ("row_pattern", "constructor of the row-echelon pattern of a factor"),
     ("replay", "re-runs the failed check of a counterexample payload in a report"),
+    ("VerificationReport.skip", "the one writer of a report's skipped count and skip notes, "
+     "for a check whose input must be passed over with a reason; no campaign skips today"),
 )
 
 
@@ -69,7 +73,7 @@ def _unreached_methods() -> list[str]:
     public = {name for name, _ in PUBLIC}
     return [f"{module}.{path}" for module, path, name in methods
             if name not in attributes and (module, path) not in traced
-            and name not in public]
+            and path not in public]
 
 
 def test_every_definition_is_reached():
@@ -82,4 +86,4 @@ def test_every_method_is_reached():
 
 def test_public_names_exist():
     for name, reason in PUBLIC:
-        assert reason and callable(getattr(leaf_atlas, name, None)), name
+        assert reason and callable(reduce(getattr, name.split("."), leaf_atlas)), name
