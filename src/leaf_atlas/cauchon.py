@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from .exact_matrix import check_shape
 from .permutations import check_perm
 
 Diagram = tuple[int, ...]
@@ -33,8 +34,10 @@ def diagram(w: Sequence[int], m: int, n: int) -> Diagram:
     The Cauchon diagram of the stratum ``w`` of ``m x n``, found row by row:
     a row is kept when it obeys the Cauchon rule under the rows above and
     sends the pipe ``w`` asks for out of the right edge.  Raises
-    ``ValueError`` if ``w`` indexes no stratum of ``m x n``.
+    ``ValueError`` if ``m x n`` is no shape (``check_shape``) or ``w``
+    indexes no stratum of it.
     """
+    check_shape(m, n)
     w = check_perm(w)
     if len(w) != m + n:
         raise ValueError(f"permutation size {len(w)} != {m}+{n}")

@@ -5,11 +5,11 @@ intersection of the upper cell of ``w1`` with the lower cell of ``w2``.
 Nonemptiness has two local criteria (Bruhat comparison of the unique
 factorizations, and domain/range set comparison) plus an independent
 global one (existence of a stratum index with the prescribed off-diagonal
-blocks).  This module implements the factorization and global criteria.  A
-cell factors each of its labels once, on first use (``DoubleCellIndex.factors``),
-and tests that factorization once (``DoubleCellIndex.base``); every function
-here reads the one result, and the harness checks the factors and the set
-criterion.  A nonempty cell splits into finitely many strata, with the base
+blocks).  This module implements the factorization and global criteria.
+``sigma.decompose_partial`` keeps one factorization per label, and a cell
+tests its two once (``DoubleCellIndex.base``); every function here reads
+that one result, and the harness checks the factors and the set criterion.
+A nonempty cell splits into finitely many strata, with the base
 factorization quadruple naming the unique open dense one.
 """
 from __future__ import annotations
@@ -41,13 +41,12 @@ class DoubleCellIndex:
     def shape(self) -> tuple[int, int]:
         return self.w1.rows, self.w1.cols
 
-    @cached_property
+    @property
     def factors(self) -> tuple[Perm, Perm, Perm, Perm]:
         """
         ``(y, v0, z0, u)``: ``w1`` factored in the form ``yv`` and ``w2`` in
-        the form ``zu`` (``sigma.decompose_partial``).  Computed on first use
-        and kept on the cell, outside its fields, so equality, hash and repr
-        are those of the two labels.
+        the form ``zu``, read from ``sigma.decompose_partial``, which keeps
+        one factorization per label and form.
         """
         return (*decompose_partial(self.w1, "yv"), *decompose_partial(self.w2, "zu"))
 
@@ -56,7 +55,8 @@ class DoubleCellIndex:
         """
         The base quadruple ``(y, v0, z0, u)`` (``factors``), or ``None`` if
         the factorization test fails: unequal ranks, or not ``z0 <= y`` and
-        ``v0 <= u``.  Tested on first use and kept beside ``factors``.
+        ``v0 <= u``.  Tested on first use and kept on the cell, outside its
+        fields, so equality, hash and repr are those of the two labels.
         """
         if self.w1.rank() != self.w2.rank():
             return None

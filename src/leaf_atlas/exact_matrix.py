@@ -71,7 +71,8 @@ class RationalMatrix:
     only is stored as given, with every ``d_i = 1``, and no ``Fraction`` is
     made.  ``entries``, the 0-based tuple-of-tuples of normalized
     ``Fraction``s, is computed on access.  Entries must be ``int`` (not
-    ``bool``), ``Fraction`` or ``str``.
+    ``bool``), ``Fraction`` or ``str``; a row must not be a ``str`` or
+    bytes-like, whose characters would read as entries.
 
     Two slots are derived caches, not state, each ``None`` until its one
     writer fills it: ``_tables`` holds the four rank tables that
@@ -87,7 +88,9 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "_d", "_irows", "_tables", "_leaf")
 
     def __init__(self, entries: Iterable[Iterable[object]]) -> None:
-        data = tuple(map(tuple, entries))
+        if isinstance(entries, _TEXT):
+            raise ValueError(f"matrix entries must be rows of entries, got {entries!r}")
+        data = tuple(map(_row, entries))
         if set(map(type, chain.from_iterable(data))) <= {int}:
             d, irows = (1,) * len(data), data
         else:
@@ -164,6 +167,16 @@ class RationalMatrix:
     def to_text(self) -> str:
         """Rows of whitespace-separated entries, each ``p/q`` or a plain integer."""
         return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
+
+
+_TEXT = (str, bytes, bytearray, memoryview)  # text, whose characters would read as entries
+
+
+def _row(row: Iterable[object]) -> tuple:
+    """A matrix row as a tuple; a ``str`` or bytes-like row is refused, not read entry by entry."""
+    if isinstance(row, _TEXT):
+        raise ValueError(f"a matrix row must be a sequence of entries, got {row!r}")
+    return tuple(row)
 
 
 def _number(e: object) -> Union[int, Fraction]:

@@ -27,7 +27,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import cells
 from .double_bruhat import (DoubleCellIndex, classify_double, decompose,
@@ -131,14 +131,11 @@ def _leaves_by_rank(m: int, n: int) -> tuple[tuple[LeafIndex, ...], ...]:
     return tuple(map(tuple, by_rank))
 
 
-@lru_cache(maxsize=1)  # double_cells and its orbit_partition check share one shape's cells
-def _double_cells(m: int, n: int) -> tuple[DoubleCellIndex, ...]:
-    """Every double cell of ``m x n`` whose two labels have equal rank, rank by rank."""
-    out: list[DoubleCellIndex] = []
+def _double_cells(m: int, n: int) -> Iterator[DoubleCellIndex]:
+    """Every equal-rank double cell of ``m x n``, rank by rank, each made as it is reached."""
     for t in range(min(m, n) + 1):
         pps = list(partial_perms(m, n, t))
-        out.extend(DoubleCellIndex(w1, w2) for w1 in pps for w2 in pps)
-    return tuple(out)
+        yield from (DoubleCellIndex(w1, w2) for w1 in pps for w2 in pps)
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,9 @@ def test_diagram_and_restore_reach_no_classification_or_rank(monkeypatch):
     ((4, 3, 2, 1, 5), 2, 3),  # outside the window of 2x3
     ((2, 1, 3), 2, 2),        # too short for 2x2
     ((1, 1, 2, 3), 2, 2),     # not a permutation
+    ((1,), 0, 1),             # no shape: used to give the empty diagram ()
+    ((), -1, 1),              # no shape: used to raise IndexError
+    ((1, 2), 1, True),        # a bool is not a dimension
 ])
 def test_diagram_rejects_a_permutation_that_indexes_no_stratum(w, m, n):
     with pytest.raises(ValueError):

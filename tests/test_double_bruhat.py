@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from leaf_atlas import double_bruhat, harness
+from leaf_atlas import harness
 from leaf_atlas.double_bruhat import (DoubleCellIndex, classify_double,
                                       decompose, dense_orbit, is_nonempty,
                                       nonempty_by_completion)
 from leaf_atlas.exact_matrix import RationalMatrix, sample_rank
 from leaf_atlas.leaves import classify_leaf, enumerate_leaves
 from leaf_atlas.permutations import as_partial, bruhat_leq, parse_partial, partial_perms
-from leaf_atlas.sigma import SigmaTuple, phi_inv, phi_to_leaf
+from leaf_atlas.sigma import SigmaTuple, decompose_partial, phi_inv, phi_to_leaf
 from perm_oracles import decompose_by_tails, partial_identity
 
 CELL_45 = DoubleCellIndex(parse_partial("3x3:1->3"), parse_partial("3x3:3->1"))
@@ -123,21 +123,14 @@ def test_decompose_matches_the_tail_product_form():
     assert cells > 1000
 
 
-def test_each_cell_factors_its_labels_once(monkeypatch):
-    calls = []
-    real = double_bruhat.decompose_partial
-
-    def counting(w, form):
-        calls.append(form)
-        return real(w, form)
-
-    monkeypatch.setattr(double_bruhat, "decompose_partial", counting)
+def test_each_label_is_factored_once_per_form():
+    decompose_partial.cache_clear()
     d = DoubleCellIndex(parse_partial("3x3:1->3"), parse_partial("3x3:3->1"))
     before = (repr(d), hash(d))
     assert is_nonempty(d)
     assert decompose(d)[0] == dense_orbit(d)
     assert harness.check_criteria_agreement(d)
-    assert sorted(calls) == ["yv", "zu"]
+    assert decompose_partial.cache_info().misses == 2  # w1 in the form yv, w2 in zu
     # the kept factorization is no field: equality, hash and repr are the labels'
     assert (repr(d), hash(d)) == before and d == CELL_45 and "factors" not in repr(d)
 

@@ -454,9 +454,13 @@ def test_matmul_and_scaled():
 
 
 @pytest.mark.parametrize("entries", [[[0.1, True]], [[1j]], [[True]], [[1, False]],
-                                     [[None]], [[1.0]], [[b"1"]], [[Decimal(1)]]])
+                                     [[None]], [[1.0]], [[b"1"]], [[Decimal(1)]],
+                                     ["10", "23"], "12", [b"12"], b"12", [[1, 2], "34"],
+                                     [bytearray(b"12")], [memoryview(b"12")]])
 def test_entries_of_other_types_are_rejected(entries):
-    # 0.1 and True used to read as 3602879701896397/36028797018963968 and 1
+    # 0.1 and True used to read as 3602879701896397/36028797018963968 and 1;
+    # the text rows ["10", "23"], "12" and [b"12"] as [[1, 0], [2, 3]],
+    # [[1], [2]] and [[49, 50]], and bytearray and memoryview rows likewise
     with pytest.raises(ValueError):
         RationalMatrix(entries)
 

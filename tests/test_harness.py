@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -525,7 +527,7 @@ def test_sampled_failures_replay_the_sampled_check(monkeypatch, campaign):
 
 
 def test_factors_that_do_not_recompose_fail_criteria_agreement(monkeypatch):
-    # A cell factors its labels once (``DoubleCellIndex.factors``) for the library
+    # A label is factored once per form (``sigma.decompose_partial``) for the library
     # and the harness alike, so a wrong factor also reaches the other double-cell
     # checks; the recomposition must catch it whatever they do.  Each form is
     # spoiled on its own, so both recompositions (of w1 and of w2) are covered.
@@ -547,9 +549,7 @@ def test_factors_that_do_not_recompose_fail_criteria_agreement(monkeypatch):
     for spoiled in ("yv", "zu"):
         with monkeypatch.context() as patched:
             patched.setattr(double_bruhat, "decompose_partial", spoiling(spoiled))
-            harness._double_cells.cache_clear()  # cells keep the factors they were built with
             r = harness.run("double_cells", 2, 2, samples=20, seed=3, threads=1)
-            harness._double_cells.cache_clear()
             assert r.failed > 0
             assert "criteria_agreement" in {p["check"] for p in r.counterexamples}
             assert all(harness.replay(p) is False for p in r.counterexamples)
@@ -560,3 +560,20 @@ def test_factors_that_do_not_recompose_fail_criteria_agreement(monkeypatch):
             assert any(is_nonempty(d) == double_bruhat.nonempty_by_completion(d)
                        and not harness.check_criteria_agreement(d) for d in cells), spoiled
         assert all(harness.replay(p) is True for p in r.counterexamples)
+
+
+def test_no_cell_of_a_double_cells_run_outlives_it(monkeypatch):
+    # the cells are made as the campaign reaches them and kept by nothing after it
+    refs = []
+
+    def tracked(w1, w2):
+        d = DoubleCellIndex(w1, w2)
+        refs.append(weakref.ref(d))
+        return d
+
+    monkeypatch.setattr(harness, "DoubleCellIndex", tracked)
+    r = harness.run("double_cells", 2, 3, samples=0, threads=1)
+    gc.collect()
+    assert r.failed == 0
+    assert refs, "the run made no cell through harness.DoubleCellIndex"
+    assert all(ref() is None for ref in refs)
