@@ -3,7 +3,7 @@ of symplectic leaves: Bruhat-cell rank conditions, the quadruple bijection,
 echelon factorizations, generalized double Bruhat cells, and a seeded
 cross-validation harness.  All arithmetic is exact rational."""
 
-from .cells import B_MINUS, B_PLUS, classify, in_cell, pp_rank_profile
+from .cells import B_MINUS, B_PLUS, classify, pp_rank_profile
 from .double_bruhat import (DoubleCellIndex, classify_double, decompose,
                             dense_orbit, is_nonempty, nonempty_by_completion)
 from .echelon import (EchelonPattern, column_pattern, in_pattern, leaf_factors,

@@ -1,14 +1,14 @@
-"""Bruhat-cell membership and classification for rectangular matrices.
+"""Bruhat-cell classification for rectangular matrices.
 
 Each matrix lies in the cell of exactly one partial permutation for either
 triangular pair: the (upper, upper) class is cut out by the ranks of
 lower-left submatrices, the (lower, lower) class by the ranks of upper-right
 submatrices.  Classification reads the partial permutation off the pivots
-of one fraction-free elimination (``exact_matrix.bruhat_pivots``);
-membership and closure tests compare corner rank tables entrywise, each
-table counted off one echelon basis (``exact_matrix.rank_profile``).  The
-two share no kernel on purpose, so that checking one against the other
-tests two independent computations.
+of one fraction-free elimination (``exact_matrix.bruhat_pivots``).  The rank
+conditions are tested once, on strata, by ``leaves.in_leaf``; the harness
+ties the cell labels to them through the matrix's stratum
+(``check_classify_equiv`` matches the stratum to the rank tables,
+``check_block_classes`` the labels to the stratum).
 
 Profiles of partial permutations are computed by counting entries in the
 corner region, never by numeric rank of the 0/1 matrix.  Every northeast
@@ -19,8 +19,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Sequence, Union
 
-from .exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix, _half_turn,
-                           bruhat_pivots, rank_profile)
+from .exact_matrix import NORTHEAST, SOUTHWEST, RationalMatrix, _half_turn, bruhat_pivots
 from .permutations import PartialPerm, as_partial
 
 B_PLUS = "B+"
@@ -54,25 +53,6 @@ def pp_rank_profile(w: CellLabel, kind: str) -> tuple[tuple[int, ...], ...]:
     image = w.image
     return tuple([tuple(accumulate([r is not None and r >= p for r in image], initial=0))
                   for p in range(1, m + 2)])
-
-
-def in_cell(x: RationalMatrix, w: CellLabel, side: str = B_PLUS,
-            mode: str = "cell") -> bool:
-    """
-    Membership of ``x`` in the Bruhat cell of ``w`` (``mode="cell"``) or in
-    its Zariski closure (``mode="closure"``) for the given triangular side.
-    """
-    w = _as_pp(w)
-    if (x.rows, x.cols) != (w.rows, w.cols):
-        raise ValueError(f"dimension mismatch: {x.rows}x{x.cols} vs {w.rows}x{w.cols}")
-    kind = _kind(side)
-    xt = rank_profile(x, kind)
-    wt = pp_rank_profile(w, kind)
-    if mode == "cell":
-        return xt == wt
-    if mode == "closure":
-        return all(a <= b for xr, wr in zip(xt, wt) for a, b in zip(xr, wr))
-    raise ValueError(f"mode must be 'cell' or 'closure', got {mode!r}")
 
 
 def classify(x: RationalMatrix, side: str = B_PLUS) -> PartialPerm:

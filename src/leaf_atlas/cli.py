@@ -21,12 +21,11 @@ from . import harness
 from .double_bruhat import DoubleCellIndex, decompose, dense_orbit, is_nonempty
 from .echelon import COLUMN, parse_pattern, stratify_pattern
 from .exact_matrix import load_matrix
+from .harness import SCHEMA
 from .jsonout import Text, dump, dumps
 from .leaves import LeafIndex, _walk, all_leaves, classify_leaf, hasse, hasse_dot, in_leaf
 from .permutations import Perm, check_perm, parse_partial
 from .sigma import SigmaTuple, phi, phi_inv, phi_to_leaf
-
-SCHEMA = "leaf-atlas/v1"
 
 
 def _records(leaves: Iterable[tuple[Perm, int, int]], m: int, n: int) -> Iterator[Text]:
@@ -151,45 +150,38 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact stratification of the m x n matrix space into "
                     "torus orbits of symplectic leaves.")
     sub = parser.add_subparsers(dest="command", required=True)
+    shape = argparse.ArgumentParser(add_help=False)  # the shape of six subcommands
+    shape.add_argument("--m", type=int, required=True)
+    shape.add_argument("--n", type=int, required=True)
 
     leaves_p = sub.add_parser("leaves", help="stratum enumeration and classification")
     leaves_sub = leaves_p.add_subparsers(dest="leaves_cmd", required=True)
 
-    p = leaves_sub.add_parser("enumerate")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = leaves_sub.add_parser("enumerate", parents=[shape])
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.set_defaults(func=_cmd_leaves_enumerate)
 
-    p = leaves_sub.add_parser("classify")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = leaves_sub.add_parser("classify", parents=[shape])
     p.add_argument("--matrix", required=True, help="matrix file (text or JSON)")
     p.add_argument("--closure-of", default=None, metavar="W",
                    help="also test closure membership for this index (comma-separated)")
     p.set_defaults(func=_cmd_leaves_classify)
 
-    p = leaves_sub.add_parser("hasse")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = leaves_sub.add_parser("hasse", parents=[shape])
     p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.set_defaults(func=_cmd_leaves_hasse)
 
     sigma_p = sub.add_parser("sigma", help="the quadruple bijection")
     sigma_sub = sigma_p.add_subparsers(dest="sigma_cmd", required=True)
 
-    p = sigma_sub.add_parser("phi")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sigma_sub.add_parser("phi", parents=[shape])
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--sigma", required=True, help='JSON {"y":[..],"v":[..],"z":[..],"u":[..]}')
     p.set_defaults(func=_cmd_sigma_phi)
 
-    p = sigma_sub.add_parser("phi-inv")
+    p = sigma_sub.add_parser("phi-inv", parents=[shape])
     p.add_argument("--w", required=True, help="comma-separated one-line notation")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_sigma_phi_inv)
 
     echelon_p = sub.add_parser("echelon", help="echelon patterns")
@@ -207,10 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--w2", required=True)
         p.set_defaults(func=_cmd_dbc)
 
-    p = sub.add_parser("verify", help="run a verification campaign")
+    p = sub.add_parser("verify", parents=[shape], help="run a verification campaign")
     p.add_argument("--campaign", required=True, choices=harness.CAMPAIGNS)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterable, Mapping, Sequence, Set
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import lshift, mul
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 SOUTHWEST = "southwest"
 NORTHEAST = "northeast"
@@ -71,8 +72,9 @@ class RationalMatrix:
     only is stored as given, with every ``d_i = 1``, and no ``Fraction`` is
     made.  ``entries``, the 0-based tuple-of-tuples of normalized
     ``Fraction``s, is computed on access.  Entries must be ``int`` (not
-    ``bool``), ``Fraction`` or ``str``; a row must not be a ``str`` or
-    bytes-like, whose characters would read as entries.
+    ``bool``), ``Fraction`` or ``str``.  The argument and each row must be
+    iterable, and not text, a mapping or a set (``_row``), whose characters,
+    keys or hash order would read as rows or entries.
 
     Two slots are derived caches, not state, each ``None`` until its one
     writer fills it: ``_tables`` holds the four rank tables that
@@ -88,9 +90,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "_d", "_irows", "_tables", "_leaf")
 
     def __init__(self, entries: Iterable[Iterable[object]]) -> None:
-        if isinstance(entries, _TEXT):
-            raise ValueError(f"matrix entries must be rows of entries, got {entries!r}")
-        data = tuple(map(_row, entries))
+        data = tuple(map(_row, _row(entries)))
         if set(map(type, chain.from_iterable(data))) <= {int}:
             d, irows = (1,) * len(data), data
         else:
@@ -169,14 +169,18 @@ class RationalMatrix:
         return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
 
 
-_TEXT = (str, bytes, bytearray, memoryview)  # text, whose characters would read as entries
+# iterables not read as rows: text reads as characters, a mapping as its keys, a set in hash order
+_NOT_ROWS = (str, bytes, bytearray, memoryview, Mapping, Set)
 
 
-def _row(row: Iterable[object]) -> tuple:
-    """A matrix row as a tuple; a ``str`` or bytes-like row is refused, not read entry by entry."""
-    if isinstance(row, _TEXT):
-        raise ValueError(f"a matrix row must be a sequence of entries, got {row!r}")
-    return tuple(row)
+def _row(items: object) -> tuple:
+    """A matrix row, or a matrix's rows, as a tuple; ``_NOT_ROWS`` and non-iterables are refused."""
+    if type(items) in (list, tuple):  # the common case, one type test
+        return tuple(items)
+    if isinstance(items, _NOT_ROWS) or not isinstance(items, Iterable):
+        raise ValueError("a matrix and each of its rows must be iterable, and not text, "
+                         f"a mapping or a set, got {items!r}")
+    return tuple(items)
 
 
 def _number(e: object) -> Union[int, Fraction]:
@@ -202,11 +206,8 @@ def from_text(text: str) -> RationalMatrix:
 
 
 def from_json(payload: Union[str, list]) -> RationalMatrix:
-    """Parse a JSON array of rows; ``RationalMatrix`` checks the entries."""
-    obj = json.loads(payload) if isinstance(payload, str) else payload
-    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
-        raise ValueError("expected a JSON array of rows")
-    return RationalMatrix(obj)
+    """Parse a JSON array of rows; ``RationalMatrix`` checks the rows and entries."""
+    return RationalMatrix(json.loads(payload) if isinstance(payload, str) else payload)
 
 
 def load_matrix(text: str) -> RationalMatrix:

@@ -46,6 +46,7 @@ from .permutations import (PartialPerm, all_perms, block_longest, bruhat_leq,
                            subset_leq)
 from .sigma import SigmaTuple, enumerate_sigma, phi, phi_inv, phi_to_leaf
 
+SCHEMA = "leaf-atlas/v1"     # the tag of every JSON document the package writes
 _STREAM_CHUNK = 250          # fixed stream granularity, independent of workers
 _EXHAUSTIVE_LIMIT = 300      # exhaustive index sweeps only below this many strata
 _OTHERS_PER_SAMPLE = 12      # spot-checked wrong indices above the limit
@@ -86,7 +87,7 @@ class VerificationReport:
         return self.failed == 0
 
     def to_dict(self) -> dict:
-        return {"schema": "leaf-atlas/v1", "campaign": self.campaign,
+        return {"schema": SCHEMA, "campaign": self.campaign,
                 "params": self.params, "attempted": self.attempted,
                 "passed": self.passed, "failed": self.failed,
                 "skipped": self.skipped, "counterexamples": self.counterexamples,

@@ -55,8 +55,6 @@ class LeafIndex:
     n: int
 
     def __post_init__(self) -> None:
-        if type(self.m) is not int or type(self.n) is not int:
-            raise ValueError(f"m and n must be integers, got {self.m!r} and {self.n!r}")
         check_shape(self.m, self.n)
         w = check_perm(self.w)
         if len(w) != self.m + self.n:
@@ -209,13 +207,11 @@ def block_pairs(m: int, n: int) -> frozenset[tuple[PartialPerm, PartialPerm]]:
 
 @dataclass(frozen=True)
 class LeafTables:
-    """The four rank tables of an ``m x n`` matrix; ``col`` and ``row`` hold 0
-    where ``p == 0 or p > q``.  A stratum's targets (``_Targets``) are four
-    tables in the same layout, held in an object of their own that builds
-    three of them only when asked."""
+    """The four rank tables of a matrix; ``col`` and ``row`` hold 0 where
+    ``p == 0 or p > q``.  A stratum's targets (``_Targets``) are four tables
+    in the same layout, held in an object of their own that builds three of
+    them only when asked."""
 
-    m: int
-    n: int
     sw: tuple[tuple[int, ...], ...]
     ne: tuple[tuple[int, ...], ...]
     col: tuple[tuple[int, ...], ...]  # col[p][q] = rank of columns p..q
@@ -230,8 +226,7 @@ def leaf_profile(x: RationalMatrix) -> LeafTables:
     """
     T = x._tables
     if T is None:
-        T = LeafTables(x.rows, x.cols,
-                       rank_profile(x, SOUTHWEST),
+        T = LeafTables(rank_profile(x, SOUTHWEST),
                        rank_profile(x, NORTHEAST),
                        tuple(tuple(r) for r in interval_column_ranks(x)),
                        tuple(tuple(r) for r in interval_row_ranks(x)))

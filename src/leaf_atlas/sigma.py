@@ -41,8 +41,6 @@ class SigmaTuple:
         for name, value in zip("yvzu", (y, v, z, u)):
             object.__setattr__(self, name, value)
         m, n, t = len(y), len(v), self.t
-        if isinstance(t, bool):
-            raise ValueError(f"t must be an integer, got {t!r}")
         check_shape(m, n, t)
         if len(z) != m or len(u) != n:
             raise ValueError("component sizes disagree")

@@ -422,14 +422,14 @@ def test_copies_and_pickles_are_equal_matrices_with_no_class_kept(rows):
 
 def test_attributes_can_be_neither_set_nor_deleted():
     x = RationalMatrix([[1, 2], [3, 4]])
-    leaf_profile(x)
+    tables = leaf_profile(x)
     leaf = classify_leaf(x)
     for name in ("rows", "cols", "_d", "_irows", "_tables", "_leaf", "other"):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(x, name, 0)
         with pytest.raises(AttributeError, match="immutable"):
             delattr(x, name)
-    assert (x.rows, x.cols, x._tables.m) == (2, 2, 2) and x._leaf is leaf
+    assert (x.rows, x.cols) == (2, 2) and x._tables is tables and x._leaf is leaf
     assert x == RationalMatrix([[1, 2], [3, 4]])
 
 
@@ -456,11 +456,16 @@ def test_matmul_and_scaled():
 @pytest.mark.parametrize("entries", [[[0.1, True]], [[1j]], [[True]], [[1, False]],
                                      [[None]], [[1.0]], [[b"1"]], [[Decimal(1)]],
                                      ["10", "23"], "12", [b"12"], b"12", [[1, 2], "34"],
-                                     [bytearray(b"12")], [memoryview(b"12")]])
+                                     [bytearray(b"12")], [memoryview(b"12")],
+                                     {(1, 2): 0}, [{"1": 0, "2": 0}], {(1, 3)}, [{1, 3}],
+                                     None, [1, 2], [[1, 2], 3]])
 def test_entries_of_other_types_are_rejected(entries):
     # 0.1 and True used to read as 3602879701896397/36028797018963968 and 1;
     # the text rows ["10", "23"], "12" and [b"12"] as [[1, 0], [2, 3]],
-    # [[1], [2]] and [[49, 50]], and bytearray and memoryview rows likewise
+    # [[1], [2]] and [[49, 50]], and bytearray and memoryview rows likewise;
+    # a mapping read as its keys and a set in hash order ({(1, 2): 0},
+    # [{"1": 0, "2": 0}], {(1, 3)} and [{1, 3}] as [[1, 2]], [[1, 2]], [[1, 3]]
+    # and [[1, 3]]), and a non-iterable argument or row raised TypeError
     with pytest.raises(ValueError):
         RationalMatrix(entries)
 

@@ -200,8 +200,7 @@ def test_closure_equals_bruhat_exhaustive_2x2():
 
 def kernel_tables(x):
     """The four tables of ``x`` straight from the kernels, as ``leaf_profile`` lays them out."""
-    return leaves.LeafTables(x.rows, x.cols, rank_profile(x, SOUTHWEST),
-                             rank_profile(x, NORTHEAST),
+    return leaves.LeafTables(rank_profile(x, SOUTHWEST), rank_profile(x, NORTHEAST),
                              tuple(map(tuple, interval_column_ranks(x))),
                              tuple(map(tuple, interval_row_ranks(x))))
 

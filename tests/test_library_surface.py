@@ -7,7 +7,8 @@ registered check in ``harness.CHECKS``, if the benchmark's tracer wraps it
 A method (a ``def`` in a class body, dunders aside) passes if some module of
 ``src/leaf_atlas`` uses its name as an attribute, if the tracer wraps it, or
 if it is listed in ``PUBLIC`` as ``Class.method``.  A helper that only tests call belongs in
-``tests/``.
+``tests/``.  ``PUBLIC`` lists only names that no other route reaches, so an
+entry goes when its definition is deleted or gains a caller.
 """
 import ast
 from functools import reduce
@@ -21,7 +22,6 @@ from test_trace_targets import _targets
 # report's counterexamples, and the report's skip writer, that no other
 # module happens to call.
 PUBLIC = (
-    ("in_cell", "Bruhat-cell membership, the rank-condition side of cells.classify"),
     ("closure_leq", "the closure order on strata, the paper's partial order"),
     ("leaf_factors", "the echelon factor pairs of a stratum, the paper's third presentation"),
     ("column_pattern", "constructor of the column-echelon pattern of a factor"),
@@ -30,6 +30,7 @@ PUBLIC = (
     ("VerificationReport.skip", "the one writer of a report's skipped count and skip notes, "
      "for a check whose input must be passed over with a reason; no campaign skips today"),
 )
+NAMES = frozenset(name for name, _ in PUBLIC)
 
 
 def _modules() -> list[tuple[str, ast.Module]]:
@@ -39,7 +40,7 @@ def _modules() -> list[tuple[str, ast.Module]]:
             for path in sorted(root.glob("*.py")) if path.name != "__init__.py"]
 
 
-def _unreached() -> list[str]:
+def _unreached(public: frozenset = NAMES) -> list[str]:
     """``module.name`` of each definition that passes none of the tests above."""
     defined, uses = [], []  # uses: (module, definition or None, names it refers to)
     for module, tree in _modules():
@@ -52,7 +53,6 @@ def _unreached() -> list[str]:
                                        if isinstance(n, (ast.Name, ast.Attribute))}))
     checked = {check.fn for check in CHECKS.values()}
     traced = {(module, path.split(".")[0]) for module, path in _targets()}
-    public = {name for name, _ in PUBLIC}
     return [f"{module}.{name}" for module, name in defined
             if not any(name in names and (where, own) != (module, name)
                        for where, own, names in uses)
@@ -60,7 +60,7 @@ def _unreached() -> list[str]:
             and name not in public]
 
 
-def _unreached_methods() -> list[str]:
+def _unreached_methods(public: frozenset = NAMES) -> list[str]:
     """``module.Class.method`` of each method that passes none of the tests above."""
     methods, attributes = [], set()
     for module, tree in _modules():
@@ -70,7 +70,6 @@ def _unreached_methods() -> list[str]:
                     for item in cls.body
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")]
     traced = set(_targets())
-    public = {name for name, _ in PUBLIC}
     return [f"{module}.{path}" for module, path, name in methods
             if name not in attributes and (module, path) not in traced
             and path not in public]
@@ -82,6 +81,12 @@ def test_every_definition_is_reached():
 
 def test_every_method_is_reached():
     assert _unreached_methods() == []
+
+
+def test_public_lists_only_names_no_other_route_reaches():
+    unreached = {name.split(".", 1)[1]
+                 for name in _unreached(frozenset()) + _unreached_methods(frozenset())}
+    assert sorted(NAMES - unreached) == []
 
 
 def test_public_names_exist():

@@ -38,11 +38,11 @@ def test_bool_entries_are_rejected():
 
 
 def test_bool_shape_and_rank_are_rejected():
-    with pytest.raises(ValueError, match="m and n must be integers"):
+    with pytest.raises(ValueError, match="m, n and t must be integers"):
         LeafIndex((1, 2), True, True)
-    with pytest.raises(ValueError, match="t must be an integer"):
+    with pytest.raises(ValueError, match="m, n and t must be integers"):
         SigmaTuple((1,), (1,), (1,), (1,), True)
-    with pytest.raises(ValueError, match="t must be an integer"):
+    with pytest.raises(ValueError, match="m, n and t must be integers"):
         SigmaTuple((1,), (1,), (1,), (1,), False)
     for args in [(True, True), (True, 2), (2, 2, True), (2, 2, False)]:
         with pytest.raises(ValueError, match="m, n and t must be integers"):
