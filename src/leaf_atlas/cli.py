@@ -5,8 +5,9 @@ quadruple bijection, echelon stratification, double cells, and the
 verification campaigns.  Output is JSON by default (schema-tagged, byte
 stable for fixed inputs and seeds); ``--format table``/``dot`` where noted.
 Listings are written one record or line at a time, after all validation
-is done; ``leaves enumerate`` writes both formats as the strata are found
-(JSON from a second walk, after one that counts them).
+is done; the stratum listings are rendered from one walk's heads and shared
+tails, the table as the strata are found and JSON after the held heads give
+its count.
 Exit codes: 0 success, 1 domain or usage error, 2 verification failure.
 """
 from __future__ import annotations
@@ -15,7 +16,8 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import chain, repeat
+from typing import Iterator, Optional, Sequence
 
 from . import harness
 from .double_bruhat import DoubleCellIndex, decompose, dense_orbit, is_nonempty
@@ -23,20 +25,77 @@ from .echelon import COLUMN, parse_pattern, stratify_pattern
 from .exact_matrix import load_matrix
 from .harness import SCHEMA
 from .jsonout import Text, dump, dumps
-from .leaves import LeafIndex, _walk, all_leaves, classify_leaf, hasse, hasse_dot, in_leaf
-from .permutations import Perm, check_perm, parse_partial
+from .leaves import LeafIndex, _walk_heads, all_leaves, classify_leaf, hasse, hasse_dot, in_leaf
+from .permutations import check_perm, parse_partial
 from .sigma import SigmaTuple, phi, phi_inv, phi_to_leaf
 
 
-def _records(leaves: Iterable[tuple[Perm, int, int]], m: int, n: int) -> Iterator[Text]:
+def _strata(m: int, n: int, t: Optional[int], sep: str) -> Iterator[tuple[str, int, int, list]]:
     """
-    The ``LeafIndex.to_dict`` record of each ``(w, t, dim)`` of ``leaves``,
-    an ``m x n`` listing, as the JSON text ``dump`` writes for it in a
-    listing: one format per listing, filled in record by record.
+    The strata of ``_walk(m, n, t)`` as text, one head of the walk at a
+    time: ``(h, r, d, entries)``, whose strata are written ``h + s`` (the
+    values of ``w`` joined by ``sep``) and have rank ``r + tr`` and dimension
+    ``d + td``, for each ``(s, tr, td)`` of ``entries``.  ``h`` is made once
+    per head, and ``s`` once per tail the walk shares between heads.  The
+    shape is checked before the iterator is made.
     """
-    fmt = dumps({"w": [Text("%d")] * (m + n), "m": m, "n": n,
-                 "t": Text("%d"), "dim": Text("%d")}, "\n    ")
-    return (Text(fmt % (*w, t, dim)) for w, t, dim in leaves)
+    made: dict[tuple, list] = {}  # (id of a tail the walk holds, rank wanted) -> entries
+
+    def text(head: tuple) -> tuple:
+        p, r, d, tail = head
+        want = None if t is None else t - r
+        entries = made.get((id(tail), want))
+        if entries is None:
+            entries = made[id(tail), want] = [(sep.join(map(str, s)), tr, td)
+                                              for s, tr, td in tail if want in (None, tr)]
+        return "".join([str(x) + sep for x in p]), r, d, entries
+
+    return map(text, _walk_heads(m, n, t))
+
+
+def _json_strata(m: int, n: int, t: Optional[int]) -> tuple[int, Iterator[list[str]]]:
+    """
+    The ``LeafIndex.to_dict`` records of ``_walk(m, n, t)`` as ``(count,
+    chunks)``: the texts of ``chunks``, one per record and a list per head,
+    make up the text ``dumps`` writes for the list of the records as a value
+    of a document.  Every piece of that layout is cut from ``dumps`` of two
+    records with ``Text("%d")`` for each number (and two values of ``w``,
+    since the pieces between values are alike).  The heads are held, so
+    ``count`` comes before the records.
+    """
+    rec = {"w": [Text("%d")] * 2, "m": m, "n": n, "t": Text("%d"), "dim": Text("%d")}
+    first, sep, rank, dim, between, *_, close = dumps([rec, rec], "\n  ").split("%d")
+    heads = list(_strata(m, n, t, sep))
+    ranks = [rank + str(k) + dim for k in range(min(m, n) + 1)]
+    dims = list(map(str, range(m * n + 1)))
+
+    def chunks() -> Iterator[list[str]]:
+        lead = first
+        for h, r, d, entries in heads:
+            if entries:
+                h = between + h
+                texts = [h + s + ranks[r + tr] + dims[d + td] for s, tr, td in entries]
+                if lead:  # the first record opens the list
+                    texts[0], lead = lead + texts[0][len(between):], ""
+                yield texts
+        yield [close]
+
+    return sum(len(entries) for *_, entries in heads), chunks()
+
+
+def _dump_lists(doc: dict, lists: dict[str, Iterator[list[str]]]) -> None:
+    """
+    ``dump({**doc, **lists}, sys.stdout)``, where each value of ``lists`` is
+    a nonempty list given as the chunks of the text ``dumps`` writes for it
+    as a value of a document: one write per text of a chunk.
+    """
+    item = Text("\0")  # a list's place in the layout; dumps escapes a "\0" in any string
+    texts = (dumps({**doc, **dict.fromkeys(lists, item)}) + "\n").split(item)
+    for text, chunks in zip(texts, lists.values()):
+        sys.stdout.write(text)
+        for c in chunks:
+            sys.stdout.writelines(c)
+    sys.stdout.write(texts[-1])
 
 
 def _parse_perm(text: str):
@@ -44,15 +103,18 @@ def _parse_perm(text: str):
 
 
 def _cmd_leaves_enumerate(args) -> int:
-    walk = _walk(args.m, args.n, args.rank)
-    if args.format == "table":
-        label = ",".join(["%d"] * (args.m + args.n))
+    m, n, t = args.m, args.n, args.rank
+    if args.format == "table":  # written as the walk goes
+        heads = _strata(m, n, t, ",")
+        ranks = ["%4d" % k for k in range(min(m, n) + 1)]
+        dims = ["%5d\n" % k for k in range(m * n + 1)]
         sys.stdout.write(f"{'w':<24}{'t':>4}{'dim':>5}\n")
-        sys.stdout.writelines("%-24s%4d%5d\n" % (label % w, t, dim) for w, t, dim in walk)
+        for h, r, d, entries in heads:
+            sys.stdout.writelines([(h + s).ljust(24) + ranks[r + tr] + dims[d + td]
+                                   for s, tr, td in entries])
         return 0
-    count = sum(1 for _ in walk)  # count precedes the records: a second walk writes them
-    dump({"schema": SCHEMA, "m": args.m, "n": args.n, "count": count,
-          "leaves": _records(_walk(args.m, args.n, args.rank), args.m, args.n)}, sys.stdout)
+    count, chunks = _json_strata(m, n, t)  # count precedes the records
+    _dump_lists({"schema": SCHEMA, "m": m, "n": n, "count": count}, {"leaves": chunks})
     return 0
 
 
@@ -75,12 +137,15 @@ def _cmd_leaves_hasse(args) -> int:
     if args.format == "dot":
         sys.stdout.writelines(hasse_dot(args.m, args.n))
         return 0
-    nodes = all_leaves(args.m, args.n)
-    covers = hasse(args.m, args.n)
-    index = {L: i for i, L in enumerate(nodes)}
-    dump({"schema": SCHEMA, "m": args.m, "n": args.n,
-          "nodes": _records(_walk(args.m, args.n), args.m, args.n),  # in the order of nodes
-          "edges": ([index[a], index[b]] for a, b in covers)}, sys.stdout)
+    m, n = args.m, args.n
+    covers = hasse(m, n)
+    index = {L: i for i, L in enumerate(all_leaves(m, n))}
+    first, sep, between, _, close = dumps([[Text("%d")] * 2] * 2, "\n  ").split("%d")
+    leads = chain([first], repeat(between))
+    edges = ([lead + str(index[a]) + sep + str(index[b])] for lead, (a, b) in zip(leads, covers))
+    _dump_lists({"schema": SCHEMA, "m": m, "n": n},
+                {"nodes": _json_strata(m, n, None)[1],  # in the order of all_leaves
+                 "edges": chain(edges, [[close]])})
     return 0
 
 

@@ -38,7 +38,7 @@ from .echelon import (COLUMN, ROW, EchelonPattern, all_patterns,
                       stratify_pattern)
 from .exact_matrix import (RationalMatrix, check_shape, from_text, sample_echelon_col,
                            sample_echelon_row, sample_rank, _rand_nonzero)
-from .leaves import (LeafIndex, all_leaves, cell_labels, classify_leaf, in_leaf,
+from .leaves import (LeafIndex, _walk, all_leaves, cell_labels, classify_leaf, in_leaf,
                      window_ok)
 from .permutations import (PartialPerm, all_perms, block_longest, bruhat_leq,
                            count_partial_perms, identity, int_field,
@@ -125,10 +125,13 @@ def _sigmas(m: int, n: int, t: int) -> tuple[SigmaTuple, ...]:
 
 @lru_cache(maxsize=None)
 def _leaves_by_rank(m: int, n: int) -> tuple[tuple[LeafIndex, ...], ...]:
-    """``all_leaves(m, n)`` split by rank ``t = 0..min(m, n)``, in one scan."""
+    """
+    ``all_leaves(m, n)`` split by rank ``t = 0..min(m, n)``, in one scan: each
+    rank is the one a walk carries, which comes in the order of ``all_leaves``.
+    """
     by_rank: list[list[LeafIndex]] = [[] for _ in range(min(m, n) + 1)]
-    for L in all_leaves(m, n):
-        by_rank[L.t].append(L)
+    for L, (_, t, _) in zip(all_leaves(m, n), _walk(m, n)):
+        by_rank[t].append(L)
     return tuple(map(tuple, by_rank))
 
 

@@ -8,9 +8,10 @@ encoding strings with the C ``encode_basestring_ascii`` and integers with
 stream, listing by listing.  No other code of the package pretty-prints JSON.
 
 A ``Text`` is JSON text made already, which both write as is.  A listing
-lays out its records this way: ``dumps`` writes one record of the listing's
+lays out its records this way: ``dumps`` writes records of the listing's
 shape with ``Text("%d")`` in place of each number, once per listing, and
-each record is that format filled in.
+each record is made of the pieces between the numbers and the numbers'
+texts.
 """
 from __future__ import annotations
 

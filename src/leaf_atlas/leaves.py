@@ -104,31 +104,31 @@ class LeafIndex:
         return leaf
 
 
-def _walk(m: int, n: int, t: Optional[int] = None) -> Iterator[tuple[Perm, int, int]]:
+def _walk_heads(m: int, n: int, t: Optional[int] = None) -> Iterator[tuple]:
     """
-    ``(w, t, dim)`` for each stratum index ``w`` of ``m x n`` in
-    lexicographic order of the one-line notation, optionally restricted to
-    matrix rank ``t``.  The shape is checked before the generator is made.
+    The strata of ``_walk(m, n, t)`` grouped by head, in the same order:
+    ``(head, rank, dim, tail)`` for each head, whose strata are ``(head +
+    s, rank + tr, dim + td)`` for each ``(s, tr, td)`` of ``tail`` with
+    ``rank + tr`` equal to ``t`` (each, if ``t`` is None).  A ``tail`` is
+    the list of completions of every head with the same values, shared
+    between them and unfiltered, since heads of different ranks share it.
+    The shape is checked before the generator is made.
 
     Prefixes grow in lexicographic order, position ``i`` (from 0) by each
     unused value of its window ``[n-i, m+2n-i]``, the last two positions at
     once; with ``t`` given, only while rank ``t`` stays reachable.  Every
-    prefix of ``m+n-_TAIL`` positions (a head) comes first, then the
-    completions of one head at a time, to bound peak memory.  A prefix
-    ``p`` is carried as ``(p, rank, dim, used)``: ``used`` has bit ``x`` set
-    for each value ``x`` of ``p``, and a value ``x`` appended at position
-    ``i`` adds ``x > n`` to the rank if ``i < n``, and the number of larger
-    values before it (an inversion each) to ``dim``.  The last two
+    prefix of ``m+n-_TAIL`` positions (a head) is built first; then the
+    heads come one at a time, each freed as it is yielded, and a tail is
+    built when the first head with its values is reached, to bound peak
+    memory.  A prefix ``p`` is carried as ``(p, rank, dim, used)``:
+    ``used`` has bit ``x`` set for each value ``x`` of ``p``, and a value
+    ``x`` appended at position ``i`` adds ``x > n`` to the rank if ``i <
+    n``, and the number of larger values before it (an inversion each) to
+    ``dim``.  A tail is built from ``((), 0, 0, used)``, and its last two
     positions emit ``(suffix, rank, dim)``.
 
-    A head's completions depend only on its ``used``: the tail of each
-    ``used`` is built once per call from ``((), 0, 0, used)``, unfiltered
-    since heads of different ranks share it, and each head ``(p, r, d,
-    used)`` emits ``(p + s, r + tr, d + td)`` for each ``(s, tr, td)`` of it
-    whose rank ``r + tr`` is ``t``.
-
-    >>> list(_walk(1, 1))
-    [((1, 2), 0, 0), ((2, 1), 1, 1)]
+    >>> [(p, r, d, tail) for p, r, d, tail in _walk_heads(1, 1)]
+    [((), 0, 0, [((1, 2), 0, 0), ((2, 1), 1, 1)])]
     """
     check_shape(m, n, 0 if t is None else t)
     N = m + n
@@ -155,14 +155,31 @@ def _walk(m: int, n: int, t: Optional[int] = None) -> Iterator[tuple[Perm, int, 
     heads = reduce(extend, range(split), [((), 0, -((n * (n - 1) + m * (m - 1)) // 2), 0)])
     tails: dict[int, list] = {}  # used -> the completions of any head with those values
 
-    def complete(head: tuple) -> list:
-        p, r, d, used = head
-        tail = tails.get(used)
-        if tail is None:
-            tail = tails[used] = reduce(extend, range(split, N - 1), [((), 0, 0, used)])
-        return [(p + s, r + tr, d + td) for s, tr, td in tail if t is None or r + tr == t]
+    def grouped() -> Iterator[tuple]:
+        heads.reverse()  # taken from the end, so each head is freed as it is reached
+        while heads:
+            p, r, d, used = heads.pop()
+            tail = tails.get(used)
+            if tail is None:
+                tail = tails[used] = reduce(extend, range(split, N - 1), [((), 0, 0, used)])
+            yield p, r, d, tail
 
-    return chain.from_iterable(map(complete, heads))
+    return grouped()
+
+
+def _walk(m: int, n: int, t: Optional[int] = None) -> Iterator[tuple[Perm, int, int]]:
+    """
+    ``(w, t, dim)`` for each stratum index ``w`` of ``m x n`` in
+    lexicographic order of the one-line notation, optionally restricted to
+    matrix rank ``t``: the strata of ``_walk_heads``, one at a time.  The
+    shape is checked before the generator is made.
+
+    >>> list(_walk(1, 1))
+    [((1, 2), 0, 0), ((2, 1), 1, 1)]
+    """
+    return chain.from_iterable(
+        [(p + s, r + tr, d + td) for s, tr, td in tail if t is None or r + tr == t]
+        for p, r, d, tail in _walk_heads(m, n, t))
 
 
 def enumerate_leaves(m: int, n: int, t: Optional[int] = None) -> list[LeafIndex]:

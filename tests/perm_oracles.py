@@ -3,7 +3,7 @@ oracles for what the library computes another way, from one-line notation or
 a rank table, and the earlier, slower forms of the library's own functions."""
 import itertools
 from bisect import insort
-from math import gcd
+from math import factorial, gcd
 from typing import NamedTuple
 
 from leaf_atlas.double_bruhat import dense_orbit
@@ -11,6 +11,20 @@ from leaf_atlas.exact_matrix import NORTHEAST, SOUTHWEST, _half_turn
 from leaf_atlas.permutations import (PartialPerm, bruhat_leq, check_perm,
                                      min_reps_first, min_reps_last)
 from leaf_atlas.sigma import SigmaTuple
+
+
+def stirling2(n, k):
+    """Stirling number of the second kind, by ``S(n, k) = k S(n-1, k) + S(n-1, k-1)``."""
+    row = [1] + [0] * k  # S(0, j)
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+def rank_count(m, n, t):
+    """The number of rank-``t`` strata of ``m x n``, ``(t!)^2 S(m+1, t+1) S(n+1, t+1)``
+    (Arakawa and Kaneko, 1999)."""
+    return factorial(t) ** 2 * stirling2(m + 1, t + 1) * stirling2(n + 1, t + 1)
 
 
 class Blocks(NamedTuple):

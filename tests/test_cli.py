@@ -10,6 +10,7 @@ import pytest
 from leaf_atlas import cli, harness
 from leaf_atlas.jsonout import dumps
 from leaf_atlas.leaves import all_leaves, enumerate_leaves, hasse
+from perm_oracles import rank_count
 
 
 def run_cli(capsys, *argv):
@@ -299,11 +300,13 @@ def _hasse_oracle(m, n, fmt):
                   "edges": [[index[a], index[b]] for a, b in covers]}) + "\n"
 
 
-# 1x11: labels of 26 characters, past the table's 24-character pad
+# 1x11: labels of 26 characters, past the table's 24-character pad; 5x5:
+# heads of five values and the two-digit value 10, at three ranks of a
+# listing too long to build whole in the oracle
 @pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
-                         + [(3, 4), (4, 3), (1, 11)])
+                         + [(3, 4), (4, 3), (1, 11), (5, 5)])
 def test_enumerate_streams_the_one_shot_text(capsys, m, n):
-    for t in (None, *range(min(m, n) + 1)):
+    for t in (0, 1, 5) if (m, n) == (5, 5) else (None, *range(min(m, n) + 1)):
         rank = () if t is None else ("--rank", str(t))
         for fmt in ("json", "table"):
             code, out, err = run_cli(capsys, "leaves", "enumerate", "--m", str(m),
@@ -325,7 +328,32 @@ def test_enumerate_json_count_is_the_number_of_records(capsys, m, n):
         assert t is None or {L["t"] for L in doc["leaves"]} == {t}
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("m,n", [(m, s - m) for s in range(2, 10) for m in range(1, s)])
+def test_enumerate_json_count_is_the_closed_form(capsys, m, n):
+    for t in range(min(m, n) + 1):
+        code, out, err = run_cli(capsys, "leaves", "enumerate", "--m", str(m), "--n", str(n),
+                                 "--rank", str(t))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["count"] == rank_count(m, n, t), t
+
+
+def test_enumerate_json_walks_once(monkeypatch, capsys):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return walk_heads(*args)
+
+    walk_heads = cli._walk_heads
+    monkeypatch.setattr(cli, "_walk_heads", spy)
+    for rank in ((), ("--rank", "2")):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "leaves", "enumerate", "--m", "3", "--n", "4", *rank)
+        assert code == 0 and json.loads(out)["count"] > 0
+        assert calls == [(3, 4, None if not rank else 2)]
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (3, 4)])
 def test_hasse_streams_the_one_shot_text(capsys, m, n):
     for fmt in ("json", "dot"):
         code, out, err = run_cli(capsys, "leaves", "hasse", "--m", str(m), "--n", str(n),

@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 import random
 import sys
 import threading
@@ -19,7 +18,7 @@ from leaf_atlas.leaves import (LeafIndex, classify_leaf, closure_leq,
                                leaf_profile, rank_of_index, window_ok)
 from leaf_atlas.permutations import (block_longest, bruhat_leq, longest, min_reps_first,
                                      min_reps_last)
-from perm_oracles import block_split, left_compose, right_compose, transpose
+from perm_oracles import block_split, left_compose, rank_count, right_compose, transpose
 
 
 def shapes(max_size):
@@ -77,20 +76,10 @@ def test_walk_carries_the_derived_rank_and_dimension(m, n):
         assert list(leaves._walk(m, n, t)) == [q for q in walk if q[1] == t]
 
 
-def _stirling2(n, k):
-    """Stirling number of the second kind, by ``S(n, k) = k S(n-1, k) + S(n-1, k-1)``."""
-    row = [1] + [0] * k  # S(0, j)
-    for _ in range(n):
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
-    return row[k]
-
-
 # 5x5: the only shape past the filtered scan's reach, 329,462 strata
 @pytest.mark.parametrize("m, n", shapes(9) + [(5, 5)])
 def test_walk_rank_counts_equal_the_closed_form(m, n):
-    # rank-t strata of m x n: (t!)^2 S(m+1, t+1) S(n+1, t+1)
-    expected = [math.factorial(t) ** 2 * _stirling2(m + 1, t + 1) * _stirling2(n + 1, t + 1)
-                for t in range(min(m, n) + 1)]
+    expected = [rank_count(m, n, t) for t in range(min(m, n) + 1)]
     assert [sum(1 for _ in leaves._walk(m, n, t)) for t in range(min(m, n) + 1)] == expected
     assert sum(1 for _ in leaves._walk(m, n)) == sum(expected)
     assert (m, n) != (5, 5) or sum(expected) == 329_462
