@@ -9,9 +9,11 @@ up by name at call time, and a payload codec.  ``VerificationReport.check``
 runs every check through it and encodes a payload only on failure; ``replay``
 decodes one and re-executes exactly the failed check on exactly the failed
 input.  A check against a sample of strata records the sampled indices
-(``"leaves"``).  A second table, ``_CAMPAIGNS``, maps each campaign to its
-body: ``run`` splits a campaign into jobs, fills one report per job in one
-worker (through a process pool if there are several), and adds them up.
+(``"leaves"``); above ``_EXHAUSTIVE_LIMIT`` strata the sample is drawn from
+``leaves.leaf_view``, so neither a campaign nor its replay lists the shape.
+A second table, ``_CAMPAIGNS``, maps each campaign to its body: ``run``
+splits a campaign into jobs, fills one report per job in one worker
+(through a process pool if there are several), and adds them up.
 
 Determinism: a sampling campaign is one job per fixed-size stream, and all
 randomness of stream ``k`` flows from ``random.Random(derive_seed(seed, k))``,
@@ -39,7 +41,7 @@ from .echelon import (COLUMN, ROW, EchelonPattern, all_patterns,
 from .exact_matrix import (RationalMatrix, check_shape, from_text, sample_echelon_col,
                            sample_echelon_row, sample_rank, _rand_nonzero)
 from .leaves import (LeafIndex, _walk, all_leaves, cell_labels, classify_leaf, in_leaf,
-                     window_ok)
+                     leaf_view, window_ok)
 from .permutations import (PartialPerm, all_perms, block_longest, bruhat_leq,
                            count_partial_perms, identity, int_field,
                            int_list_field, parse_partial, partial_perms,
@@ -280,8 +282,9 @@ def check_zero_product(sig: SigmaTuple) -> bool:
 def check_window_vs_bruhat(m: int, n: int) -> bool:
     """
     The displacement window and the Bruhat test cut out the same index set,
-    and the enumerator lists exactly that set, in the scan's order.  The
-    enumerator builds its indices unchecked, so this covers its output.
+    and both the enumerator and the indexed view (``leaf_view``, read index
+    by index) give exactly that set, in the scan's order.  Both build their
+    indices unchecked, so this covers their output.
     """
     base = block_longest(n, m)
     inside = []
@@ -291,7 +294,9 @@ def check_window_vs_bruhat(m: int, n: int) -> bool:
             return False
         if ok:
             inside.append(w)
-    return [L.w for L in all_leaves(m, n)] == inside
+    view = leaf_view(m, n)
+    return ([L.w for L in all_leaves(m, n)] == inside and len(view) == len(inside)
+            and all(view[k].w == w for k, w in enumerate(inside)))
 
 
 def check_sigma_count(m: int, n: int, t: int) -> bool:
@@ -369,17 +374,27 @@ class Check(NamedTuple):
 
 
 def _encode_strata(x: RationalMatrix, leaf_list) -> dict:
+    """The matrix, and the strata too if they are fewer than the shape has (a sample)."""
     out = {"m": x.rows, "n": x.cols, "matrix": x.to_text()}
-    if leaf_list is not all_leaves(x.rows, x.cols):  # a sample, not all strata
+    if len(leaf_list) < len(leaf_view(x.rows, x.cols)):
         out["leaves"] = [list(L.w) for L in leaf_list]
     return out
 
 
 def _decode_strata(p: dict) -> tuple:
+    """
+    The matrix and the strata it was checked against: those under
+    ``"leaves"``, or else all strata of the shape, which no campaign checks
+    above ``_EXHAUSTIVE_LIMIT``, so a larger shape raises before any is listed.
+    """
     m, n = int_field(p, "m"), int_field(p, "n")
     x = from_text(p["matrix"])
-    _require_shape("matrix", x, m, n)  # before the encoder enumerates x's strata
+    _require_shape("matrix", x, m, n)  # before the shape's strata are counted
     if "leaves" not in p:
+        count = len(leaf_view(m, n))
+        if count > _EXHAUSTIVE_LIMIT:
+            raise ValueError(f"a {m}x{n} payload must list its strata under 'leaves': "
+                             f"no check runs on all {count}")
         return x, all_leaves(m, n)
     if not isinstance(p["leaves"], list):
         raise ValueError(f"leaves must be a list, got {p['leaves']!r}")
@@ -548,10 +563,15 @@ def sample_stream(m: int, n: int, count: int, rng: random.Random):
 
 def _run_strata_stream(full: str, sampled: str, report: VerificationReport,
                        m: int, n: int, count: int, stream_seed: int) -> None:
-    """``full`` against all strata; above ``_EXHAUSTIVE_LIMIT``, ``sampled`` on a sample."""
+    """
+    ``full`` against all strata; above ``_EXHAUSTIVE_LIMIT``, ``sampled`` on
+    a sample drawn from the indexed view, which lists none.  ``rng.sample``
+    draws the same indices from any sequence of the same length.
+    """
     rng = random.Random(stream_seed)
-    leaf_list = all_leaves(m, n)
-    exhaustive = len(leaf_list) <= _EXHAUSTIVE_LIMIT
+    view = leaf_view(m, n)
+    exhaustive = len(view) <= _EXHAUSTIVE_LIMIT
+    leaf_list = all_leaves(m, n) if exhaustive else view
     for x in sample_stream(m, n, count, rng):
         L0 = classify_leaf(x)  # kept on x, so the check reads it back
         if exhaustive:

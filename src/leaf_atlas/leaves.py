@@ -4,7 +4,8 @@ Each stratum (a torus orbit of symplectic leaves for the standard Poisson
 structure) is indexed by a permutation ``w`` of ``{1..m+n}`` subject to the
 displacement window ``n <= w(i)+i-1 <= m+2n``; equivalently ``w`` lies above
 the product of the two block longest elements in the Bruhat order.  This
-module enumerates the indices, decides membership of a matrix in a stratum
+module enumerates the indices (or reads the ``k``-th of them without
+listing any, ``leaf_view``), decides membership of a matrix in a stratum
 or its closure by comparing four tables of exact submatrix ranks with the
 stratum's tables of dots of ``w`` in the matching rectangles (equal on the
 stratum, entrywise at most on its closure), classifies a matrix by
@@ -17,11 +18,13 @@ agreement, so neither delegates to the other.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, chain
-from operator import le
-from typing import Iterator, Optional, Sequence
+from operator import index, le
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import cells
 from .exact_matrix import (NORTHEAST, SOUTHWEST, RationalMatrix, bruhat_pivots,
@@ -72,8 +75,8 @@ class LeafIndex:
         """
         The index of ``w``, unchecked: for a producer that only builds tuple
         permutations inside the window.  The registered check
-        ``window_vs_bruhat`` compares the enumerator's output with the
-        window-filtered scan of S_{m+n}.
+        ``window_vs_bruhat`` compares the output of the enumerator and of
+        the indexed view with the window-filtered scan of S_{m+n}.
         """
         leaf = object.__new__(cls)
         object.__setattr__(leaf, "w", w)
@@ -104,35 +107,23 @@ class LeafIndex:
         return leaf
 
 
-def _walk_heads(m: int, n: int, t: Optional[int] = None) -> Iterator[tuple]:
-    """
-    The strata of ``_walk(m, n, t)`` grouped by head, in the same order:
-    ``(head, rank, dim, tail)`` for each head, whose strata are ``(head +
-    s, rank + tr, dim + td)`` for each ``(s, tr, td)`` of ``tail`` with
-    ``rank + tr`` equal to ``t`` (each, if ``t`` is None).  A ``tail`` is
-    the list of completions of every head with the same values, shared
-    between them and unfiltered, since heads of different ranks share it.
-    The shape is checked before the generator is made.
-
-    Prefixes grow in lexicographic order, position ``i`` (from 0) by each
-    unused value of its window ``[n-i, m+2n-i]``, the last two positions at
-    once; with ``t`` given, only while rank ``t`` stays reachable.  Every
-    prefix of ``m+n-_TAIL`` positions (a head) is built first; then the
-    heads come one at a time, each freed as it is yielded, and a tail is
-    built when the first head with its values is reached, to bound peak
-    memory.  A prefix ``p`` is carried as ``(p, rank, dim, used)``:
-    ``used`` has bit ``x`` set for each value ``x`` of ``p``, and a value
-    ``x`` appended at position ``i`` adds ``x > n`` to the rank if ``i <
-    n``, and the number of larger values before it (an inversion each) to
-    ``dim``.  A tail is built from ``((), 0, 0, used)``, and its last two
-    positions emit ``(suffix, rank, dim)``.
-
-    >>> [(p, r, d, tail) for p, r, d, tail in _walk_heads(1, 1)]
-    [((), 0, 0, [((1, 2), 0, 0), ((2, 1), 1, 1)])]
-    """
-    check_shape(m, n, 0 if t is None else t)
+def _windows(m: int, n: int) -> list[range]:
+    """The values position ``i`` (from 0) may take: its window ``[n-i, m+2n-i]`` within ``1..m+n``."""
     N = m + n
-    windows = [range(max(1, n - i), min(N, m + 2 * n - i) + 1) for i in range(N)]
+    return [range(max(1, n - i), min(N, m + 2 * n - i) + 1) for i in range(N)]
+
+
+def _extender(m: int, n: int, t: Optional[int] = None) -> Callable[[list, int], list]:
+    """
+    One step of the walk over ``m x n``: ``extend(prefixes, i)`` grows each
+    prefix ``(p, rank, dim, used)`` at position ``i`` by each unused value of
+    the position's window, in increasing order, the last two positions at
+    once.  With ``t`` given, a prefix is dropped once rank ``t`` is out of
+    reach, but only at the positions of a head (below ``m+n-_TAIL``), since
+    a tail is shared across ranks.
+    """
+    N = m + n
+    windows = _windows(m, n)
     full, last = (1 << N + 1) - 2, windows[-1]  # full has bits 1..N
     split = max(0, N - _TAIL)
 
@@ -147,10 +138,47 @@ def _walk_heads(m: int, n: int, t: Optional[int] = None) -> Iterator[tuple]:
                          d + (used >> x).bit_count() + (used >> y).bit_count() + (x > y))
                         for p, r, d, used in prefixes for x in win if not used >> x & 1
                         for y in [(full ^ used ^ 1 << x).bit_length() - 1] if y in last]
-        if t is not None and ranked and i < split:  # a tail is shared across ranks
+        if t is not None and ranked and i < split:
             prefixes = [q for q in prefixes if t - (n - 1 - i) <= q[1] <= t]
         return prefixes
 
+    return extend
+
+
+def _tail(extend: Callable[[list, int], list], used: int, split: int, N: int) -> list:
+    """The completions ``(suffix, rank, dim)`` of any head with the values ``used``."""
+    return reduce(extend, range(split, N - 1), [((), 0, 0, used)])
+
+
+def _walk_heads(m: int, n: int, t: Optional[int] = None) -> Iterator[tuple]:
+    """
+    The strata of ``_walk(m, n, t)`` grouped by head, in the same order:
+    ``(head, rank, dim, tail)`` for each head, whose strata are ``(head +
+    s, rank + tr, dim + td)`` for each ``(s, tr, td)`` of ``tail`` with
+    ``rank + tr`` equal to ``t`` (each, if ``t`` is None).  A ``tail`` is
+    the list of completions of every head with the same values, shared
+    between them and unfiltered, since heads of different ranks share it.
+    The shape is checked before the generator is made.
+
+    Prefixes grow in lexicographic order by ``_extender``'s step; with ``t``
+    given, only while rank ``t`` stays reachable.  Every prefix of
+    ``m+n-_TAIL`` positions (a head) is built first; then the heads come
+    one at a time, each freed as it is yielded, and a tail is built
+    (``_tail``) when the first head with its values is reached, to bound
+    peak memory.  A prefix ``p`` is carried as ``(p, rank, dim, used)``:
+    ``used`` has bit ``x`` set for each value ``x`` of ``p``, and a value
+    ``x`` appended at position ``i`` adds ``x > n`` to the rank if ``i <
+    n``, and the number of larger values before it (an inversion each) to
+    ``dim``.  A tail is built from ``((), 0, 0, used)``, and its last two
+    positions emit ``(suffix, rank, dim)``.
+
+    >>> [(p, r, d, tail) for p, r, d, tail in _walk_heads(1, 1)]
+    [((), 0, 0, [((1, 2), 0, 0), ((2, 1), 1, 1)])]
+    """
+    check_shape(m, n, 0 if t is None else t)
+    N = m + n
+    split = max(0, N - _TAIL)
+    extend = _extender(m, n, t)
     # dim is length(w) less the length of the two blocks' longest elements
     heads = reduce(extend, range(split), [((), 0, -((n * (n - 1) + m * (m - 1)) // 2), 0)])
     tails: dict[int, list] = {}  # used -> the completions of any head with those values
@@ -161,7 +189,7 @@ def _walk_heads(m: int, n: int, t: Optional[int] = None) -> Iterator[tuple]:
             p, r, d, used = heads.pop()
             tail = tails.get(used)
             if tail is None:
-                tail = tails[used] = reduce(extend, range(split, N - 1), [((), 0, 0, used)])
+                tail = tails[used] = _tail(extend, used, split, N)
             yield p, r, d, tail
 
     return grouped()
@@ -199,6 +227,75 @@ def enumerate_leaves(m: int, n: int, t: Optional[int] = None) -> list[LeafIndex]
 def all_leaves(m: int, n: int) -> tuple[LeafIndex, ...]:
     """``enumerate_leaves(m, n)``, computed once per shape."""
     return tuple(enumerate_leaves(m, n))
+
+
+class LeafView(SequenceABC):
+    """
+    The strata of ``m x n`` as a sequence in the order of ``all_leaves``,
+    listing none: ``view[k] == all_leaves(m, n)[k]``.  When the view is
+    made, the number of window completions of each set of used values is
+    counted once (219 sets at 4x4, 12,911 at 7x7), which gives ``len``.
+    Stratum ``k`` is found by ranking down those counts (Nijenhuis & Wilf,
+    "Combinatorial Algorithms", 1978): at each of the first ``m+n-_TAIL``
+    positions, the value of the window whose cumulative count first passes
+    ``k``; then entry ``k`` of the tail of the used values (``_tail``),
+    built when first read and kept, as the walk keeps it.  The registered
+    check ``window_vs_bruhat`` compares the view, index by index, with the
+    window-filtered scan of S_{m+n}.  ``leaf_view`` makes one view per
+    shape.
+
+    >>> view = leaf_view(2, 2)
+    >>> len(view), view[0] == all_leaves(2, 2)[0], view[-1].w
+    (14, True, (4, 3, 2, 1))
+    """
+
+    def __init__(self, m: int, n: int) -> None:
+        check_shape(m, n)
+        N = m + n
+        windows = _windows(m, n)
+        split = max(0, N - _TAIL)
+        counts = {(1 << N + 1) - 2: 1}  # used -> the number of its completions
+        steps: dict[int, tuple[list[int], list[int]]] = {}  # at the head positions
+
+        def count(used: int) -> int:
+            c = counts.get(used)
+            if c is None:
+                values = [x for x in windows[used.bit_count()] if not used >> x & 1]
+                cumulative = list(accumulate(count(used | 1 << x) for x in values))
+                c = counts[used] = cumulative[-1] if cumulative else 0
+                if used.bit_count() < split:
+                    steps[used] = (values, cumulative)
+            return c
+
+        self.m, self.n, self._len = m, n, count(0)
+        self._N, self._split, self._steps = N, split, steps
+        self._extend = _extender(m, n)
+        self._tails: dict[int, list] = {}  # used -> its tail
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k: int) -> LeafIndex:
+        k = index(k)
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError(f"stratum {k} out of range for {self._len} strata")
+        used, head = 0, []
+        for _ in range(self._split):
+            values, cumulative = self._steps[used]
+            j = bisect_right(cumulative, k)
+            if j:
+                k -= cumulative[j - 1]
+            head.append(values[j])
+            used |= 1 << values[j]
+        tail = self._tails.get(used)
+        if tail is None:
+            tail = self._tails[used] = _tail(self._extend, used, self._split, self._N)
+        return LeafIndex._trusted(tuple(head) + tail[k][0], self.m, self.n)
+
+
+leaf_view = lru_cache(maxsize=None)(LeafView)  # one view per shape
 
 
 def cell_labels(L: LeafIndex) -> tuple[PartialPerm, PartialPerm]:
@@ -251,6 +348,14 @@ def leaf_profile(x: RationalMatrix) -> LeafTables:
     return T
 
 
+_ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}  # each target row value, held once
+
+
+def _row(r: tuple[int, ...]) -> tuple[int, ...]:
+    """The row of ``_ROWS`` equal to ``r``; only an idempotent ``setdefault`` writes it."""
+    return _ROWS.setdefault(r, r)
+
+
 class _Targets:
     """
     The rank targets of the stratum of ``w`` in ``m x n``: the tables
@@ -261,6 +366,8 @@ class _Targets:
     The other three tables are built on first use, since ``in_leaf``
     compares ``sw`` first and most pairs already fail there.  The fill is
     check-then-write without a lock; every writer stores equal tables.
+    Each row is the one ``_ROWS`` holds for its value, so the tables of
+    many strata share a few rows (31 at 4x4).
     """
 
     __slots__ = ("w", "m", "n", "sw", "_rest")
@@ -268,7 +375,7 @@ class _Targets:
     def __init__(self, w: Perm, m: int, n: int) -> None:
         head = w[:n]
         self.w, self.m, self.n, self._rest = w, m, n, None
-        self.sw = tuple([tuple(accumulate([x > k for x in head], initial=0))
+        self.sw = tuple([_row(tuple(accumulate([x > k for x in head], initial=0)))
                          for k in range(n, m + n + 1)])
 
     def rest(self) -> tuple:
@@ -284,12 +391,12 @@ class _Targets:
             m, n = self.m, self.n
             N = m + n
             S = cells.pp_rank_profile(self.w, SOUTHWEST)
-            ne = tuple(tuple([k + p - N + S[k][N - p] for k in range(n, -1, -1)])
+            ne = tuple(_row(tuple([k + p - N + S[k][N - p] for k in range(n, -1, -1)]))
                        for p in range(m + 1))
-            col = tuple(tuple([S[n + 1 - p][q] - S[n + 1 - p][p - 1] if 1 <= p <= q else 0
-                               for q in range(n + 1)]) for p in range(n + 1))
-            row = tuple(tuple([S[n + p - 1][N - q] - S[n + q][N - q] if 1 <= p <= q else 0
-                               for q in range(m + 1)]) for p in range(m + 1))
+            col = tuple(_row(tuple([S[n + 1 - p][q] - S[n + 1 - p][p - 1] if 1 <= p <= q
+                                    else 0 for q in range(n + 1)])) for p in range(n + 1))
+            row = tuple(_row(tuple([S[n + p - 1][N - q] - S[n + q][N - q] if 1 <= p <= q
+                                    else 0 for q in range(m + 1)])) for p in range(m + 1))
             R = self._rest = (ne, col, row)
         return R
 

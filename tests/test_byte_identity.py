@@ -4,7 +4,9 @@ Each digest is the sha256 of an output of the package as released before
 the unchecked quadruple producers and the once-per-cell factorization:
 every campaign report without ``wall_time`` (written as ``json.dumps(...,
 indent=2)``, the CLI's own form) at 2x2 and 3x3, seeds 0 and 7, and the
-stdout of three CLI commands on fixed 3x3 inputs.  Any change of those
+stdout of three CLI commands on fixed 3x3 inputs.  The three stream
+campaigns are pinned at 3x4 as well, where each sample is checked against
+a sample of the strata rather than all of them.  Any change of those
 bytes fails here; a deliberate change of output re-pins the digest it moves
 and says why.
 """
@@ -50,6 +52,13 @@ REPORTS = {
     ("counts", 2, 2, 7): "c4bc317df660cc5c86f3c44cfa0e4c8e4d09b2307124e051c70cfd35d17baca7",
     ("counts", 3, 3, 0): "486b93e2fc65c694aec59da178e59e04a9167265eb254236ddb00ebf2c837b95",
     ("counts", 3, 3, 7): "1d8bddfbb401db0c6f1f9d28b2c07c1e0a8b3ae9e0bd74b20a373e5e1ceb921e",
+    # 3x4 has 1,066 strata, above the exhaustive limit: the sampled branch
+    ("partition", 3, 4, 0): "1460adc4639b9a49c74a5f71e4b2c8f81d7fe3a82fecb04d2ce551c846d36483",
+    ("partition", 3, 4, 7): "b5e5599aa5f7fa157c8130cd20823728b399f6cffe95b978781ab61b5372c122",
+    ("thm42_equiv", 3, 4, 0): "8c0d68c6c5f6ea4e9985ef51682b9b5c4f95569ee91c5d9709546baa40009aa3",
+    ("thm42_equiv", 3, 4, 7): "9eeca3212aab30ec1337537f2e2ea899d579014a9e690105ba51f7bbfec5e90b",
+    ("closure_order", 3, 4, 0): "e18ea02f130e316de89d9aa49e3da62c66e9616a6b10568af9711de4f9acce58",
+    ("closure_order", 3, 4, 7): "3c950d2a909cc5aeb5565edffd4a3444e50341cf898329270ef8748dd9e698e1",
 }
 
 CLI_OUTPUTS = {

@@ -4,13 +4,14 @@ import weakref
 
 import pytest
 
-from leaf_atlas import double_bruhat, echelon, harness
+from leaf_atlas import double_bruhat, echelon, harness, leaves
 from leaf_atlas.double_bruhat import DoubleCellIndex, is_nonempty
 from leaf_atlas.exact_matrix import RationalMatrix
 from leaf_atlas.leaves import LeafIndex
 from leaf_atlas.permutations import partial_perms
 from leaf_atlas.sigma import SigmaTuple
 from matrix_strategies import identity_matrix
+from perm_oracles import rank_count
 
 
 def strip_time(report):
@@ -524,6 +525,63 @@ def test_sampled_failures_replay_the_sampled_check(monkeypatch, campaign):
     for payload in r.counterexamples:
         assert len(payload["leaves"]) == 13  # the sampled indices, not all 6,902
         assert harness.replay(payload) is False, payload
+
+
+def _forbid_listing_above_the_limit(monkeypatch):
+    """Make ``all_leaves`` fail the test on a shape with more than ``_EXHAUSTIVE_LIMIT``
+    strata, counted by the closed form, so nothing lists such a shape unseen."""
+    real = harness.all_leaves
+
+    def guarded(m, n):
+        if sum(rank_count(m, n, t) for t in range(min(m, n) + 1)) > harness._EXHAUSTIVE_LIMIT:
+            pytest.fail(f"all_leaves({m}, {n}) listed above the limit")
+        return real(m, n)
+
+    monkeypatch.setattr(harness, "all_leaves", guarded)
+    monkeypatch.setattr(leaves, "all_leaves", guarded)
+
+
+@pytest.mark.parametrize("m, n", [(6, 6), (7, 7)])
+@pytest.mark.parametrize("campaign", ["partition", "thm42_equiv", "closure_order"])
+def test_stream_campaigns_list_no_shape_above_the_limit(monkeypatch, campaign, m, n):
+    _forbid_listing_above_the_limit(monkeypatch)
+    r = harness.run(campaign, m, n, samples=4, seed=1, threads=1)
+    assert r.failed == 0 and r.passed == r.attempted == 4
+
+
+def test_a_sampled_6x6_payload_encodes_and_replays(monkeypatch):
+    _forbid_listing_above_the_limit(monkeypatch)
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "check_classify_equiv", lambda *args: False)
+        r = harness.run("partition", 6, 6, samples=3, seed=2, threads=1)
+    assert r.failed == 3
+    for payload in json.loads(json.dumps(r.to_dict()))["counterexamples"]:
+        assert len(payload["leaves"]) == harness._OTHERS_PER_SAMPLE + 1
+        assert harness.replay(payload) is True, payload
+
+
+def test_a_payload_without_leaves_above_the_limit_is_refused(monkeypatch):
+    # 7x7 has 2,193,664,790 strata: the count refuses it, and nothing lists them
+    _forbid_listing_above_the_limit(monkeypatch)
+    for m, n in [(7, 7), (3, 4)]:
+        payload = {"check": "classify_equiv", "m": m, "n": n,
+                   "matrix": RationalMatrix.zero(m, n).to_text()}
+        with pytest.raises(ValueError, match="leaves"):
+            harness.replay(payload)
+    under = {"check": "classify_equiv", "m": 3, "n": 3,
+             "matrix": RationalMatrix.zero(3, 3).to_text()}
+    assert harness.replay(under) is True  # 230 strata: all of them, as a campaign checks
+
+
+def test_a_shifted_view_fails_window_vs_bruhat(monkeypatch):
+    class Shifted(leaves.LeafView):
+        def __getitem__(self, k):
+            return super().__getitem__((k + 1) % len(self))
+
+    assert harness.check_window_vs_bruhat(2, 3)
+    monkeypatch.setattr(harness, "leaf_view", Shifted)
+    assert not harness.check_window_vs_bruhat(2, 3)
+    assert not harness.run("counts", 2, 3, threads=1).ok
 
 
 def test_factors_that_do_not_recompose_fail_criteria_agreement(monkeypatch):

@@ -85,6 +85,42 @@ def test_walk_rank_counts_equal_the_closed_form(m, n):
     assert (m, n) != (5, 5) or sum(expected) == 329_462
 
 
+# shapes of up to _TAIL positions have no head: each index reads one tail
+@pytest.mark.parametrize("m, n", shapes(8) + [(4, 5), (5, 4)])
+def test_view_reads_all_leaves_at_every_index(m, n):
+    everything, view = leaves.all_leaves(m, n), leaves.leaf_view(m, n)
+    assert len(view) == len(everything)
+    assert all(view[k] == L for k, L in enumerate(everything))
+    assert view[-1] == everything[-1] and view[-len(view)] == everything[0]
+    for k in (len(view), -len(view) - 1):
+        with pytest.raises(IndexError):
+            view[k]
+
+
+def test_view_length_is_the_closed_form():
+    for m in range(1, 8):
+        for n in range(1, 8):
+            expected = sum(rank_count(m, n, t) for t in range(min(m, n) + 1))
+            assert len(leaves.leaf_view(m, n)) == expected, (m, n)
+    assert leaves.leaf_view(7, 7) is leaves.leaf_view(7, 7)  # one per shape
+
+
+def test_view_samples_as_all_leaves_do():
+    # random.sample draws the same indices from any sequence of the same length
+    view, everything = leaves.leaf_view(4, 4), leaves.all_leaves(4, 4)
+    for seed in range(8):
+        assert random.Random(seed).sample(view, 12) == random.Random(seed).sample(everything, 12)
+
+
+def test_targets_share_their_rows():
+    rows = []
+    for L in leaves.all_leaves(4, 4):
+        tg = leaves._Targets(L.w, 4, 4)
+        rows.extend(chain(tg.sw, *tg.rest()))
+    assert len(rows) == 6902 * 4 * 5
+    assert len({id(r) for r in rows}) == len(set(rows)) == 31
+
+
 def test_rank_counts_equal_quadruple_factors():
     # Independent count: rank-t strata correspond to pairs (y, z) in S_m and
     # (v, u) in S_n of minimal coset representatives with z <= y and v <= u.

@@ -6,6 +6,8 @@ what it builds with them:
 
 - ``leaves.enumerate_leaves``: ``window_vs_bruhat`` compares its list with
   the window-filtered scan of S_{m+n};
+- ``leaves.LeafView``: the same check compares the view with that scan,
+  index by index;
 - ``sigma.enumerate_sigma``: ``phi_roundtrip`` rebuilds each of its
   quadruples through the validating constructor;
 - ``sigma.phi_inv``: ``phi_roundtrip`` compares its output with those
@@ -22,8 +24,9 @@ from pathlib import Path
 
 import leaf_atlas
 
-ALLOWED = {("leaves", "enumerate_leaves"), ("sigma", "enumerate_sigma"), ("sigma", "phi_inv"),
-           ("double_bruhat", "decompose"), ("double_bruhat", "dense_orbit")}
+ALLOWED = {("leaves", "enumerate_leaves"), ("leaves", "LeafView"), ("sigma", "enumerate_sigma"),
+           ("sigma", "phi_inv"), ("double_bruhat", "decompose"),
+           ("double_bruhat", "dense_orbit")}
 
 
 def _trusted_uses() -> set[tuple[str, str]]:
